@@ -274,7 +274,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("dispersion", help="collective-mode dispersion along a BZ path")
     p.add_argument("--config", required=True)
     p.add_argument("--path", default="G,X,M,G",
-                   help="comma-separated waypoints: G, X, M or kx:ky pairs")
+                   help="comma-separated waypoints: G, X, M or kx:ky pairs "
+                        "(units of q)")
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dispersion)

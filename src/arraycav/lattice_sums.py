@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._numerics import smoothstep
-from .errors import ConvergenceError, GrazingError
+from .errors import ConfigError, ConvergenceError, GrazingError
 from .greens import GAMMA, LAMBDA, Q, E_D_CIRCULAR, kernel_fs_plane
 
 DEFAULT_EPS = (0.02, 0.04, 0.08)    # damping rates, units 1/lambda
@@ -197,11 +197,21 @@ _BZ_POINTS = {"G": (0.0, 0.0), "X": (1.0, 0.0), "M": (1.0, 1.0)}
 
 
 def resolve_bz_point(p, a):
-    """Map 'G'/'X'/'M' labels or explicit (kx, ky) pairs to wavevectors."""
+    """Map 'G'/'X'/'M' labels, 'kx:ky' strings (units q) or explicit (kx, ky)
+    pairs (absolute) to wavevectors."""
     if isinstance(p, str):
+        if ":" in p:
+            try:
+                kx, ky = (float(c) for c in p.split(":"))
+            except ValueError:
+                kx = ky = float("nan")
+            if not (np.isfinite(kx) and np.isfinite(ky)):
+                raise ConfigError(
+                    f"malformed waypoint {p!r}: expected kx:ky in units of q")
+            return (kx * Q, ky * Q)
         key = p.strip().upper().replace("GAMMA", "G")
         if key not in _BZ_POINTS:
-            raise ValueError(f"unknown Brillouin-zone label {p!r}")
+            raise ConfigError(f"unknown Brillouin-zone label {p!r}")
         fx, fy = _BZ_POINTS[key]
         return (fx * np.pi / a, fy * np.pi / a)
     return (float(p[0]), float(p[1]))
@@ -257,6 +267,9 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
         return DispersionPoint(k_perp=k, gamma_k=gk, delta_k=dk, method="reciprocal")
 
     if threads is not None and threads > 1:
+        # build the shared real-space table before the workers race to miss
+        # its unlocked cache
+        _sum_table(float(a), float(radius), float(DEFAULT_TAPER), _e_d_key(e_d))
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, kvecs))
     return [one(k) for k in kvecs]

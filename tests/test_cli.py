@@ -125,6 +125,27 @@ def test_kernel_command(cfg_file, capsys):
     assert re_part == pytest.approx(0.03799544386587665, rel=1e-12)
 
 
+def test_dispersion_explicit_waypoint_in_units_of_q(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text(a=0.6, n_side=24, w=2.0, z0=0.125,
+                                        delta=100.0, l_fsr=100.0))
+    out = tmp_path / "disp.csv"
+    assert main(["dispersion", "--config", str(path), "--path", "G,0.25:0.5",
+                 "--samples", "5", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1, 2))
+    assert rows.shape == (5, 3)
+    np.testing.assert_allclose(rows[0, :2], [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rows[-1, :2], [0.25, 0.5], rtol=1e-14)
+    assert np.all(rows[:, 2] + 1.0 > 0.0)
+
+
+@pytest.mark.parametrize("waypoint", ["0.25:", "0.25:x", "1:2:3", "nan:0", "Y"])
+def test_dispersion_bad_waypoint_is_config_error(cfg_file, tmp_path, capsys, waypoint):
+    assert main(["dispersion", "--config", str(cfg_file), "--path",
+                 f"G,{waypoint}", "--out", str(tmp_path / "d.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_hard_error(cfg_file):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--config", str(cfg_file), "--bogus"])

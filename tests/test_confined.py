@@ -1,13 +1,21 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import j0
 
+from arraycav._numerics import displacement_grid, gl_interval
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
-from arraycav.confined import (KernelMatrix, ModeProfile, cavity_profile,
-                               confined_kernel_hg, confined_kernel_paraxial,
+from arraycav.confined import (KernelMatrix, ModeProfile, _quad_nodes,
+                               cavity_profile, confined_kernel_hg,
+                               confined_kernel_paraxial, confined_table,
                                free_space_kernel, mode_decay_rate,
                                projected_kernel, uniform_profile)
 from arraycav.errors import ConfigError
-from arraycav.greens import GAMMA, Q
+from arraycav.greens import GAMMA, LAMBDA, Q
 from arraycav import cache
 
 W = 4.0
@@ -76,6 +84,46 @@ class TestConfinedKernel:
         small = confined_kernel_paraxial(LatticeSpec(a=0.5, n_side=4), 0.0, KCUT)
         with pytest.raises(ValueError, match="mismatch"):
             projected_kernel(fs, small)
+
+
+def _full_grid_table(lattice, k_cut_abs, derivative):
+    """Reference: the Bessel quadrature evaluated at every displacement."""
+    dx, dy = displacement_grid(lattice.n_side, lattice.a)
+    rho = np.hypot(dx, dy)
+    nodes = _quad_nodes(k_cut_abs, float(rho.max()))
+    umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
+    u, wu = gl_interval(umin, Q, nodes)
+    weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * wu
+    if derivative == 2:
+        weight = -weight * u * u
+    kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
+    return (j0(np.outer(rho.ravel(), kk)) @ weight).reshape(rho.shape)
+
+
+class TestConfinedTable:
+    @settings(max_examples=15, deadline=None)
+    @given(n_side=st.integers(2, 40), a=st.floats(0.2, 1.0),
+           k_cut=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+           derivative=st.sampled_from([0, 2]))
+    def test_radial_table_matches_full_grid(self, n_side, a, k_cut, derivative):
+        lat = LatticeSpec(a=a, n_side=n_side)
+        table = confined_table(lat, k_cut * Q, derivative)
+        ref = _full_grid_table(lat, k_cut * Q, derivative)
+        assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
+        assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
+        np.testing.assert_array_equal(table, table.T)               # x <-> y
+
+    def test_memory_stays_per_radius(self):
+        # the full-grid J0 intermediate alone was ~400 MB at this size
+        lat = LatticeSpec(a=0.25, n_side=256)
+        tracemalloc.start()
+        try:
+            confined_table(lat, 0.75, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
 
 
 class TestProjectedKernel:

@@ -7,7 +7,7 @@ from arraycav.greens import GAMMA, Q
 from arraycav.lattice_sums import (DispersionGrid, cooperative_rates_real_space,
                                    cooperative_rates_reciprocal,
                                    diffraction_orders, dispersion_curve,
-                                   dispersion_grid)
+                                   dispersion_grid, _sum_table)
 
 
 class TestDiffractionOrders:
@@ -142,6 +142,11 @@ class TestDispersionCurve:
         threaded = dispersion_curve(["G", "M"], 5, 0.6, threads=4)
         assert [p.gamma_k for p in serial] == [p.gamma_k for p in threaded]
         assert [p.delta_k for p in serial] == [p.delta_k for p in threaded]
+
+    def test_threaded_builds_the_sum_table_once(self):
+        before = _sum_table.cache_info().misses
+        dispersion_curve([(0.0, 0.0), (0.5, 0.0)], 4, 0.61, threads=4)
+        assert _sum_table.cache_info().misses == before + 1
 
 
 class TestDispersionGrid:
