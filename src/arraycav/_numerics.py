@@ -6,7 +6,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
 
 
 @lru_cache(maxsize=32)
@@ -83,17 +82,25 @@ def cyclic_weight_apply(weights, field):
     return np.fft.fft2(weights * np.fft.ifft2(field))
 
 
+def output_times(t_final, dt_out):
+    """Sample times 0, h, ..., t_final with h the spacing nearest dt_out
+    (at least two samples)."""
+    n_out = max(2, int(round(t_final / dt_out)) + 1)
+    return np.linspace(0.0, t_final, n_out)
+
+
 def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9, atol=None, method="RK45"):
     """Drive solve_ivp with dense complex state, sampling every dt_out.
 
     Returns (times, states) with states[i] the state at times[i]; deterministic
     for identical inputs and step controls.
     """
+    from scipy.integrate import solve_ivp   # lazy: only om_dynamics integrates
+
     y0 = np.asarray(y0, dtype=complex)
     if atol is None:
         atol = rtol * 1e-2
-    n_out = max(2, int(round(t_final / dt_out)) + 1)
-    t_eval = np.linspace(0.0, t_final, n_out)
+    t_eval = output_times(t_final, dt_out)
     sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, t_eval=t_eval,
                     rtol=rtol, atol=atol)
     if not sol.success:

@@ -2,8 +2,8 @@
 
 Subcommands: validate, dispersion, spectrum, omparams, dynamics, kernel.
 Every output file is accompanied by a ``<name>.manifest.json`` recording the
-command, the resolved configuration snapshot, tool version, kernel-cache
-hashes, and output digests, so any run can be reproduced byte-for-byte.
+command, the resolved configuration snapshot, tool version and output
+digests, so any run can be reproduced byte-for-byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical/convergence error,
 4 consistency tolerance failure.
@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from . import cache as kcache
 from .config import emit_config, parse_config, validate_regime
 from .confined import confined_kernel_paraxial, free_space_kernel, projected_kernel
 from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
@@ -69,7 +68,6 @@ class RunManifest:
     argv: list
     version: str
     config: str                  # resolved canonical config snapshot
-    cache_dir: str | None        # kernel-cache location, if any
     outputs: list                # [{path, sha256}]
     extra: dict
 
@@ -80,7 +78,6 @@ def _write_manifest(command, args, cfg_text, outputs, extra=None):
         argv=[a for a in sys.argv[1:]],
         version=__version__,
         config=cfg_text,
-        cache_dir=os.environ.get(kcache.ENV_VAR),
         outputs=[{"path": str(p), "sha256": _sha256(p)} for p in outputs],
         extra=extra or {},
     )
@@ -191,25 +188,12 @@ def cmd_omparams(args):
     return exit_code
 
 
-def _projected_kernel_cached(cfg):
-    prov = {"a": cfg.lattice.a, "n_side": cfg.lattice.n_side,
-            "z0": cfg.cavity.z0, "k_cut": cfg.cavity.k_cut_abs,
-            "derivative": 0}
-    cached = kcache.load("confined", prov)
-    if cached is None:
-        conf = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
-                                        cfg.cavity.k_cut_abs)
-        kcache.store(conf)
-    else:
-        conf = cached
-    fs = free_space_kernel(cfg.lattice, e_d=cfg.physical.e_d)
-    return projected_kernel(fs, conf)
-
-
 def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
     if args.model == "full":
-        kernel = _projected_kernel_cached(cfg)
+        kernel = projected_kernel(
+            free_space_kernel(cfg.lattice, e_d=cfg.physical.e_d),
+            confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs))
         states = evolve_full(cfg, kernel, args.t_final, args.dt_out)
         rows = [(s.t, s.a.real, s.a.imag, float(np.sum(np.abs(s.sigma) ** 2)))
                 for s in states]
@@ -222,7 +206,10 @@ def cmd_dynamics(args):
             states = evolve_reduced(cfg, params, args.t_final, args.dt_out)
         else:
             basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed)
-            kernel = _projected_kernel_cached(cfg)
+            kernel = projected_kernel(
+                free_space_kernel(cfg.lattice, e_d=cfg.physical.e_d),
+                confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
+                                         cfg.cavity.k_cut_abs))
             d2 = projected_kernel(
                 free_space_kernel(cfg.lattice, derivative=2, e_d=cfg.physical.e_d),
                 confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,

@@ -146,6 +146,42 @@ class TestFullModel:
         got = np.concatenate([[states[-1].a], states[-1].sigma])
         assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 1e-8
 
+    @pytest.mark.parametrize("overrides, t_final, dt_out", [
+        (dict(a=0.5, n_side=4, w=2.0, z0=0.125, delta_c=0.2, delta=3.7,
+              kappa_c=0.8, Omega=0.05, l_fsr=20.0), 2.0, 0.5),
+        (dict(a=0.5, n_side=16, w=2.0, delta=100.0, Omega=0.01), 10.0, 0.05),
+    ], ids=["n_side4", "n_side16"])
+    def test_eigendecomposition_oracle_every_output_time(self, overrides,
+                                                         t_final, dt_out):
+        # y(t) = V [e^{lt} z0 + (e^{lt} - 1)/l w] with A = V diag(l) V^-1,
+        # z0 = V^-1 y0, w = V^-1 c: independent of expm and of the LU solve
+        cfg = make_config(**overrides)
+        kernel = free_space_kernel(cfg.lattice)
+        A, c = full_system(cfg, kernel)
+        states = evolve_full(cfg, kernel, t_final, dt_out)
+        ts = np.array([s.t for s in states])
+        lam, V = np.linalg.eig(A)
+        w = np.linalg.solve(V, c)
+        growth = np.exp(np.outer(ts, lam))
+        exact = ((growth - 1.0) / lam * w) @ V.T
+        a_got = np.array([s.a for s in states])
+        s2_got = np.array([np.sum(np.abs(s.sigma) ** 2) for s in states])
+        s2_exact = np.sum(np.abs(exact[:, 1:]) ** 2, axis=1)
+        a_dev = np.max(np.abs(a_got - exact[:, 0])) / np.max(np.abs(exact[:, 0]))
+        s2_dev = np.max(np.abs(s2_got - s2_exact)) / np.max(s2_exact)
+        assert a_dev <= 1e-10
+        assert s2_dev <= 1e-10
+
+    def test_output_grid_and_initial_state(self):
+        cfg = make_config(a=0.5, n_side=4, w=2.0, z0=0.125, Omega=0.05)
+        kernel = free_space_kernel(cfg.lattice)
+        a0 = 0.3 - 0.1j
+        sigma0 = np.linspace(-0.02, 0.02, cfg.lattice.n_sites) * (1 + 0.5j)
+        states = evolve_full(cfg, kernel, 1.0, 0.3, a0=a0, sigma0=sigma0)
+        assert np.array_equal([s.t for s in states], np.linspace(0.0, 1.0, 4))
+        assert states[0].a == a0
+        assert np.array_equal(states[0].sigma, sigma0)
+
     def test_steady_state_matches_two_mode(self, disp, proj32):
         cfg = make_config(z0=0.125, delta_c=0.3, delta=DELTA0 + 20.0,
                           kappa_c=1.0, Omega=0.01, l_fsr=100.0)

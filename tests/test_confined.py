@@ -16,7 +16,6 @@ from arraycav.confined import (KernelMatrix, ModeProfile, _quad_nodes,
                                projected_kernel, uniform_profile)
 from arraycav.errors import ConfigError
 from arraycav.greens import GAMMA, LAMBDA, Q
-from arraycav import cache
 
 W = 4.0
 KCUT = 4.0 / W          # absolute cutoff (1/lambda) covering the mode spectrum
@@ -225,28 +224,3 @@ class TestHermiteGaussOracle:
             confined_kernel_hg(LatticeSpec(a=0.5, n_side=32), 0.0, W, p_max=0)
         with pytest.raises(ConfigError):
             confined_kernel_hg(LatticeSpec(a=0.8, n_side=10), 0.0, W, p_max=7)
-
-
-class TestKernelCache:
-    def test_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-        lat = LatticeSpec(a=0.5, n_side=8)
-        k = confined_kernel_paraxial(lat, 0.1, KCUT)
-        path = cache.store(k)
-        assert path is not None and path.exists()
-        back = cache.load(k.kind, k.provenance)
-        assert back.kind == k.kind
-        assert back.n_sites == k.n_sites
-        # complex64 storage: ~1e-7 relative
-        assert np.allclose(back.entries, k.entries, rtol=1e-5, atol=1e-9)
-
-    def test_miss_returns_none(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-        assert cache.load("confined", {"a": 1.23}) is None
-
-    def test_no_cache_dir(self, monkeypatch):
-        monkeypatch.delenv(cache.ENV_VAR, raising=False)
-        lat = LatticeSpec(a=0.5, n_side=4)
-        k = confined_kernel_paraxial(lat, 0.0, KCUT)
-        assert cache.store(k) is None
-        assert cache.load(k.kind, k.provenance) is None
