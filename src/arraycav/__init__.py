@@ -19,16 +19,14 @@ from .lattice_sums import (DiffractionOrder, DispersionGrid,
                            dispersion_curve, dispersion_grid, dispersion_point)
 from .confined import (KernelMatrix, ModeProfile, cavity_profile,
                        confined_kernel_hg, confined_kernel_paraxial,
-                       confined_table, free_space_kernel, fs_table,
-                       mode_decay_rate, mode_decay_rate_tabled,
+                       confined_table, free_space_kernel, mode_decay_rate,
                        projected_kernel, uniform_profile)
 from .cavity_dynamics import (SystemState, TwoModeModel, build_two_mode,
                               evolve_full, spectrum_scan, steady_state_full,
                               steady_state_two_mode)
-from .optomech import (CouplingMatrices, MechanicalBasis, OmParams,
-                       build_coupling_matrices, closed_form_params,
+from .optomech import (MechanicalBasis, OmParams, closed_form_params,
                        coupling_matrix_C, coupling_matrix_M,
                        intensity_profile, k_sc_ground_state_average,
-                       kappa_sc_consistency, mechanical_basis, om_consistency)
+                       mechanical_basis, om_consistency)
 from .om_dynamics import (OmState, evolve_multimode, evolve_reduced,
                           standard_model_report)

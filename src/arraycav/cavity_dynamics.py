@@ -150,17 +150,18 @@ def coupling_profile(cfg: FullConfig):
 
 def full_system(cfg: FullConfig, kernel: KernelMatrix):
     """Generator A and drive c of the linear system y = (<a>, <s_1..N>):
-    dy/dt = A y + c."""
+    dy/dt = A y + c.  Dense: refuses N > MAX_DENSE_SITES before allocating A."""
     n = kernel.n_sites
     if n != cfg.lattice.n_sites:
         raise ValueError("kernel size does not match the lattice")
+    K = kernel.dense()
     g = coupling_profile(cfg)
     s2 = 2.0 * np.sin(cfg.qz0)
     A = np.zeros((n + 1, n + 1), dtype=complex)
     A[0, 0] = 1j * cfg.drive.delta_c - cfg.cavity.kappa_c / 2.0
     A[0, 1:] = -1j * s2 * g
     A[1:, 0] = -1j * s2 * g
-    A[1:, 1:] = 1j * cfg.drive.delta * np.eye(n) - kernel.entries
+    A[1:, 1:] = 1j * cfg.drive.delta * np.eye(n) - K
     c = np.zeros(n + 1, dtype=complex)
     c[0] = -1j * cfg.drive.Omega
     return A, c

@@ -111,8 +111,7 @@ def cmd_dispersion(args):
     cfg, text = _load_config(args.config)
     path = [p.strip() for p in args.path.split(",") if p.strip()]
     pts = dispersion_curve(path, args.samples, cfg.lattice.a,
-                           threads=args.threads, e_d=cfg.physical.e_d,
-                           strict=False)
+                           threads=args.threads, strict=False)
     q = 2.0 * np.pi
     with open(args.out, "w") as fh:
         fh.write("k_x/q,k_y/q,gamma_k/gamma,delta_k/gamma,method\n")
@@ -128,7 +127,7 @@ def cmd_dispersion(args):
 
 def cmd_spectrum(args):
     cfg, text = _load_config(args.config)
-    disp = dispersion_point((0.0, 0.0), cfg.lattice.a, e_d=cfg.physical.e_d)
+    disp = dispersion_point((0.0, 0.0), cfg.lattice.a)
     model = build_two_mode(cfg, disp)
     scan = spectrum_scan(model, (args.dc_min, args.dc_max), args.samples,
                          threads=args.threads)
@@ -141,8 +140,7 @@ def cmd_spectrum(args):
 
 def cmd_omparams(args):
     cfg, text = _load_config(args.config)
-    grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side,
-                           e_d=cfg.physical.e_d)
+    grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side)
     params = closed_form_params(cfg, grid.delta0)
     result = {"closed_form": {
         "g": params.g, "g_bar": params.g_bar, "g2": params.g2,
@@ -192,26 +190,25 @@ def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
     if args.model == "full":
         kernel = projected_kernel(
-            free_space_kernel(cfg.lattice, e_d=cfg.physical.e_d),
+            free_space_kernel(cfg.lattice),
             confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs))
         states = evolve_full(cfg, kernel, args.t_final, args.dt_out)
         rows = [(s.t, s.a.real, s.a.imag, float(np.sum(np.abs(s.sigma) ** 2)))
                 for s in states]
         _write_csv(args.out, ["t", "re_a", "im_a", "sum_abs_sigma2"], rows)
     else:
-        grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side,
-                               e_d=cfg.physical.e_d)
+        grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side)
         params = closed_form_params(cfg, grid.delta0)
         if args.model == "reduced":
             states = evolve_reduced(cfg, params, args.t_final, args.dt_out)
         else:
             basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed)
             kernel = projected_kernel(
-                free_space_kernel(cfg.lattice, e_d=cfg.physical.e_d),
+                free_space_kernel(cfg.lattice),
                 confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
                                          cfg.cavity.k_cut_abs))
             d2 = projected_kernel(
-                free_space_kernel(cfg.lattice, derivative=2, e_d=cfg.physical.e_d),
+                free_space_kernel(cfg.lattice, derivative=2),
                 confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
                                          cfg.cavity.k_cut_abs, derivative=2))
             n_modes = min(args.modes, cfg.lattice.n_sites)
@@ -225,22 +222,16 @@ def cmd_dynamics(args):
 
 
 def cmd_kernel(args):
-    from .greens import (KernelSample, kernel_fs, kernel_fs_d2z,
-                         kernel_fs_momentum)
-    cfg, _text = _load_config(args.config)
-    e_d = cfg.physical.e_d
+    from .greens import kernel_fs, kernel_fs_d2z, kernel_fs_momentum
+    _load_config(args.config)
     rx, ry = (float(x) for x in args.r_perp.split(","))
     if args.kind == "fs":
-        sample = KernelSample(value=kernel_fs((rx, ry), args.dz, e_d),
-                              kind="fs", argument=((rx, ry), args.dz))
+        value = kernel_fs((rx, ry), args.dz)
     elif args.kind == "fs-d2z":
-        sample = KernelSample(value=kernel_fs_d2z((rx, ry), e_d),
-                              kind="fs_d2z", argument=((rx, ry),))
+        value = kernel_fs_d2z((rx, ry))
     else:
-        k = (rx * 2 * np.pi, ry * 2 * np.pi)
-        sample = KernelSample(value=kernel_fs_momentum(k, args.dz, e_d),
-                              kind="momentum", argument=(k, args.dz))
-    print(f"{sample.value.real:.17g} {sample.value.imag:+.17g}j")
+        value = kernel_fs_momentum((rx * 2 * np.pi, ry * 2 * np.pi), args.dz)
+    print(f"{value.real:.17g} {value.imag:+.17g}j")
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ frequency only matters for retardation checks and is supplied as the optional
 
 Config files are INI-style with sections [physical], [lattice], [cavity],
 [trap], [drive], ``key = value`` pairs and ``#`` comments.  All records are
-immutable after construction.
+immutable after construction.  ``polarization`` accepts only ``circular``, the
+dipole orientation for which every kernel and lattice sum is built.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .greens import E_D_CIRCULAR, GAMMA, LAMBDA, Q
-
-_POLARIZATIONS = {
-    "circular": E_D_CIRCULAR,
-    "linear_x": np.array([1.0, 0.0, 0.0], dtype=complex),
-    "linear_y": np.array([0.0, 1.0, 0.0], dtype=complex),
-}
+from .greens import GAMMA, LAMBDA, Q
 
 # threshold for the ">>" inequalities: order-of-magnitude separation
 MARGIN = 10.0
@@ -37,12 +32,8 @@ class PhysicalConfig:
     lambda_: float = LAMBDA
     gamma: float = GAMMA
     q: float = Q
-    polarization: str = "circular"
+    polarization: str = "circular"   # the only value every kernel honours
     omega_l: float = 1e8          # laser frequency in units gamma (retardation checks)
-
-    @property
-    def e_d(self):
-        return _POLARIZATIONS[self.polarization]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +178,9 @@ def parse_config(text: str) -> FullConfig:
     if gam != 1.0:
         raise ConfigError("[physical] key 'gamma': internal unit, must be 1")
     pol = phys_sec.get("polarization", "circular").strip()
-    if pol not in _POLARIZATIONS:
-        raise ConfigError(f"[physical] key 'polarization': unknown value {pol!r}")
+    if pol != "circular":
+        raise ConfigError(f"[physical] key 'polarization': {pol!r} not supported; "
+                          "only 'circular' is")
     omega_l = _getfloat(phys_sec, "physical", "omega_l") if "omega_l" in phys_sec else 1e8
     if omega_l <= 0:
         raise ConfigError("[physical] key 'omega_l': must be > 0")

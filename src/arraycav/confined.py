@@ -32,7 +32,10 @@ from .config import LatticeSpec
 from .errors import ConfigError, ConvergenceError
 from .greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane, kernel_fs_plane)
 
-MAX_DENSE_SITES = 10_000          # dense N x N kernels beyond this are refused
+# Largest N for which a dense N x N array (kernel or mechanical basis) is
+# built.  The full-system propagator holds about eight (N + 1)^2 complex
+# arrays, ~2 GB at this size.
+MAX_DENSE_SITES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +53,32 @@ class ModeProfile:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    entries: np.ndarray           # complex N x N, units gamma
+    """Translation-invariant lattice kernel K[n, m] = table[i_n - i_m, j_n - j_m].
+
+    ``table`` holds the kernel over the (2 n_side - 1)^2 displacements, indexed
+    by offset + (n_side - 1), units gamma.  It is the only stored form; the
+    dense N x N matrix is built on request by ``dense()``.
+    """
+
+    table: np.ndarray
     kind: str                     # fs | confined | projected (+ _d2z variants)
     provenance: dict = field(default_factory=dict)
 
     @property
+    def n_side(self) -> int:
+        return (self.table.shape[0] + 1) // 2
+
+    @property
     def n_sites(self) -> int:
-        return self.entries.shape[0]
+        return self.n_side * self.n_side
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, for dense linear algebra (N <= MAX_DENSE_SITES)."""
+        if self.n_sites > MAX_DENSE_SITES:
+            raise ConfigError(
+                f"dense kernel for N = {self.n_sites} refused "
+                f"(limit {MAX_DENSE_SITES}); use the displacement table instead")
+        return toeplitz_from_table(self.table, self.n_side)
 
 
 def cavity_profile(lattice: LatticeSpec, w: float) -> ModeProfile:
@@ -122,30 +144,16 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, derivative: int = 0,
     return out[inverse].reshape(sq.size, sq.size)
 
 
-def fs_table(lattice: LatticeSpec, derivative: int = 0, e_d=None):
-    """Free-space kernel displacement table with the coincident-point conventions."""
+def free_space_kernel(lattice: LatticeSpec, derivative: int = 0) -> KernelMatrix:
+    """Free-space kernel D_fs (or its d2z) with the coincident-point conventions."""
     dx, dy = displacement_grid(lattice.n_side, lattice.a)
     if derivative == 0:
-        return kernel_fs_plane(dx, dy, e_d)
-    if derivative == 2:
-        return kernel_fs_d2z_plane(dx, dy, e_d)
-    raise ValueError("derivative must be 0 or 2")
-
-
-def _dense_guard(lattice):
-    if lattice.n_sites > MAX_DENSE_SITES:
-        raise ConfigError(
-            f"dense kernel for N = {lattice.n_sites} refused (limit {MAX_DENSE_SITES}); "
-            "use the displacement-table interfaces instead")
-
-
-def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, e_d=None) -> KernelMatrix:
-    """Dense free-space kernel matrix D_fs (or its d2z) over the lattice."""
-    _dense_guard(lattice)
-    table = fs_table(lattice, derivative, e_d)
-    kind = "fs" if derivative == 0 else "fs_d2z"
-    return KernelMatrix(entries=toeplitz_from_table(table, lattice.n_side),
-                        kind=kind,
+        table = kernel_fs_plane(dx, dy)
+    elif derivative == 2:
+        table = kernel_fs_d2z_plane(dx, dy)
+    else:
+        raise ValueError("derivative must be 0 or 2")
+    return KernelMatrix(table=table, kind="fs" if derivative == 0 else "fs_d2z",
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
                                     "derivative": derivative})
 
@@ -160,10 +168,8 @@ def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float,
     in provenance only.  Symmetric and real (kind 'confined'), or the second
     longitudinal derivative (kind 'confined_d2z').
     """
-    _dense_guard(lattice)
-    table = confined_table(lattice, k_cut, derivative, nodes)
     kind = "confined" if derivative == 0 else "confined_d2z"
-    return KernelMatrix(entries=toeplitz_from_table(table, lattice.n_side).astype(complex),
+    return KernelMatrix(table=confined_table(lattice, k_cut, derivative, nodes),
                         kind=kind,
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
                                     "z0": z0, "k_cut": k_cut,
@@ -179,7 +185,7 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
     projection a second time with the same confined channel is a no-op: the
     channel content is already absent, which is tracked through provenance.
     """
-    if fs.entries.shape != confined.entries.shape:
+    if fs.table.shape != confined.table.shape:
         raise ValueError("kernel shape mismatch")
     base_kind = {"fs": "projected", "fs_d2z": "projected_d2z"}
     if fs.kind in ("projected", "projected_d2z"):
@@ -188,25 +194,18 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
         raise ValueError("kernel already projected against a different channel")
     if fs.kind not in base_kind:
         raise ValueError(f"cannot project kernel of kind {fs.kind!r}")
-    entries = (fs.entries.real - confined.entries.real) + 1j * fs.entries.imag
+    table = (fs.table.real - confined.table.real) + 1j * fs.table.imag
     prov = dict(fs.provenance)
     prov.update({k: confined.provenance[k] for k in ("z0", "k_cut")})
-    return KernelMatrix(entries=entries, kind=base_kind[fs.kind], provenance=prov)
+    return KernelMatrix(table=table, kind=base_kind[fs.kind], provenance=prov)
 
 
 def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:
-    """Collective emission rate of a profile into the kernel's mode continuum:
-    u^dag (2 Re K) u."""
-    u = profile.weights
-    return float(np.real(np.conj(u) @ (2.0 * kernel.entries.real) @ u))
-
-
-def mode_decay_rate_tabled(profile: ModeProfile, table, n_side: int) -> float:
-    """Same contraction evaluated from a displacement table by FFT convolution;
-    O(N log N), no dense matrix, exact to round-off.  ``table`` is the real
-    part of the kernel over the (2 n_side - 1)^2 displacements."""
-    u = profile.weights.reshape(n_side, n_side)
-    tu = open_convolve(np.asarray(table), u)
+    """Collective emission rate of a profile into the kernel's mode continuum,
+    u^dag (2 Re K) u, by zero-padded FFT convolution of the displacement
+    table: O(N log N), exact to round-off."""
+    u = profile.weights.reshape(kernel.n_side, kernel.n_side)
+    tu = open_convolve(kernel.table.real, u)
     return float(np.real(np.sum(np.conj(u) * 2.0 * tu)))
 
 
@@ -219,9 +218,9 @@ def _hg_axis(x, p, w):
     return norm * eval_hermite(p, np.sqrt(2.0) * x / w) * np.exp(-(x / w) ** 2)
 
 
-def confined_kernel_hg(lattice: LatticeSpec, z0: float, w: float,
-                       p_max: int = 0) -> KernelMatrix:
-    """Radiative confined kernel from an explicit Hermite-Gauss mode sum.
+def confined_kernel_hg(lattice: LatticeSpec, w: float, p_max: int = 0) -> np.ndarray:
+    """Radiative confined kernel Re[D_c] from an explicit Hermite-Gauss mode sum,
+    as a real N x N array.
 
     Counter-propagating paraxial channels with transverse profiles
     phi_{p p'}(r) = h_p(x) h_{p'}(y), p, p' <= p_max, each carry the residue of
@@ -231,7 +230,8 @@ def confined_kernel_hg(lattice: LatticeSpec, z0: float, w: float,
 
     Desk-scale oracle (p_max <= 6, N <= 400) for the momentum-disc kernel's
     radiative content.  The pole integral is evaluated analytically by
-    residue, which needs no frequency discretization.
+    residue, which needs no frequency discretization.  The sum is not
+    translation-invariant, so it has no displacement table.
     """
     if p_max > 6:
         raise ConfigError("p_max limited to 6 (oracle scale)")
@@ -247,8 +247,4 @@ def confined_kernel_hg(lattice: LatticeSpec, z0: float, w: float,
         for pp in range(p_max + 1):
             phi = hx[p] * hy[pp]
             entries += np.outer(phi, phi)
-    entries *= 3.0 * GAMMA * LAMBDA * LAMBDA / (8.0 * np.pi)
-    return KernelMatrix(entries=entries.astype(complex), kind="confined",
-                        provenance={"a": lattice.a, "n_side": lattice.n_side,
-                                    "z0": z0, "w": w, "p_max": p_max,
-                                    "construction": "hermite_gauss"})
+    return entries * (3.0 * GAMMA * LAMBDA * LAMBDA / (8.0 * np.pi))

@@ -18,8 +18,6 @@ d^2_z D(0) = -q^2 gamma / 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GrazingError, SingularityError
@@ -46,15 +44,6 @@ _P1_RE = (-1.0 / 5.0, 3.0 / 140.0, -1.0 / 1260.0, 1.0 / 66528.0)
 _P1_IM = (-5.0 / 64.0, 7.0 / 1536.0, -3.0 / 25600.0, 11.0 / 6451200.0)
 _P2_RE = (0.0, -1.0 / 140.0, 1.0 / 2520.0, -1.0 / 110880.0)
 _P2_IM = (1.0 / 64.0, -1.0 / 512.0, 1.0 / 15360.0, -1.0 / 921600.0)
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """One kernel evaluation: complex rate plus the argument it was taken at."""
-
-    value: complex
-    kind: str                    # fs | fs_d2z | momentum
-    argument: tuple
 
 
 def _poly_even(coeffs, x2):
@@ -230,35 +219,24 @@ def kernel_fs_momentum(k_perp, dz=0.0, e_d=None):
 
 
 # ---------------------------------------------------------------------------
-# vectorized in-plane forms used by the lattice-table builders (for circular
-# polarization t = 1/2 in every direction, so the kernel is radial)
+# vectorized in-plane forms used by the lattice-table builders, for circular
+# polarization: t = 1/2 in every direction, so the kernel is radial
 
-def _tmap(dx, dy, rho, e_d):
-    if e_d is None or np.allclose(e_d, E_D_CIRCULAR):
-        return 0.5
-    proj = np.conj(e_d[0]) * dx + np.conj(e_d[1]) * dy
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.abs(proj) ** 2 / rho**2
-    return np.where(rho > 0, t, 0.0)
-
-
-def kernel_fs_plane(dx, dy, e_d=None):
+def kernel_fs_plane(dx, dy):
     """kernel_fs at dz=0, vectorized over displacement meshes (zero -> gamma/2)."""
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     rho = np.hypot(dx, dy)
-    t = _tmap(dx, dy, rho, e_d)
     x = np.where(rho > 0, Q * rho, 1.0)
-    out = _da(x) + t * _db(x)
+    out = _da(x) + 0.5 * _db(x)
     return np.where(rho > 0, out, 0.5 * GAMMA + 0.0j)
 
 
-def kernel_fs_d2z_plane(dx, dy, e_d=None):
+def kernel_fs_d2z_plane(dx, dy):
     """kernel_fs_d2z vectorized over displacement meshes (zero -> -q^2 gamma/5)."""
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     rho = np.hypot(dx, dy)
-    t = _tmap(dx, dy, rho, e_d)
     x = np.where(rho > 0, Q * rho, 1.0)
-    out = Q * Q * (_p1(x) + t * _p2(x))
+    out = Q * Q * (_p1(x) + 0.5 * _p2(x))
     return np.where(rho > 0, out, -Q * Q * GAMMA / 5.0 + 0.0j)

@@ -11,9 +11,9 @@ decay exactly as a sum over propagating orders,
 
     Gamma_k + gamma = (3 gamma lambda / (2 a^2)) sum_prop w(k+Q) / k_z ,
 
-with polarization weight w and longitudinal wavenumber k_z per order.  Only
-the decay is produced this way; the shift integral converges too slowly in k
-space to be worth it.
+with the circular-polarization weight w(p) = 1 - |p|^2/(2 q^2) and
+longitudinal wavenumber k_z per order.  Only the decay is produced this way;
+the shift integral converges too slowly in k space to be worth it.
 
 Route 2 (real space): direct summation with exponential damping e^{-eps r},
 eps in {0.02, 0.04, 0.08}/lambda, Richardson-extrapolated to eps -> 0, plus a
@@ -32,7 +32,7 @@ import numpy as np
 
 from ._numerics import smoothstep
 from .errors import ConfigError, ConvergenceError, GrazingError
-from .greens import GAMMA, LAMBDA, Q, E_D_CIRCULAR, kernel_fs_plane
+from .greens import GAMMA, LAMBDA, Q, kernel_fs_plane
 
 DEFAULT_EPS = (0.02, 0.04, 0.08)    # damping rates, units 1/lambda
 DEFAULT_RADIUS = 60.0               # summation radius, units lambda
@@ -85,14 +85,13 @@ def diffraction_orders(k_perp, a, m_max=8):
     return orders
 
 
-def cooperative_rates_reciprocal(k_perp, a, m_max=8, e_d=None):
+def cooperative_rates_reciprocal(k_perp, a, m_max=8):
     """Gamma_k from the propagating diffraction orders; exact for the decay.
 
     The shift Delta_k is not produced by this route (returned as None).  The
     result is periodic under k -> k + 2 pi/a.  A wavevector putting any order
     exactly on the light line raises GrazingError.
     """
-    e_d = E_D_CIRCULAR if e_d is None else np.asarray(e_d, dtype=complex)
     kx, ky = float(k_perp[0]), float(k_perp[1])
     g = 2.0 * np.pi / a
     total = 0.0
@@ -107,16 +106,14 @@ def cooperative_rates_reciprocal(k_perp, a, m_max=8, e_d=None):
                     f"order ({mx},{my}) is grazing at this k_perp; shift k_perp "
                     "infinitesimally away from the light line")
             if kz2 > 0:
-                proj = np.conj(e_d[0]) * px + np.conj(e_d[1]) * py
-                weight = 1.0 - float(abs(proj) ** 2) / (Q * Q)
-                total += weight / np.sqrt(kz2)
+                total += (1.0 - k2 / (2.0 * Q * Q)) / np.sqrt(kz2)
     gamma_plus = 1.5 * GAMMA * LAMBDA / (a * a) * total
     return DispersionPoint(k_perp=(kx, ky), gamma_k=gamma_plus - GAMMA,
                            delta_k=None, method="reciprocal")
 
 
 @lru_cache(maxsize=8)
-def _sum_table(a, radius, taper, e_d_key):
+def _sum_table(a, radius, taper):
     """Displacement data for the damped real-space sums, cached per lattice.
 
     Returns read-only arrays (x, y, r, D values, window) over all lattice
@@ -130,24 +127,16 @@ def _sum_table(a, radius, taper, e_d_key):
     r = np.hypot(x, y)
     sel = (r > 0) & (r <= radius)
     x, y, r = x[sel], y[sel], r[sel]
-    e_d = None if e_d_key is None else np.array(e_d_key)
-    vals = kernel_fs_plane(x, y, e_d)
+    vals = kernel_fs_plane(x, y)
     win = smoothstep((r - (1.0 - taper) * radius) / (taper * radius))
     for arr in (x, y, r, vals, win):
         arr.setflags(write=False)
     return x, y, r, vals, win
 
 
-def _e_d_key(e_d):
-    if e_d is None or np.allclose(e_d, E_D_CIRCULAR):
-        return None
-    return tuple(complex(c) for c in np.asarray(e_d, dtype=complex))
-
-
 def cooperative_rates_real_space(k_perp, a, accel="damping_extrapolation",
                                  radius=DEFAULT_RADIUS, eps=DEFAULT_EPS,
-                                 taper=DEFAULT_TAPER, residual_tol=5e-3,
-                                 e_d=None):
+                                 taper=DEFAULT_TAPER, residual_tol=5e-3):
     """Gamma_k and Delta_k by damped real-space summation.
 
     The three damped sums S(eps) are combined by second-order Richardson
@@ -163,8 +152,7 @@ def cooperative_rates_real_space(k_perp, a, accel="damping_extrapolation",
         raise ValueError("summation radius must be >= 20 lambda")
     if len(eps) != 3 or not np.allclose(np.diff(np.log(eps)), np.log(2.0)):
         raise ValueError("eps must be three values in ratio 1:2:4")
-    x, y, r, vals, win = _sum_table(float(a), float(radius), float(taper),
-                                    _e_d_key(e_d))
+    x, y, r, vals, win = _sum_table(float(a), float(radius), float(taper))
     kx, ky = float(k_perp[0]), float(k_perp[1])
     base = np.cos(kx * x + ky * y) * win
     f = [np.sum(base * np.exp(-e * r) * vals) for e in eps]
@@ -183,11 +171,11 @@ def cooperative_rates_real_space(k_perp, a, accel="damping_extrapolation",
                            delta_k=float(second.imag), method="real_space")
 
 
-def dispersion_point(k_perp, a, radius=DEFAULT_RADIUS, e_d=None) -> DispersionPoint:
+def dispersion_point(k_perp, a, radius=DEFAULT_RADIUS) -> DispersionPoint:
     """Merged best-of-both-routes sample: exact decay from the reciprocal
     route, shift from the damped real-space sum."""
-    gk = cooperative_rates_reciprocal(k_perp, a, e_d=e_d).gamma_k
-    dk = cooperative_rates_real_space(k_perp, a, radius=radius, e_d=e_d).delta_k
+    gk = cooperative_rates_reciprocal(k_perp, a).gamma_k
+    dk = cooperative_rates_real_space(k_perp, a, radius=radius).delta_k
     return DispersionPoint(k_perp=(float(k_perp[0]), float(k_perp[1])),
                            gamma_k=gk, delta_k=dk, method="reciprocal")
 
@@ -218,7 +206,7 @@ def resolve_bz_point(p, a):
 
 
 def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
-                     e_d=None, strict=True):
+                     strict=True):
     """Dispersion along a Brillouin-zone path: Gamma by the reciprocal route,
     Delta by the real-space route.
 
@@ -255,9 +243,9 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
             acc += L
 
     def one(k):
-        gk = cooperative_rates_reciprocal(k, a, e_d=e_d).gamma_k
+        gk = cooperative_rates_reciprocal(k, a).gamma_k
         try:
-            dk = cooperative_rates_real_space(k, a, radius=radius, e_d=e_d).delta_k
+            dk = cooperative_rates_real_space(k, a, radius=radius).delta_k
         except ConvergenceError:
             if strict:
                 raise
@@ -269,7 +257,7 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
     if threads is not None and threads > 1:
         # build the shared real-space table before the workers race to miss
         # its unlocked cache
-        _sum_table(float(a), float(radius), float(DEFAULT_TAPER), _e_d_key(e_d))
+        _sum_table(float(a), float(radius), float(DEFAULT_TAPER))
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, kvecs))
     return [one(k) for k in kvecs]
@@ -295,7 +283,7 @@ class DispersionGrid:
 
 
 def dispersion_grid(a, n_side, radius=DEFAULT_RADIUS, eps=DEFAULT_EPS,
-                    taper=DEFAULT_TAPER, e_d=None) -> DispersionGrid:
+                    taper=DEFAULT_TAPER) -> DispersionGrid:
     """Delta_k on the full n_side^2 FFT grid in one shot.
 
     The damped, windowed Im[D_fs] displacement table is embedded in a padded
@@ -310,8 +298,7 @@ def dispersion_grid(a, n_side, radius=DEFAULT_RADIUS, eps=DEFAULT_EPS,
     r = np.hypot(dx, dy)
     mask = r > 0
     vals = np.zeros(r.shape)
-    vals[mask] = kernel_fs_plane(dx[mask], dy[mask],
-                                 None if _e_d_key(e_d) is None else e_d).imag
+    vals[mask] = kernel_fs_plane(dx[mask], dy[mask]).imag
     vals[mask] *= smoothstep((r[mask] - (1 - taper) * radius) / (taper * radius))
     sums = []
     step = M // n_side

@@ -29,12 +29,11 @@ import numpy as np
 
 from ._numerics import cyclic_weight_apply, open_convolve
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
-from .confined import KernelMatrix, confined_table, fs_table
+from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_kernel_paraxial,
+                       free_space_kernel, projected_kernel)
 from .errors import ConfigError, ConvergenceError, RegimeError
 from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
-
-MAX_BASIS_SITES = 4096     # explicit mechanical bases are dense N x N
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +63,6 @@ class OmParams:
             raise ValueError(f"epsilon = {self.epsilon} outside [2.4, 6]")
         if self.kappa_sc < 0:
             raise ValueError("kappa_sc must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingMatrices:
-    M: np.ndarray              # inter-atom mechanical couplings (real)
-    C: np.ndarray              # inter-mode couplings (complex, ~ eta^2 gbar)
 
 
 def detuning_margin(cfg: FullConfig, Delta: float) -> float:
@@ -137,9 +130,9 @@ def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0) -
     if lattice.extent < 4.0 * w:
         raise ConfigError(f"lattice too small: extent {lattice.extent:g} < 4 w")
     n = lattice.n_sites
-    if n > MAX_BASIS_SITES:
+    if n > MAX_DENSE_SITES:
         raise ConfigError(f"explicit basis for N = {n} refused "
-                          f"(limit {MAX_BASIS_SITES}); use the trace route")
+                          f"(limit {MAX_DENSE_SITES}); use the trace route")
     v0 = intensity_profile(lattice, w).ravel()
     rng = np.random.default_rng(completion_seed)
     m = rng.standard_normal((n, n))
@@ -194,13 +187,13 @@ def coupling_matrix_M(cfg: FullConfig, kernel: KernelMatrix,
         raise ValueError("M requires projected kernel inputs")
     dmD, w1, w2 = _weights(cfg, dispersion)
     F = _phase_matrix(lattice)
-    g2m = 2.0 * kernel.entries.real
+    g2m = 2.0 * kernel.dense().real
     gamma_kk = F.conj().T @ g2m @ F / n
     p1c = (F.conj() * w1.ravel()) @ F.T / n
     t_m = (F.conj() * w2.ravel()) @ gamma_kk @ F.T / n
     qz0 = cfg.qz0
     bracket = p1c + 0.5j * t_m
-    M = (np.sin(qz0) ** 2 * 2.0 * kernel_d2.entries.imag / (Q * Q * dmD)
+    M = (np.sin(qz0) ** 2 * 2.0 * kernel_d2.dense().imag / (Q * Q * dmD)
          - np.cos(qz0) ** 2 * 2.0 * bracket.real)
     return M
 
@@ -234,7 +227,7 @@ def coupling_matrix_C(cfg: FullConfig, basis: MechanicalBasis,
     s = np.sqrt(v0)
     S = np.outer(s, s)
     F = _phase_matrix(lattice)
-    g2m = 2.0 * kernel.entries.real
+    g2m = 2.0 * kernel.dense().real
     p1 = (F * w1.ravel()) @ F.conj().T / n
     p2 = (F * w2.ravel()) @ F.conj().T / n
     x3 = p1 - 0.5j * (p2 @ g2m)
@@ -242,7 +235,7 @@ def coupling_matrix_C(cfg: FullConfig, basis: MechanicalBasis,
     qz0 = cfg.qz0
     sin2, cos2 = np.sin(qz0) ** 2, np.cos(qz0) ** 2
     c1 = V.T @ (v0[:, None] * V)
-    c2 = V.T @ ((S * kernel_d2.entries) @ V) / (Q * Q * dmD)
+    c2 = V.T @ ((S * kernel_d2.dense()) @ V) / (Q * Q * dmD)
     c3 = V.T @ ((S * x3) @ V)
     C = cfg.trap.eta**2 * params.g_bar * (1j * sin2 * c1 + sin2 * c2 - 1j * cos2 * c3)
     return C
@@ -272,14 +265,13 @@ class OmConsistency:
 
 
 def _trace_tables(cfg: FullConfig, k_cut_abs: float):
-    lattice = cfg.lattice
-    fs0 = fs_table(lattice, 0)
-    fs2 = fs_table(lattice, 2)
-    dc0 = confined_table(lattice, k_cut_abs, 0)
-    dc2 = confined_table(lattice, k_cut_abs, 2)
-    g2_tab = 2.0 * (fs0.real - dc0)
-    d2_tab = (fs2.real - dc2) + 1j * fs2.imag
-    return g2_tab, d2_tab
+    """Displacement tables of 2 Re[D] and D'' of the projected kernels."""
+    lattice, z0 = cfg.lattice, cfg.cavity.z0
+    proj = projected_kernel(free_space_kernel(lattice),
+                            confined_kernel_paraxial(lattice, z0, k_cut_abs))
+    proj_d2 = projected_kernel(free_space_kernel(lattice, 2),
+                               confined_kernel_paraxial(lattice, z0, k_cut_abs, 2))
+    return 2.0 * proj.table.real, proj_d2.table
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
@@ -354,34 +346,18 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     )
 
 
-def build_coupling_matrices(cfg: FullConfig, basis: MechanicalBasis,
-                            kernel: KernelMatrix, kernel_d2: KernelMatrix,
-                            dispersion: DispersionGrid) -> CouplingMatrices:
-    """Both mechanical coupling matrices over an explicit basis."""
-    return CouplingMatrices(
-        M=coupling_matrix_M(cfg, kernel, kernel_d2, dispersion),
-        C=coupling_matrix_C(cfg, basis, kernel, kernel_d2, dispersion))
-
-
-def kappa_sc_consistency(cfg: FullConfig, C, dispersion: DispersionGrid,
-                         k_cut_abs=None):
-    """(kappa_sc_closed, kappa_sc_trace, kappa_2); pass C=None to use the
-    basis-free completeness route."""
-    rep = om_consistency(cfg, dispersion, C=C, k_cut_abs=k_cut_abs)
-    return rep.kappa_sc_closed, rep.kappa_sc_trace, rep.kappa_2
-
-
-def k_sc_ground_state_average(cfg: FullConfig, kernel_d2, dispersion: DispersionGrid,
-                              kernel=None):
+def k_sc_ground_state_average(cfg: FullConfig, kernel_d2: KernelMatrix,
+                              dispersion: DispersionGrid):
     """Mechanical-ground-state average of the motion-induced damping operator.
 
     Evaluates the three contributions with <z_n z_m> = delta_nm x0^2: the
     single-site derivative term with the free-space value Re[D''_nn] =
     -q^2 gamma/5, the profile-weighted derivative sum from the projected
     kernel (vanishingly small, returned for inspection), and the residual
-    single-atom scattering term with gamma_nn = gamma.  Returns
-    (complex average, terms dict); the real part is kappa_sc, the imaginary
-    part the unretained second-order shift.
+    single-atom scattering term with gamma_nn = gamma.  ``kernel_d2`` is the
+    projected d2z kernel; its table is contracted by FFT, at any lattice
+    size.  Returns (complex average, terms dict); the real part is kappa_sc,
+    the imaginary part the unretained second-order shift.
     """
     lattice = cfg.lattice
     dmD, w1, _w2 = _weights(cfg, dispersion)
@@ -391,14 +367,9 @@ def k_sc_ground_state_average(cfg: FullConfig, kernel_d2, dispersion: Dispersion
     sin2, cos2 = np.sin(qz0) ** 2, np.cos(qz0) ** 2
     v0 = intensity_profile(lattice, cfg.cavity.w)
     s = np.sqrt(v0)
-    if isinstance(kernel_d2, KernelMatrix):
-        if kernel_d2.kind != "projected_d2z":
-            raise ValueError("kernel_d2 must be the projected d2z kernel")
-        sv = s.ravel()
-        quad = complex(sv @ kernel_d2.entries @ sv)
-    else:
-        d2_tab = np.asarray(kernel_d2)
-        quad = complex(np.sum(s * open_convolve(d2_tab, s)))
+    if kernel_d2.kind != "projected_d2z":
+        raise ValueError("kernel_d2 must be the projected d2z kernel")
+    quad = complex(np.sum(s * open_convolve(kernel_d2.table, s)))
     sum_v0 = float(np.sum(v0))
     term_zero_point = -2j * sin2 * eta2_gbar * sum_v0
     term_diag = 2.0 * sin2 * eta2_gbar * sum_v0 * (Q * Q * GAMMA / 5.0) / (Q * Q * dmD)

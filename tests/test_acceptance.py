@@ -14,8 +14,7 @@ from arraycav.cavity_dynamics import (bare_cavity_amplitude, evolve_full,
                                       full_system, steady_state_full,
                                       steady_state_two_mode, TwoModeModel)
 from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
-                               confined_table, free_space_kernel, fs_table,
-                               mode_decay_rate, mode_decay_rate_tabled,
+                               free_space_kernel, mode_decay_rate,
                                projected_kernel)
 from arraycav.greens import GAMMA, Q, kernel_fs_d2z
 from arraycav.lattice_sums import (cooperative_rates_real_space,
@@ -97,8 +96,9 @@ def test_criterion_3_cavity_profile_darkness():
     for w in (2.0, 4.0, 8.0):
         n = int(round(8 * w / a))
         big = LatticeSpec(a=a, n_side=n)
-        table = fs_table(big).real - confined_table(big, 4.0 / w)
-        rates[w] = mode_decay_rate_tabled(cavity_profile(big, w), table, n)
+        big_proj = projected_kernel(free_space_kernel(big),
+                                    confined_kernel_paraxial(big, 0.125, 4.0 / w))
+        rates[w] = mode_decay_rate(cavity_profile(big, w), big_proj)
     mono = rates[2.0] > rates[4.0] > rates[8.0]
     dt = time.perf_counter() - t0
     ok = frac <= 0.02 and mono and dt < 30.0

@@ -175,3 +175,32 @@ def test_dynamics_multimode_and_full(tmp_path):
                  "--t-final", "2.0", "--out", str(out2)]) == 0
     rows2 = np.loadtxt(out2, delimiter=",", skiprows=1)
     assert rows2.shape[1] == 4
+
+
+def test_full_model_beyond_dense_limit_refused_before_allocation(tmp_path, capsys):
+    # N = 65^2 = 4225 > MAX_DENSE_SITES; the generator A alone would be 286 MB
+    import tracemalloc
+    path = tmp_path / "big.cfg"
+    path.write_text(default_config_text(a=0.5, n_side=65, w=4.0))
+    out = tmp_path / "dyn.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["dynamics", "--config", str(path), "--model", "full",
+                   "--t-final", "1.0", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "4225" in err[0] and "Traceback" not in err[0]
+    assert peak < 100e6
+    assert not out.exists()
+
+
+def test_non_circular_polarization_is_config_error(tmp_path, capsys):
+    path = tmp_path / "lin.cfg"
+    path.write_text(default_config_text().replace("polarization = circular",
+                                                  "polarization = linear_x"))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "'polarization'" in capsys.readouterr().err

@@ -64,6 +64,14 @@ def test_invariant_violations(key, value, frag):
         parse_config(text)
 
 
+@pytest.mark.parametrize("value", ["linear_x", "linear_y", "elliptic"])
+def test_only_circular_polarization(value):
+    text = default_config_text().replace("polarization = circular",
+                                         f"polarization = {value}")
+    with pytest.raises(ConfigError, match="'polarization'"):
+        parse_config(text)
+
+
 def test_roundtrip_bit_for_bit():
     cfg = make_config(a=0.37, n_side=28, w=2.5, delta=33.25)
     text = emit_config(cfg)

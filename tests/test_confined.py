@@ -9,13 +9,14 @@ from scipy.special import j0
 
 from arraycav._numerics import displacement_grid, gl_interval
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
-from arraycav.confined import (KernelMatrix, ModeProfile, _quad_nodes,
+from arraycav.confined import (MAX_DENSE_SITES, KernelMatrix, ModeProfile,
+                               _quad_nodes,
                                cavity_profile, confined_kernel_hg,
                                confined_kernel_paraxial, confined_table,
                                free_space_kernel, mode_decay_rate,
                                projected_kernel, uniform_profile)
 from arraycav.errors import ConfigError
-from arraycav.greens import GAMMA, LAMBDA, Q
+from arraycav.greens import GAMMA, LAMBDA, Q, kernel_fs, kernel_fs_d2z
 
 W = 4.0
 KCUT = 4.0 / W          # absolute cutoff (1/lambda) covering the mode spectrum
@@ -62,21 +63,22 @@ class TestCavityProfile:
 class TestConfinedKernel:
     def test_vanishes_as_cutoff_closes(self, lat32):
         k = confined_kernel_paraxial(lat32, 0.0, 1e-4)
-        assert np.max(np.abs(k.entries)) < 1e-8
+        assert np.max(np.abs(k.dense())) < 1e-8
 
     def test_full_light_cone_recovers_total_rate(self):
         # k_cut -> q: the whole radiative solid angle is confined; the limit
         # closes like sqrt(1 - (k_cut/q)^2)
         lat = LatticeSpec(a=0.5, n_side=8)
         k = confined_kernel_paraxial(lat, 0.0, Q * (1 - 1e-12), nodes=800)
-        assert k.entries[0, 0].real == pytest.approx(0.5 * GAMMA, rel=1e-5)
+        assert k.dense()[0, 0].real == pytest.approx(0.5 * GAMMA, rel=1e-5)
         closer = confined_kernel_paraxial(lat, 0.0, Q * (1 - 1e-15), nodes=2000)
-        assert abs(closer.entries[0, 0].real - 0.5) < \
-            abs(k.entries[0, 0].real - 0.5)
+        assert abs(closer.dense()[0, 0].real - 0.5) < \
+            abs(k.dense()[0, 0].real - 0.5)
 
     def test_symmetric(self, kernels32):
         _, conf, _ = kernels32
-        assert np.max(np.abs(conf.entries - conf.entries.T)) < 1e-14
+        dense = conf.dense()
+        assert np.max(np.abs(dense - dense.T)) < 1e-14
 
     def test_shape_mismatch(self, kernels32):
         fs, _, _ = kernels32
@@ -125,21 +127,68 @@ class TestConfinedTable:
         assert peak < 150e6
 
 
+class TestKernelTables:
+    @settings(max_examples=20, deadline=None)
+    @given(n_side=st.integers(2, 20), a=st.floats(0.2, 1.0),
+           derivative=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_dense_matches_point_kernel(self, n_side, a, derivative, seed):
+        # dense()[n, m] is the kernel at r_n - r_m, row-major sites
+        lat = LatticeSpec(a=a, n_side=n_side)
+        dense = free_space_kernel(lat, derivative).dense()
+        point = kernel_fs if derivative == 0 else kernel_fs_d2z
+        pos = lat.positions
+        last = lat.n_sites - 1
+        pairs = [(0, 0), (0, last), (last, 0)]
+        pairs += [tuple(p) for p in np.random.default_rng(seed).integers(0, last + 1, (40, 2))]
+        for n, m in pairs:
+            want = point(pos[n] - pos[m])
+            assert abs(dense[n, m] - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_side=st.integers(2, 20), a=st.floats(0.2, 1.0),
+           derivative=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_decay_rate_matches_dense_contraction(self, n_side, a, derivative, seed):
+        lat = LatticeSpec(a=a, n_side=n_side)
+        proj = projected_kernel(free_space_kernel(lat, derivative),
+                                confined_kernel_paraxial(lat, 0.0, 0.3 * Q, derivative))
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
+        u /= np.linalg.norm(u)
+        want = np.real(np.conj(u) @ (2.0 * proj.dense().real) @ u)
+        got = mode_decay_rate(ModeProfile(weights=u), proj)
+        assert abs(got - want) <= 1e-12 * np.max(np.abs(proj.table))
+
+    def test_builders_work_beyond_the_dense_limit(self):
+        lat = LatticeSpec(a=0.25, n_side=128)
+        tracemalloc.start()
+        try:
+            proj = projected_kernel(free_space_kernel(lat),
+                                    confined_kernel_paraxial(lat, 0.125, 0.75))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6            # the dense N x N matrix alone is 4.3 GB
+        assert proj.table.shape == (255, 255)
+        assert proj.n_sites > MAX_DENSE_SITES
+        with pytest.raises(ConfigError, match="refused"):
+            proj.dense()
+
+
 class TestProjectedKernel:
     def test_zero_channel_is_identity(self, lat32, kernels32):
         fs, _, _ = kernels32
-        zero = KernelMatrix(entries=np.zeros_like(fs.entries), kind="confined",
+        zero = KernelMatrix(table=np.zeros(fs.table.shape), kind="confined",
                             provenance={"z0": 0.0, "k_cut": 0.0})
         proj = projected_kernel(fs, zero)
-        assert np.array_equal(proj.entries, fs.entries)
+        assert np.array_equal(proj.dense(), fs.dense())
 
     def test_imaginary_part_untouched(self, kernels32):
         fs, _, proj = kernels32
-        assert np.array_equal(proj.entries.imag, fs.entries.imag)
+        assert np.array_equal(proj.dense().imag, fs.dense().imag)
 
     def test_real_part_psd(self, kernels32):
         _, _, proj = kernels32
-        lam = np.linalg.eigvalsh(proj.entries.real)
+        lam = np.linalg.eigvalsh(proj.dense().real)
         assert lam.min() >= -1e-8 * GAMMA
 
     def test_projection_idempotent(self, kernels32):
@@ -193,7 +242,7 @@ class TestModeDecayRate:
         fs = free_space_kernel(lat)
         proj = projected_kernel(fs, confined_kernel_paraxial(lat, 0.125, 6.0 / W))
         g = cavity_profile(lat, W).weights
-        gam = 2.0 * proj.entries.real
+        gam = 2.0 * proj.dense().real
         x = lat.positions[:, 0] / lat.positions[:, 0].max()
         for K in (np.ones_like(x), 0.5 + 0.5 * x, x**2):
             val = abs(np.conj(g) @ gam @ (g * K))
@@ -203,24 +252,24 @@ class TestModeDecayRate:
 class TestHermiteGaussOracle:
     def test_fundamental_rank_one(self):
         lat = LatticeSpec(a=0.8, n_side=20)
-        hg = confined_kernel_hg(lat, 0.0, W, p_max=0)
-        assert np.linalg.matrix_rank(hg.entries.real, tol=1e-8) <= 2
+        hg = confined_kernel_hg(lat, W, p_max=0)
+        assert np.linalg.matrix_rank(hg, tol=1e-8) <= 2
 
     def test_trace_monotone_in_mode_count(self):
         lat = LatticeSpec(a=0.8, n_side=20)
-        traces = [np.trace(confined_kernel_hg(lat, 0.0, W, p_max=p).entries.real)
-                  for p in range(4)]
+        traces = [np.trace(confined_kernel_hg(lat, W, p_max=p)) for p in range(4)]
         assert all(b > a for a, b in zip(traces, traces[1:]))
 
     def test_fundamental_contraction_matches_momentum_route(self):
         lat = LatticeSpec(a=0.8, n_side=20)
         u = cavity_profile(lat, W)
-        r_hg = mode_decay_rate(u, confined_kernel_hg(lat, 0.0, W, p_max=0))
+        w = u.weights
+        r_hg = np.real(np.conj(w) @ (2.0 * confined_kernel_hg(lat, W, p_max=0)) @ w)
         r_px = mode_decay_rate(u, confined_kernel_paraxial(lat, 0.0, KCUT))
         assert abs(r_hg - r_px) / r_px < 0.10
 
     def test_size_limits(self):
         with pytest.raises(ConfigError):
-            confined_kernel_hg(LatticeSpec(a=0.5, n_side=32), 0.0, W, p_max=0)
+            confined_kernel_hg(LatticeSpec(a=0.5, n_side=32), W, p_max=0)
         with pytest.raises(ConfigError):
-            confined_kernel_hg(LatticeSpec(a=0.8, n_side=10), 0.0, W, p_max=7)
+            confined_kernel_hg(LatticeSpec(a=0.8, n_side=10), W, p_max=7)

@@ -10,8 +10,7 @@ from arraycav.lattice_sums import DispersionGrid, dispersion_grid
 from arraycav.optomech import (closed_form_params, coupling_matrix_C,
                                coupling_matrix_M, favorable_ratio,
                                intensity_profile, k_sc_ground_state_average,
-                               kappa_sc_consistency, mechanical_basis,
-                               om_consistency)
+                               mechanical_basis, om_consistency)
 
 from conftest import make_config
 
@@ -179,7 +178,7 @@ class TestCouplingMatrices:
                               residual=0.0)
         got = coupling_matrix_M(cfg, proj, proj2, flat)
         dmd = cfg.drive.delta - grid16.delta0
-        expect = (np.sin(cfg.qz0) ** 2 * 2.0 * proj2.entries.imag / (Q * Q * dmd)
+        expect = (np.sin(cfg.qz0) ** 2 * 2.0 * proj2.dense().imag / (Q * Q * dmd)
                   - np.cos(cfg.qz0) ** 2 * 2.0 * np.eye(256))
         assert np.max(np.abs(got - expect)) < 1e-10
 
@@ -222,12 +221,11 @@ class TestConsistencyRoutes:
         assert re.g2_trace == pytest.approx(rc.g2_trace, rel=1e-9)
         assert re.Delta_sc == pytest.approx(rc.Delta_sc, rel=1e-9)
 
-    def test_triple_wrapper(self, small_setup, grid16):
+    def test_completeness_route_kappa(self, small_setup, grid16):
         cfg, _, _, _, k_cut = small_setup
-        closed, trace, kappa2 = kappa_sc_consistency(cfg, None, grid16,
-                                                     k_cut_abs=k_cut)
-        assert closed > 0 and trace > 0
-        assert abs(kappa2) < 0.05 * closed
+        rep = om_consistency(cfg, grid16, k_cut_abs=k_cut)
+        assert rep.kappa_sc_closed > 0 and rep.kappa_sc_trace > 0
+        assert abs(rep.kappa_2) < 0.05 * rep.kappa_sc_closed
 
     def test_trace_eta_ratio_exact(self, grid16):
         vals = {}
@@ -287,11 +285,10 @@ class TestGroundStateAverageAtScale:
         cfg = make_config(a=0.25, n_side=128, w=8.0, z0=0.125,
                           delta=grid.delta0 + 100.0, eta=0.1, l_fsr=100.0,
                           omega_m=0.01, kappa_c=0.5, Omega=0.01)
-        from arraycav.confined import confined_table, fs_table
-        fs2 = fs_table(cfg.lattice, derivative=2)
-        dc2 = confined_table(cfg.lattice, 0.75, derivative=2)
-        d2_tab = (fs2.real - dc2) + 1j * fs2.imag
-        total, terms = k_sc_ground_state_average(cfg, d2_tab, grid)
+        proj2 = projected_kernel(
+            free_space_kernel(cfg.lattice, derivative=2),
+            confined_kernel_paraxial(cfg.lattice, 0.125, 0.75, derivative=2))
+        total, terms = k_sc_ground_state_average(cfg, proj2, grid)
         assert abs(terms["profile_derivative"].real) <= 1e-3 * terms["diagonal"].real
         params = closed_form_params(cfg, grid.delta0)
         assert total.real == pytest.approx(params.kappa_sc, rel=0.05)
