@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 
@@ -46,27 +47,25 @@ def toeplitz_from_table(table, n_side):
     """Materialize the dense N x N matrix T[n, m] = table[i_n - i_m, j_n - j_m].
 
     ``table`` has shape (2*n_side-1, 2*n_side-1) indexed by displacement
-    offset + (n_side-1).  Memory is O(N^2); intended for n_side <= 64.
+    offset + (n_side-1).  Gathered from a strided window view of the table,
+    so the N x N result is the only O(N^2) allocation.
     """
-    ii, jj = np.meshgrid(np.arange(n_side), np.arange(n_side), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    di = ii[:, None] - ii[None, :] + (n_side - 1)
-    dj = jj[:, None] - jj[None, :] + (n_side - 1)
-    return table[di, dj]
+    win = sliding_window_view(table[::-1, ::-1], (n_side, n_side))
+    return win[::-1, ::-1].reshape(n_side * n_side, n_side * n_side)
 
 
 def open_convolve(table, field):
     """(T f)_p = sum_m table(r_p - r_m) f_m on an n x n lattice, via zero-padded FFT.
 
-    ``table`` is the (2n-1, 2n-1) displacement table, ``field`` an (n, n) grid.
-    Exact up to FFT round-off; never materializes the N x N matrix.
+    ``table`` is the (2n-1, 2n-1) displacement table, ``field`` an (n, n) grid
+    or a stack (..., n, n) of them.  Exact up to FFT round-off; never
+    materializes the N x N matrix.
     """
-    n = field.shape[0]
+    n = field.shape[-1]
     nf = 1 << (2 * n - 2).bit_length()
     tf = np.fft.fft2(table, s=(nf, nf))
     ff = np.fft.fft2(field, s=(nf, nf))
-    conv = np.fft.ifft2(tf * ff)[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+    conv = np.fft.ifft2(tf * ff)[..., n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
     if np.iscomplexobj(table) or np.iscomplexobj(field):
         return conv
     return conv.real
@@ -75,8 +74,8 @@ def open_convolve(table, field):
 def cyclic_weight_apply(weights, field):
     """y_p = sum_n f_n (1/N) sum_k W_k e^{i k (r_n - r_p)} over the lattice's own k grid.
 
-    ``weights`` lives on the n x n FFT frequency grid (numpy fftfreq order).
-    This is the exact discrete-Brillouin-zone convolution; the kernel is
+    ``weights`` lives on the n x n FFT frequency grid (numpy fftfreq order);
+    ``field`` is an (n, n) grid or a stack (..., n, n) of them.  This is the exact discrete-Brillouin-zone convolution; the kernel is
     n-periodic by construction.
     """
     return np.fft.fft2(weights * np.fft.ifft2(field))

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve
 
 from ._numerics import output_times
 from .config import FullConfig, gamma_plus_Gamma0
@@ -111,7 +110,7 @@ def steady_state_two_mode(model: TwoModeModel) -> SystemState:
     return SystemState(a=complex(a), sigma=complex(sigma), t=np.inf)
 
 
-def spectrum_scan(model: TwoModeModel, delta_c_range, samples: int, threads=None):
+def spectrum_scan(model: TwoModeModel, delta_c_range, samples: int):
     """Steady-state cavity response over a detuning scan.
 
     Returns an array of rows (delta_c, |a|^2, arg a); dark-state points carry
@@ -119,21 +118,14 @@ def spectrum_scan(model: TwoModeModel, delta_c_range, samples: int, threads=None
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    lo, hi = float(delta_c_range[0]), float(delta_c_range[1])
-    dcs = np.linspace(lo, hi, samples)
-
-    def one(dc):
+    rows = []
+    for dc in np.linspace(float(delta_c_range[0]), float(delta_c_range[1]), samples):
         m = TwoModeModel(g_eff=model.g_eff, delta_c=float(dc),
                          delta_minus_Delta=model.delta_minus_Delta,
                          kappa_c=model.kappa_c, Omega=model.Omega)
         st = steady_state_two_mode(m)
-        return (float(dc), float(abs(st.a) ** 2), float(np.angle(st.a)))
-
-    if threads is not None and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, dcs)))
-    return np.array([one(dc) for dc in dcs])
+        rows.append((float(dc), float(abs(st.a) ** 2), float(np.angle(st.a))))
+    return np.array(rows)
 
 
 def coupling_profile(cfg: FullConfig):
@@ -161,7 +153,8 @@ def full_system(cfg: FullConfig, kernel: KernelMatrix):
     A[0, 0] = 1j * cfg.drive.delta_c - cfg.cavity.kappa_c / 2.0
     A[0, 1:] = -1j * s2 * g
     A[1:, 0] = -1j * s2 * g
-    A[1:, 1:] = 1j * cfg.drive.delta * np.eye(n) - K
+    np.negative(K, out=A[1:, 1:])
+    A.flat[n + 2::n + 2] += 1j * cfg.drive.delta     # diagonal of the atom block
     c = np.zeros(n + 1, dtype=complex)
     c[0] = -1j * cfg.drive.Omega
     return A, c
@@ -179,6 +172,8 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
     matvec per output time, independent of delta and t_final.  Peak memory
     is about eight (N+1)^2 complex arrays: A and the work arrays of expm.
     """
+    from scipy.linalg import expm, lu_factor, lu_solve   # lazy: full model only
+
     A, c = full_system(cfg, kernel)
     n = kernel.n_sites
     y0 = np.zeros(n + 1, dtype=complex)
@@ -200,6 +195,8 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
 
 def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
     """Steady state of the full linear system by direct solve of A y = -c."""
+    from scipy.linalg import lu_factor, lu_solve
+
     A, c = full_system(cfg, kernel)
     y = lu_solve(lu_factor(A), -c)
     return SystemState(a=complex(y[0]), sigma=y[1:], t=np.inf)

@@ -129,8 +129,7 @@ def cmd_spectrum(args):
     cfg, text = _load_config(args.config)
     disp = dispersion_point((0.0, 0.0), cfg.lattice.a)
     model = build_two_mode(cfg, disp)
-    scan = spectrum_scan(model, (args.dc_min, args.dc_max), args.samples,
-                         threads=args.threads)
+    scan = spectrum_scan(model, (args.dc_min, args.dc_max), args.samples)
     _write_csv(args.out, ["delta_c", "abs_a2", "phase"], scan)
     _write_manifest("spectrum", args, text, [args.out],
                     {"g_eff": model.g_eff,
@@ -186,12 +185,17 @@ def cmd_omparams(args):
     return exit_code
 
 
+def _projected(cfg, derivative=0):
+    return projected_kernel(
+        free_space_kernel(cfg.lattice, derivative),
+        confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs,
+                                 derivative))
+
+
 def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
     if args.model == "full":
-        kernel = projected_kernel(
-            free_space_kernel(cfg.lattice),
-            confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs))
+        kernel = _projected(cfg)
         states = evolve_full(cfg, kernel, args.t_final, args.dt_out)
         rows = [(s.t, s.a.real, s.a.imag, float(np.sum(np.abs(s.sigma) ** 2)))
                 for s in states]
@@ -202,17 +206,10 @@ def cmd_dynamics(args):
         if args.model == "reduced":
             states = evolve_reduced(cfg, params, args.t_final, args.dt_out)
         else:
-            basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed)
-            kernel = projected_kernel(
-                free_space_kernel(cfg.lattice),
-                confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
-                                         cfg.cavity.k_cut_abs))
-            d2 = projected_kernel(
-                free_space_kernel(cfg.lattice, derivative=2),
-                confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
-                                         cfg.cavity.k_cut_abs, derivative=2))
-            n_modes = min(args.modes, cfg.lattice.n_sites)
-            C = coupling_matrix_C(cfg, basis, kernel, d2, grid, n_modes=n_modes)
+            basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed,
+                                     n_modes=min(args.modes, cfg.lattice.n_sites))
+            C = coupling_matrix_C(cfg, basis, _projected(cfg), _projected(cfg, 2),
+                                  grid)
             states = evolve_multimode(cfg, params, C, args.t_final, args.dt_out)
         rows = [(s.t, s.a.real, s.a.imag, s.b[0].real, s.b[0].imag,
                  abs(s.a) ** 2) for s in states]
@@ -241,8 +238,8 @@ def main(argv=None) -> int:
         description="2D atom-array cavity QED: dispersion, spectra, "
                     "optomechanical parameters and dynamics")
     parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker threads for scans (results are ordered "
-                             "deterministically regardless)")
+                        help="worker threads for the dispersion scan (results "
+                             "are ordered deterministically regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="evaluate physical-regime checks")

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_hermite, j0
 
 from ._numerics import (displacement_grid, gl_interval, open_convolve,
                         toeplitz_from_table)
@@ -32,9 +31,9 @@ from .config import LatticeSpec
 from .errors import ConfigError, ConvergenceError
 from .greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane, kernel_fs_plane)
 
-# Largest N for which a dense N x N array (kernel or mechanical basis) is
-# built.  The full-system propagator holds about eight (N + 1)^2 complex
-# arrays, ~2 GB at this size.
+# Largest dense dimension built: an N x N kernel, the matrix M, or a basis
+# of that many modes.  The full-system propagator holds about eight
+# (N + 1)^2 complex arrays, ~2 GB at this size.
 MAX_DENSE_SITES = 4096
 
 
@@ -137,6 +136,8 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, derivative: int = 0,
         weight = -weight * u * u
     elif derivative != 0:
         raise ValueError("derivative must be 0 or 2")
+    from scipy.special import j0   # lazy: scipy.special is slow to import
+
     kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
     out = j0(np.outer(rho, kk)) @ weight
     if not np.isfinite(out).all():
@@ -214,6 +215,8 @@ def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:
 
 def _hg_axis(x, p, w):
     """Normalized 1D Hermite-Gauss function h_p(x) at waist w."""
+    from scipy.special import eval_hermite
+
     norm = (2.0 / (np.pi * w * w)) ** 0.25 / math.sqrt(2.0**p * math.factorial(p))
     return norm * eval_hermite(p, np.sqrt(2.0) * x / w) * np.exp(-(x / w) ** 2)
 

@@ -52,8 +52,8 @@ class DispersionPoint:
 
     def __post_init__(self):
         if not np.isnan(self.gamma_k) and self.gamma_k < -GAMMA - TOTAL_DECAY_TOL:
-            raise ValueError(f"total decay Gamma_k + gamma = "
-                             f"{self.gamma_k + GAMMA:.3e} is negative")
+            raise ConvergenceError(f"total decay Gamma_k + gamma = "
+                                   f"{self.gamma_k + GAMMA:.3e} is negative")
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,9 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
     the worker count.
 
     Samples landing too close to a diffraction threshold (where the shift sum
-    is critically slow) raise when ``strict``; with ``strict=False`` they are
-    kept with delta_k = NaN and a warning, so whole-band sweeps survive the
+    is critically slow, or an order grazes the light line) raise an
+    ArrayCavError when ``strict``; with ``strict=False`` the routes that did
+    not finish leave NaN, with a warning, so whole-band sweeps survive the
     van Hove points.
     """
     if samples < 2:
@@ -243,15 +244,14 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
             acc += L
 
     def one(k):
-        gk = cooperative_rates_reciprocal(k, a).gamma_k
+        gk = dk = float("nan")
         try:
+            gk = cooperative_rates_reciprocal(k, a).gamma_k
             dk = cooperative_rates_real_space(k, a, radius=radius).delta_k
-        except ConvergenceError:
+        except (GrazingError, ConvergenceError) as exc:
             if strict:
                 raise
-            warnings.warn(f"shift sum unconverged at k_perp={k}; delta_k = NaN",
-                          stacklevel=2)
-            dk = float("nan")
+            warnings.warn(f"{exc}; NaN kept at k_perp={k}", stacklevel=2)
         return DispersionPoint(k_perp=k, gamma_k=gk, delta_k=dk, method="reciprocal")
 
     if threads is not None and threads > 1:

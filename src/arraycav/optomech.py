@@ -18,7 +18,8 @@ k_sc = -2 sum_{nu != 0} Re[C_nu_nu] (the nu = 0 self term, kappa_2 = -2 Re[C_00]
 vanishes because the cubed Gaussian profile is still cavity-matched), and
 g_2 = -Im[C_00].  The trace over the complete mode basis never needs an
 explicit basis: completeness reduces every term to lattice convolutions, which
-is how the large-lattice consistency checks are evaluated.
+is how the large-lattice consistency checks are evaluated.  C, the inter-atom
+matrix M and C_00 all come from one coupling operator K_c applied by FFT.
 """
 
 from __future__ import annotations
@@ -31,16 +32,17 @@ from ._numerics import cyclic_weight_apply, open_convolve
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_kernel_paraxial,
                        free_space_kernel, projected_kernel)
-from .errors import ConfigError, ConvergenceError, RegimeError
+from .errors import ConfigError, RegimeError
 from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
 
 
 @dataclass(frozen=True, eq=False)
 class MechanicalBasis:
-    """Orthonormal collective-motion profiles; column 0 is cavity-weighted."""
+    """Orthonormal collective-motion profiles, the first n_modes of a full
+    basis (n_modes = N); column 0 is cavity-weighted."""
 
-    V: np.ndarray              # real N x N orthogonal, columns are modes
+    V: np.ndarray              # real N x n_modes, columns are modes
     completion_seed: int
     method: str = "random_orthogonal"
 
@@ -120,40 +122,39 @@ def intensity_profile(lattice: LatticeSpec, w: float):
     return v0 / np.linalg.norm(v0)
 
 
-def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0) -> MechanicalBasis:
+def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
+                     n_modes: int | None = None) -> MechanicalBasis:
     """Orthonormal mechanical basis with column 0 the cavity-weighted profile.
 
     The remaining columns are a deterministic pseudo-random orthogonal
     completion; every reported collective quantity is completion-independent
-    (trace identities), which the seed makes testable.
+    (trace identities), which the seed makes testable.  Column j depends only
+    on the draws of columns 0..j, so ``n_modes`` keeps the first columns
+    through a thin QR of an N x n_modes draw (default: all N).
     """
     if lattice.extent < 4.0 * w:
         raise ConfigError(f"lattice too small: extent {lattice.extent:g} < 4 w")
     n = lattice.n_sites
-    if n > MAX_DENSE_SITES:
-        raise ConfigError(f"explicit basis for N = {n} refused "
+    m = n if n_modes is None else n_modes
+    if not 1 <= m <= n:
+        raise ConfigError(f"n_modes = {m} outside [1, N = {n}]")
+    if m > MAX_DENSE_SITES:
+        raise ConfigError(f"explicit basis of {m} modes refused "
                           f"(limit {MAX_DENSE_SITES}); use the trace route")
     v0 = intensity_profile(lattice, w).ravel()
     rng = np.random.default_rng(completion_seed)
-    m = rng.standard_normal((n, n))
-    m[:, 0] = v0
-    qmat, r = np.linalg.qr(m)
+    draw = rng.standard_normal((n, m))
+    draw[:, 0] = v0
+    qmat, r = np.linalg.qr(draw)
     qmat = qmat * np.sign(np.diag(r))
     # QR preserves the first column direction; sign fix makes it +V0
     return MechanicalBasis(V=qmat, completion_seed=completion_seed)
 
 
 # ---------------------------------------------------------------------------
-# explicit (small-N) coupling matrices
+# the coupling operator K_c, applied by FFT, behind C, M and C_00
 
-def _phase_matrix(lattice: LatticeSpec):
-    """F[n, k] = exp(i k . r_n) over the lattice's own discrete k grid."""
-    n = lattice.n_side
-    ax = lattice.axis()
-    kax = 2.0 * np.pi * np.fft.fftfreq(n, d=lattice.a)
-    ex = np.exp(1j * np.outer(ax, kax))
-    # site index (i, j) row-major; k index (mx, my) row-major
-    return np.einsum("ik,jl->ijkl", ex, ex).reshape(n * n, n * n)
+_BLOCK = 32     # fields per FFT batch; peak memory ~ _BLOCK (2 n_side)^2 complex
 
 
 def _weights(cfg: FullConfig, dispersion: DispersionGrid):
@@ -162,83 +163,94 @@ def _weights(cfg: FullConfig, dispersion: DispersionGrid):
     if np.min(np.abs(det_k)) < 3.0 * gamma_plus_Gamma0(cfg.lattice.a):
         raise RegimeError("delta - Delta_k approaches zero somewhere on the "
                           "Brillouin grid; large-detuning weights invalid")
-    w1 = dmD / det_k
-    w2 = dmD / det_k**2
-    return dmD, w1, w2
+    return dmD, dmD / det_k, dmD / det_k**2
+
+
+def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
+                       g2_tab: np.ndarray, d2_tab: np.ndarray):
+    """K_c on a stack of (n, n) site fields:
+
+        K_c f = sin^2(q z0) D'' f / (q^2 (delta-Delta))
+                - i cos^2(q z0) (P1 f - (i/2) P2 Gamma2 f),
+
+    with D'' and Gamma2 = 2 Re[D_projected] given as displacement tables
+    (``d2_tab``, ``g2_tab``) and applied by zero-padded FFT, and P1/P2 the
+    Brillouin-grid convolutions with weights (delta-Delta)/(delta-Delta_k)
+    and (delta-Delta)/(delta-Delta_k)^2 (a printed 'delta - Delta_k^2' read
+    as the only dimensionally consistent form).
+    """
+    dmD, w1, w2 = _weights(cfg, dispersion)
+    sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
+
+    def apply(f):
+        x = (cyclic_weight_apply(w1, f)
+             - 0.5j * cyclic_weight_apply(w2, open_convolve(g2_tab, f)))
+        return sin2 * open_convolve(d2_tab, f) / (Q * Q * dmD) - 1j * cos2 * x
+
+    return apply
+
+
+def _column_blocks(op, cols: np.ndarray, n_side: int):
+    """Yield (j, op applied to columns j:j+_BLOCK of the N x m site array)."""
+    for j in range(0, cols.shape[1], _BLOCK):
+        f = cols[:, j:j + _BLOCK].T.reshape(-1, n_side, n_side)
+        yield j, op(f).reshape(len(f), -1).T
+
+
+def _mode_couplings(cfg: FullConfig, dispersion: DispersionGrid,
+                    g2_tab: np.ndarray, d2_tab: np.ndarray, V: np.ndarray):
+    """C = eta^2 gbar [i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V)], s = sqrt(V0),
+    over the N x m mode columns V, in blocks of _BLOCK modes."""
+    params = closed_form_params(cfg, dispersion.delta0)
+    sin2 = np.sin(cfg.qz0) ** 2
+    sv = np.sqrt(intensity_profile(cfg.lattice, cfg.cavity.w)).reshape(-1, 1) * V
+    op = _coupling_operator(cfg, dispersion, g2_tab, d2_tab)
+    C = np.empty((V.shape[1], V.shape[1]), dtype=complex)
+    for j, kf in _column_blocks(op, sv, cfg.lattice.n_side):
+        C[:, j:j + _BLOCK] = sv.T @ (1j * sin2 * sv[:, j:j + _BLOCK] + kf)
+    return cfg.trap.eta**2 * params.g_bar * C
 
 
 def coupling_matrix_M(cfg: FullConfig, kernel: KernelMatrix,
                       kernel_d2: KernelMatrix, dispersion: DispersionGrid):
     """Cavity-mediated inter-atom mechanical coupling matrix (real N x N).
 
-    M_nm = sin^2(q z0) 2 Im[D''_nm]/(q^2 (delta-Delta))
-           - cos^2(q z0) (1/N) sum_k [ e^{-i k (r_n - r_m)} (delta-Delta)/(delta-Delta_k)
-             + (i/2) sum_k' e^{-i k r_n} e^{i k' r_m} gamma_kk'
-               (delta-Delta)/(delta-Delta_k)^2  + h.c. ]
+    M = 2 Im[K_c] on real site fields:
 
-    with gamma_kk' the momentum-space decay matrix of the projected kernel.
-    The squared denominator reads a printed 'delta - Delta_k^2' as
-    (delta - Delta_k)^2, the only dimensionally consistent form.  Contains no
-    Lamb-Dicke factor: the coupling is per unit q z displacement.
+    M_nm = sin^2(q z0) 2 Im[D''_nm]/(q^2 (delta-Delta))
+           - 2 cos^2(q z0) (1/N) sum_k e^{-i k (r_n - r_m)} (delta-Delta)/(delta-Delta_k).
+
+    The gamma_kk' term of K_c drops out: Delta_k is even in k, so P2 and
+    Gamma2 are real.  Contains no Lamb-Dicke factor: the coupling is per unit
+    q z displacement.
     """
-    lattice = cfg.lattice
-    n = lattice.n_sites
+    n = cfg.lattice.n_sites
     if kernel.kind != "projected" or kernel_d2.kind != "projected_d2z":
         raise ValueError("M requires projected kernel inputs")
-    dmD, w1, w2 = _weights(cfg, dispersion)
-    F = _phase_matrix(lattice)
-    g2m = 2.0 * kernel.dense().real
-    gamma_kk = F.conj().T @ g2m @ F / n
-    p1c = (F.conj() * w1.ravel()) @ F.T / n
-    t_m = (F.conj() * w2.ravel()) @ gamma_kk @ F.T / n
-    qz0 = cfg.qz0
-    bracket = p1c + 0.5j * t_m
-    M = (np.sin(qz0) ** 2 * 2.0 * kernel_d2.dense().imag / (Q * Q * dmD)
-         - np.cos(qz0) ** 2 * 2.0 * bracket.real)
+    if n > MAX_DENSE_SITES:
+        raise ConfigError(f"explicit M for N = {n} refused (limit {MAX_DENSE_SITES})")
+    op = _coupling_operator(cfg, dispersion, 2.0 * kernel.table.real, kernel_d2.table)
+    M = np.empty((n, n))
+    for j, kf in _column_blocks(op, np.eye(n), cfg.lattice.n_side):
+        M[:, j:j + _BLOCK] = 2.0 * kf.imag
     return M
 
 
 def coupling_matrix_C(cfg: FullConfig, basis: MechanicalBasis,
                       kernel: KernelMatrix, kernel_d2: KernelMatrix,
-                      dispersion: DispersionGrid, n_modes: int | None = None):
-    """Inter-mode coupling matrix C_{nu nu'} over an explicit mechanical basis.
+                      dispersion: DispersionGrid):
+    """Inter-mode coupling matrix C_{nu nu'} over the columns of an explicit
+    mechanical basis (truncate it with ``mechanical_basis(n_modes=...)``; the
+    weakly coupled high modes act as an inert reservoir in time evolution).
 
-    ``n_modes`` truncates the basis to its first columns (mode 0 always kept);
-    useful for time evolution, where the weakly coupled high modes act as an
-    inert reservoir.
-
-    C = eta^2 gbar [ i sin^2 V^T diag(V0) V
-                     + sin^2 V^T (S o D'') V / (q^2 (delta-Delta))
-                     - i cos^2 V^T (S o X) V ],
-    S_nm = sqrt(V0_n V0_m),
-    X    = P1 - (i/2) P2 Gamma2,
-
-    where P1/P2 are the Brillouin-grid convolution kernels with weights
-    (delta-Delta)/(delta-Delta_k) and (delta-Delta)/(delta-Delta_k)^2 and
-    Gamma2 = 2 Re[D_projected].  Scales exactly as eta^2.
+    C = eta^2 gbar [ i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V) ],
+    s = sqrt(V0), with the coupling operator K_c applied by FFT to blocks of
+    modes: O(n_modes N log N) time, no N x N array.  Scales exactly as eta^2.
     """
-    lattice = cfg.lattice
-    n = lattice.n_sites
-    if basis.V.shape != (n, n):
+    if basis.V.shape[0] != cfg.lattice.n_sites:
         raise ValueError("basis does not match the lattice")
-    dmD, w1, w2 = _weights(cfg, dispersion)
-    params = closed_form_params(cfg, dispersion.delta0)
-    v0 = intensity_profile(lattice, cfg.cavity.w).ravel()
-    s = np.sqrt(v0)
-    S = np.outer(s, s)
-    F = _phase_matrix(lattice)
-    g2m = 2.0 * kernel.dense().real
-    p1 = (F * w1.ravel()) @ F.conj().T / n
-    p2 = (F * w2.ravel()) @ F.conj().T / n
-    x3 = p1 - 0.5j * (p2 @ g2m)
-    V = basis.V if n_modes is None else basis.V[:, :n_modes]
-    qz0 = cfg.qz0
-    sin2, cos2 = np.sin(qz0) ** 2, np.cos(qz0) ** 2
-    c1 = V.T @ (v0[:, None] * V)
-    c2 = V.T @ ((S * kernel_d2.dense()) @ V) / (Q * Q * dmD)
-    c3 = V.T @ ((S * x3) @ V)
-    C = cfg.trap.eta**2 * params.g_bar * (1j * sin2 * c1 + sin2 * c2 - 1j * cos2 * c3)
-    return C
+    return _mode_couplings(cfg, dispersion, 2.0 * kernel.table.real,
+                           kernel_d2.table, basis.V)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +301,13 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
         raise ValueError("dispersion grid does not match the lattice")
     lattice = cfg.lattice
     n_side = lattice.n_side
-    n = lattice.n_sites
     dmD, w1, w2 = _weights(cfg, dispersion)
     params = closed_form_params(cfg, dispersion.delta0)
     eta2_gbar = cfg.trap.eta**2 * params.g_bar
-    qz0 = cfg.qz0
-    sin2, cos2 = np.sin(qz0) ** 2, np.cos(qz0) ** 2
+    sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
 
     if C is not None:
-        diag = np.diagonal(C)
-        trace_c = complex(np.sum(diag))
+        trace_c = complex(np.trace(C))
         c00 = complex(C[0, 0])
     else:
         k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
@@ -318,14 +327,8 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
         z = open_convolve(h, np.ones((n_side, n_side)))
         b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(v0 * z)
         trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
-        # C_00 through the cubed profile v = V0^{3/2}
-        v = v0**1.5
-        c1 = np.sum(v0**3)
-        c2 = np.sum(v * open_convolve(d2_tab, v)) / (Q * Q * dmD)
-        t1 = np.sum(v * cyclic_weight_apply(w1, v))
-        t2 = np.sum(cyclic_weight_apply(w2, v) * open_convolve(g2_tab, v))
-        c00 = complex(eta2_gbar * (1j * sin2 * c1 + sin2 * c2
-                                   - 1j * cos2 * (t1 - 0.5j * t2)))
+        c00 = complex(_mode_couplings(cfg, dispersion, g2_tab, d2_tab,
+                                      v0.reshape(-1, 1))[0, 0])
 
     kappa_1 = -2.0 * trace_c.real
     kappa_2 = -2.0 * c00.real

@@ -198,6 +198,44 @@ def test_full_model_beyond_dense_limit_refused_before_allocation(tmp_path, capsy
     assert not out.exists()
 
 
+def test_multimode_beyond_dense_limit_runs(tmp_path):
+    # N = 65^2 = 4225 > MAX_DENSE_SITES: the thin basis and the FFT couplings
+    # never form an N x N array
+    path = tmp_path / "big.cfg"
+    path.write_text(default_config_text(a=0.5, n_side=65, w=4.0))
+    out = tmp_path / "mm.csv"
+    assert main(["dynamics", "--config", str(path), "--model", "multimode",
+                 "--modes", "32", "--t-final", "2.0", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape[1] == 6 and np.all(np.isfinite(rows))
+
+
+def test_readme_dispersion_example_exits_0(tmp_path, capsys):
+    # the G,X,M,G path at a = 0.5 crosses the subradiant band, where the
+    # real-space shift sum fails: those samples carry delta_k = NaN
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text())
+    out = tmp_path / "disp.csv"
+    assert main(["dispersion", "--config", str(path), "--path", "G,X,M,G",
+                 "--samples", "60", "--out", str(out)]) == 0
+    rows = np.genfromtxt(out, delimiter=",", skip_header=1, usecols=(2, 3))
+    assert rows.shape == (60, 2)
+    assert np.all(np.isfinite(rows[:, 0]))
+    assert 0 < np.sum(np.isnan(rows[:, 1])) < 60
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_dispersion_grazing_endpoint_exits_0(tmp_path):
+    # at a = 0.5 the X point puts a diffraction order on the light line
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text(a=0.5))
+    out = tmp_path / "disp.csv"
+    assert main(["dispersion", "--config", str(path), "--path", "G,X",
+                 "--samples", "5", "--out", str(out)]) == 0
+    last = out.read_text().strip().splitlines()[-1].split(",")
+    assert float(last[0]) == pytest.approx(1.0) and last[2] == "nan"
+
+
 def test_non_circular_polarization_is_config_error(tmp_path, capsys):
     path = tmp_path / "lin.cfg"
     path.write_text(default_config_text().replace("polarization = circular",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arraycav.config import gamma_plus_Gamma0
-from arraycav.errors import ConvergenceError, GrazingError
+from arraycav.errors import ArrayCavError, ConvergenceError, GrazingError
 from arraycav.greens import GAMMA, Q
 from arraycav.lattice_sums import (DispersionGrid, cooperative_rates_real_space,
                                    cooperative_rates_reciprocal,
@@ -136,6 +136,16 @@ class TestDispersionCurve:
         # at a = 0.5 the X point sits exactly on the light line
         with pytest.raises(GrazingError):
             dispersion_curve(["G", "X"], 2, 0.5)
+        # non-strict: the sample stays, with NaN and a warning
+        with pytest.warns(UserWarning, match="grazing"):
+            pts = dispersion_curve(["G", "X"], 2, 0.5, strict=False)
+        assert np.isnan(pts[-1].gamma_k) and np.isfinite(pts[0].gamma_k)
+
+    def test_strict_subradiant_failure_is_library_error(self):
+        # the README path at a = 0.5: the real-space sum makes Gamma_k + gamma
+        # negative in the subradiant band
+        with pytest.raises(ArrayCavError):
+            dispersion_curve(["G", "X", "M", "G"], 60, 0.5)
 
     def test_threaded_matches_serial(self):
         serial = dispersion_curve(["G", "M"], 5, 0.6)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
@@ -13,6 +17,7 @@ from arraycav.optomech import (closed_form_params, coupling_matrix_C,
                                mechanical_basis, om_consistency)
 
 from conftest import make_config
+from dense_reference import dense_C, dense_M
 
 # frozen reference values at q z0 = pi/4, eta = 0.1, c/l = 100, delta-Delta = 100,
 # w = 4, a = 0.5 (independent arithmetic on the closed forms)
@@ -134,10 +139,13 @@ class TestScalingLaws:
 class TestMechanicalBasis:
     def test_orthonormal_and_anchored(self):
         lat = LatticeSpec(a=0.5, n_side=16)
-        b = mechanical_basis(lat, 2.0, completion_seed=0)
-        assert np.max(np.abs(b.V.T @ b.V - np.eye(256))) < 1e-10
         v0 = intensity_profile(lat, 2.0).ravel()
-        assert np.max(np.abs(b.V[:, 0] - v0)) < 1e-12
+        for n_modes in (None, 40):      # full and thin basis
+            b = mechanical_basis(lat, 2.0, completion_seed=0, n_modes=n_modes)
+            m = 256 if n_modes is None else n_modes
+            assert b.V.shape == (256, m)
+            assert np.max(np.abs(b.V.T @ b.V - np.eye(m))) < 1e-10
+            assert np.max(np.abs(b.V[:, 0] - v0)) < 1e-12
         assert np.sum(v0**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
@@ -157,6 +165,17 @@ class TestMechanicalBasis:
     def test_size_guard(self):
         with pytest.raises(ConfigError, match="trace route"):
             mechanical_basis(LatticeSpec(a=0.5, n_side=128), 8.0, 0)
+
+    def test_thin_basis_beyond_dense_limit(self):
+        # N = 16,384: only the N x n_modes draw is factorized
+        b = mechanical_basis(LatticeSpec(a=0.5, n_side=128), 8.0, 0, n_modes=16)
+        assert b.V.shape == (16384, 16)
+        assert np.max(np.abs(b.V.T @ b.V - np.eye(16))) < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [0, 65])
+    def test_mode_count_out_of_range(self, n_modes):
+        with pytest.raises(ConfigError, match="n_modes"):
+            mechanical_basis(LatticeSpec(a=0.5, n_side=8), 1.0, 0, n_modes=n_modes)
 
 
 class TestCouplingMatrices:
@@ -208,6 +227,42 @@ class TestCouplingMatrices:
         t1, t2 = np.trace(c1), np.trace(c2)
         assert abs(t1 - t2) / abs(t1) < 1e-10
         assert c1[0, 0] == pytest.approx(c2[0, 0], rel=1e-10)
+
+
+class TestDenseReference:
+    """The FFT coupling operator against the explicit N x N formulas."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(n_side=st.integers(4, 12), a=st.floats(0.2, 1.0),
+           z0=st.floats(0.0, 0.25), seed=st.integers(0, 2**16),
+           thin=st.floats(0.05, 1.0))
+    def test_C_M_and_C00_match(self, n_side, a, z0, seed, thin):
+        grid = dispersion_grid(a, n_side)
+        cfg = make_config(a=a, n_side=n_side, w=2.0, z0=z0,
+                          delta=grid.delta0 + 200.0, eta=0.1, l_fsr=100.0,
+                          omega_m=0.01, kappa_c=0.5, Omega=0.01)
+        # the waist the lattice can hold: small lattices get w < 2
+        w = n_side * a / 4.0
+        cfg = dataclasses.replace(cfg, cavity=dataclasses.replace(cfg.cavity, w=w))
+        k_cut = 0.5 * Q
+        lat = cfg.lattice
+        proj = projected_kernel(free_space_kernel(lat),
+                                confined_kernel_paraxial(lat, z0, k_cut))
+        proj2 = projected_kernel(free_space_kernel(lat, 2),
+                                 confined_kernel_paraxial(lat, z0, k_cut, 2))
+        explicit = {}
+        for n_modes in (None, max(1, int(thin * lat.n_sites))):
+            basis = mechanical_basis(lat, w, seed, n_modes=n_modes)
+            C = coupling_matrix_C(cfg, basis, proj, proj2, grid)
+            ref = dense_C(cfg, basis.V, proj, proj2, grid)
+            assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
+            explicit[n_modes] = C
+        M = coupling_matrix_M(cfg, proj, proj2, grid)
+        ref_m = dense_M(cfg, proj, proj2, grid)
+        assert np.max(np.abs(M - ref_m)) <= 1e-12 * np.max(np.abs(ref_m))
+        full = explicit[None]
+        c00 = om_consistency(cfg, grid, k_cut_abs=k_cut).C00
+        assert abs(c00 - full[0, 0]) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestConsistencyRoutes:
