@@ -21,9 +21,9 @@ from .confined import (KernelMatrix, ModeProfile, cavity_profile,
                        confined_kernel_hg, confined_kernel_paraxial,
                        confined_table, free_space_kernel, mode_decay_rate,
                        projected_kernel, uniform_profile)
-from .cavity_dynamics import (SystemState, TwoModeModel, build_two_mode,
-                              evolve_full, spectrum_scan, steady_state_full,
-                              steady_state_two_mode)
+from .cavity_dynamics import (FullTrajectory, SystemState, TwoModeModel,
+                              build_two_mode, evolve_full, spectrum_scan,
+                              steady_state_full, steady_state_two_mode)
 from .optomech import (MechanicalBasis, OmParams, closed_form_params,
                        coupling_matrix_C, coupling_matrix_M,
                        intensity_profile, k_sc_ground_state_average,

@@ -54,18 +54,29 @@ def toeplitz_from_table(table, n_side):
     return win[::-1, ::-1].reshape(n_side * n_side, n_side * n_side)
 
 
-def open_convolve(table, field):
+def padded_fft(table):
+    """Zero-padded 2D FFT of a (2n-1, 2n-1) displacement table: the factor
+    ``open_convolve`` multiplies by, formed once where one table is applied
+    many times."""
+    n = (table.shape[-1] + 1) // 2
+    nf = 1 << (2 * n - 2).bit_length()
+    return np.fft.fft2(table, s=(nf, nf))
+
+
+def open_convolve(table, field, table_fft=None):
     """(T f)_p = sum_m table(r_p - r_m) f_m on an n x n lattice, via zero-padded FFT.
 
     ``table`` is the (2n-1, 2n-1) displacement table, ``field`` an (n, n) grid
-    or a stack (..., n, n) of them.  Exact up to FFT round-off; never
-    materializes the N x N matrix.
+    or a stack (..., n, n) of them, ``table_fft`` the table's ``padded_fft``
+    if already formed.  Exact up to FFT round-off; never materializes the
+    N x N matrix.
     """
     n = field.shape[-1]
-    nf = 1 << (2 * n - 2).bit_length()
-    tf = np.fft.fft2(table, s=(nf, nf))
+    if table_fft is None:
+        table_fft = padded_fft(table)
+    nf = table_fft.shape[-1]
     ff = np.fft.fft2(field, s=(nf, nf))
-    conv = np.fft.ifft2(tf * ff)[..., n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+    conv = np.fft.ifft2(table_fft * ff)[..., n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
     if np.iscomplexobj(table) or np.iscomplexobj(field):
         return conv
     return conv.real

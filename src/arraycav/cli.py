@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -110,8 +109,7 @@ def cmd_validate(args):
 def cmd_dispersion(args):
     cfg, text = _load_config(args.config)
     path = [p.strip() for p in args.path.split(",") if p.strip()]
-    pts = dispersion_curve(path, args.samples, cfg.lattice.a,
-                           threads=args.threads, strict=False)
+    pts = dispersion_curve(path, args.samples, cfg.lattice.a, strict=False)
     q = 2.0 * np.pi
     with open(args.out, "w") as fh:
         fh.write("k_x/q,k_y/q,gamma_k/gamma,delta_k/gamma,method\n")
@@ -195,11 +193,10 @@ def _projected(cfg, derivative=0):
 def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
     if args.model == "full":
-        kernel = _projected(cfg)
-        states = evolve_full(cfg, kernel, args.t_final, args.dt_out)
-        rows = [(s.t, s.a.real, s.a.imag, float(np.sum(np.abs(s.sigma) ** 2)))
-                for s in states]
+        traj = evolve_full(cfg, _projected(cfg), args.t_final, args.dt_out)
+        rows = zip(traj.t, traj.a.real, traj.a.imag, traj.sum_sigma2)
         _write_csv(args.out, ["t", "re_a", "im_a", "sum_abs_sigma2"], rows)
+        extra = traj.diagnostics
     else:
         grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side)
         params = closed_form_params(cfg, grid.delta0)
@@ -214,7 +211,8 @@ def cmd_dynamics(args):
         rows = [(s.t, s.a.real, s.a.imag, s.b[0].real, s.b[0].imag,
                  abs(s.a) ** 2) for s in states]
         _write_csv(args.out, ["t", "re_a", "im_a", "re_b0", "im_b0", "abs_a2"], rows)
-    _write_manifest("dynamics", args, text, [args.out], {"model": args.model})
+        extra = {}
+    _write_manifest("dynamics", args, text, [args.out], {"model": args.model, **extra})
     return EXIT_OK
 
 
@@ -237,9 +235,9 @@ def main(argv=None) -> int:
         prog="arraycav",
         description="2D atom-array cavity QED: dispersion, spectra, "
                     "optomechanical parameters and dynamics")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker threads for the dispersion scan (results "
-                             "are ordered deterministically regardless)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; has no effect (every "
+                             "subcommand runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="evaluate physical-regime checks")

@@ -31,9 +31,9 @@ from .config import LatticeSpec
 from .errors import ConfigError, ConvergenceError
 from .greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane, kernel_fs_plane)
 
-# Largest dense dimension built: an N x N kernel, the matrix M, or a basis
-# of that many modes.  The full-system propagator holds about eight
-# (N + 1)^2 complex arrays, ~2 GB at this size.
+# Largest dense dimension built: an N x N kernel (``dense()``), the matrix M,
+# or a basis of that many modes.  One N x N complex array is 268 MB at this
+# size.  No production path of the full N-atom model needs one.
 MAX_DENSE_SITES = 4096
 
 

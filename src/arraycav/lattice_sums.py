@@ -24,7 +24,6 @@ oscillatory tails.  This route yields both Gamma_k and Delta_k.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,25 +112,32 @@ def cooperative_rates_reciprocal(k_perp, a, m_max=8):
 
 
 @lru_cache(maxsize=8)
-def _sum_table(a, radius, taper):
-    """Displacement data for the damped real-space sums, cached per lattice.
+def _sum_table(a, radius, taper, eps):
+    """Weights of the damped real-space sums, cached per lattice.
 
-    Returns read-only arrays (x, y, r, D values, window) over all lattice
-    displacements 0 < r <= radius.
+    D_fs is radial, so the inversion- and mirror-symmetric sum over the
+    lattice folds onto the quadrant (i, j) in 0..m:
+
+        sum_n cos(k . r_n) e^{-eps r_n} w(r_n) D_fs(r_n) = c(kx)^T W c(ky),
+
+    c(k)_i = cos(k i a), W_ij the windowed, damped D_fs value at (i a, j a)
+    times its mirror multiplicity (1 at the origin, 2 on an axis, 4 inside),
+    zero at r = 0 and beyond ``radius``.  Returns a read-only stack of W, one
+    slice per damping rate in ``eps`` and a last one undamped.
     """
     m = int(np.floor(radius / a))
-    d = np.arange(-m, m + 1)
-    ii, jj = np.meshgrid(d, d, indexing="ij")
-    x = ii.ravel() * a
-    y = jj.ravel() * a
+    d = np.arange(m + 1)
+    x, y = np.meshgrid(d * a, d * a, indexing="ij")
     r = np.hypot(x, y)
     sel = (r > 0) & (r <= radius)
-    x, y, r = x[sel], y[sel], r[sel]
-    vals = kernel_fs_plane(x, y)
-    win = smoothstep((r - (1.0 - taper) * radius) / (taper * radius))
-    for arr in (x, y, r, vals, win):
-        arr.setflags(write=False)
-    return x, y, r, vals, win
+    fold = np.where(d > 0, 2.0, 1.0)
+    mult = np.outer(fold, fold)
+    base = np.zeros(r.shape, dtype=complex)
+    base[sel] = (kernel_fs_plane(x[sel], y[sel]) * mult[sel]
+                 * smoothstep((r[sel] - (1.0 - taper) * radius) / (taper * radius)))
+    W = np.stack([base * np.exp(-e * r) for e in eps] + [base])
+    W.setflags(write=False)
+    return W
 
 
 def cooperative_rates_real_space(k_perp, a, accel="damping_extrapolation",
@@ -152,16 +158,16 @@ def cooperative_rates_real_space(k_perp, a, accel="damping_extrapolation",
         raise ValueError("summation radius must be >= 20 lambda")
     if len(eps) != 3 or not np.allclose(np.diff(np.log(eps)), np.log(2.0)):
         raise ValueError("eps must be three values in ratio 1:2:4")
-    x, y, r, vals, win = _sum_table(float(a), float(radius), float(taper))
+    W = _sum_table(float(a), float(radius), float(taper),
+                   tuple(float(e) for e in eps))
     kx, ky = float(k_perp[0]), float(k_perp[1])
-    base = np.cos(kx * x + ky * y) * win
-    f = [np.sum(base * np.exp(-e * r) * vals) for e in eps]
+    d = np.arange(W.shape[-1]) * float(a)
+    f = (W @ np.cos(ky * d)) @ np.cos(kx * d)
     second = (8.0 * f[0] - 6.0 * f[1] + f[2]) / 3.0
     # convergence diagnostic: the extrapolant must agree with the second,
     # independent regularization (window alone, no damping); near a grazing
     # order both limits exist but differ until the radius resolves the beat
-    f0 = np.sum(base * vals)
-    residual = abs(second - f0)
+    residual = abs(second - f[3])
     if residual > residual_tol:
         raise ConvergenceError(
             f"regularization mismatch {residual:.2e} gamma exceeds "
@@ -205,15 +211,13 @@ def resolve_bz_point(p, a):
     return (float(p[0]), float(p[1]))
 
 
-def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
-                     strict=True):
+def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, strict=True):
     """Dispersion along a Brillouin-zone path: Gamma by the reciprocal route,
     Delta by the real-space route.
 
     ``path`` is a sequence of waypoints ('G', 'X', 'M' or explicit pairs);
     ``samples`` points are distributed over the path proportionally to segment
-    length, endpoints included.  Sample order is deterministic regardless of
-    the worker count.
+    length, endpoints included.
 
     Samples landing too close to a diffraction threshold (where the shift sum
     is critically slow, or an order grazes the light line) raise an
@@ -243,7 +247,8 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
                 break
             acc += L
 
-    def one(k):
+    out = []
+    for k in kvecs:
         gk = dk = float("nan")
         try:
             gk = cooperative_rates_reciprocal(k, a).gamma_k
@@ -252,15 +257,9 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, threads=None,
             if strict:
                 raise
             warnings.warn(f"{exc}; NaN kept at k_perp={k}", stacklevel=2)
-        return DispersionPoint(k_perp=k, gamma_k=gk, delta_k=dk, method="reciprocal")
-
-    if threads is not None and threads > 1:
-        # build the shared real-space table before the workers race to miss
-        # its unlocked cache
-        _sum_table(float(a), float(radius), float(DEFAULT_TAPER))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, kvecs))
-    return [one(k) for k in kvecs]
+        out.append(DispersionPoint(k_perp=k, gamma_k=gk, delta_k=dk,
+                                   method="reciprocal"))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,35 @@
-"""Dense N x N reference formulas for the mechanical coupling matrices.
+"""Dense N x N reference formulas for the full-model generator and the
+mechanical coupling matrices.
 
-These are the explicit-matrix definitions of C and M: the Brillouin-grid
-convolutions are built from the phase matrix F[n, k] = exp(i k . r_n) and the
-kernels are materialized with ``KernelMatrix.dense()``.  O(N^3); small
-lattices only.  The library applies the same operators by FFT; the tests
-compare the two.
+These are the explicit-matrix definitions of the generator A of the full
+N-atom system and of C and M: the Brillouin-grid convolutions are built from
+the phase matrix F[n, k] = exp(i k . r_n) and the kernels are materialized
+with ``KernelMatrix.dense()``.  O(N^3); small lattices only.  The library
+applies the same operators by FFT (and the generator on a Krylov chain); the
+tests compare the two.
 """
 
 import numpy as np
 
+from arraycav.cavity_dynamics import coupling_profile
 from arraycav.greens import Q
 from arraycav.optomech import closed_form_params, intensity_profile
+
+
+def full_system(cfg, kernel):
+    """Generator A and drive c of the linear system y = (<a>, <s_1..N>):
+    dy/dt = A y + c, as a dense (N+1) x (N+1) matrix."""
+    n = kernel.n_sites
+    g = coupling_profile(cfg)
+    s2 = 2.0 * np.sin(cfg.qz0)
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    A[0, 0] = 1j * cfg.drive.delta_c - cfg.cavity.kappa_c / 2.0
+    A[0, 1:] = -1j * s2 * g
+    A[1:, 0] = -1j * s2 * g
+    A[1:, 1:] = 1j * cfg.drive.delta * np.eye(n) - kernel.dense()
+    c = np.zeros(n + 1, dtype=complex)
+    c[0] = -1j * cfg.drive.Omega
+    return A, c
 
 
 def phase_matrix(lattice):

@@ -11,8 +11,8 @@ import pytest
 
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.cavity_dynamics import (bare_cavity_amplitude, evolve_full,
-                                      full_system, steady_state_full,
-                                      steady_state_two_mode, TwoModeModel)
+                                      steady_state_full, steady_state_two_mode,
+                                      TwoModeModel)
 from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
                                free_space_kernel, mode_decay_rate,
                                projected_kernel)
@@ -27,6 +27,7 @@ from arraycav.optomech import (closed_form_params, coupling_matrix_C,
                                om_consistency)
 
 from conftest import make_config
+from dense_reference import full_system
 
 
 def report(num, ok, detail):

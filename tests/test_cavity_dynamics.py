@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from arraycav.cavity_dynamics import (TwoModeModel, bare_cavity_amplitude,
                                       build_two_mode, coupling_profile,
-                                      evolve_full, full_system, spectrum_scan,
+                                      evolve_full, spectrum_scan,
                                       steady_state_full, steady_state_two_mode)
 from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
                                free_space_kernel, projected_kernel)
@@ -13,6 +15,7 @@ from arraycav.lattice_sums import DispersionPoint, dispersion_point
 from arraycav.optomech import closed_form_params
 
 from conftest import make_config
+from dense_reference import full_system
 
 DELTA0 = 0.40033205392606114      # cooperative shift at k = 0, a = 0.5 (frozen)
 GPLUSG = 3.0 / np.pi
@@ -172,6 +175,53 @@ class TestFullModel:
         assert a_dev <= 1e-10
         assert s2_dev <= 1e-10
 
+    @settings(max_examples=20, deadline=None)
+    @given(n_side=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           z0=st.floats(0.0, 0.25), delta=st.floats(-5.0, 20.0),
+           Omega=st.sampled_from([0.0, 0.01]), t_final=st.floats(0.5, 10.0))
+    def test_chain_matches_eigendecomposition_oracle(self, n_side, seed, z0,
+                                                     delta, Omega, t_final):
+        # random initial state plus drive: both Krylov spaces, every output
+        # time, against y(t) = V [e^{lt} z0 + (e^{lt} - 1)/l w].  The oracle
+        # itself rounds the atom phases delta t to ~ delta t eps, which the
+        # mixing into a amplifies: at delta t ~ 1000 it is off by ~1e-12
+        # (against expm), so delta t stays <= 200 here.
+        rng = np.random.default_rng(seed)
+        cfg = make_config(a=0.5, n_side=n_side, w=2.0, z0=z0, delta_c=0.3,
+                          delta=delta, kappa_c=1.0, Omega=Omega, l_fsr=100.0)
+        kernel = projected_kernel(
+            free_space_kernel(cfg.lattice),
+            confined_kernel_paraxial(cfg.lattice, z0, cfg.cavity.k_cut_abs))
+        n = cfg.lattice.n_sites
+        a0 = 0.02 * complex(*rng.normal(size=2))
+        sigma0 = 0.02 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        traj = evolve_full(cfg, kernel, t_final, t_final / 40, a0=a0,
+                           sigma0=sigma0)
+        A, c = full_system(cfg, kernel)
+        y0 = np.concatenate([[a0], sigma0])
+        lam, V = np.linalg.eig(A)
+        z0_, w = np.linalg.solve(V, y0), np.linalg.solve(V, c)
+        growth = np.exp(np.outer(traj.t, lam))
+        exact = (growth * z0_ + (growth - 1.0) / lam * w) @ V.T
+        s2_exact = np.sum(np.abs(exact[:, 1:]) ** 2, axis=1)
+        a_dev = np.max(np.abs(traj.a - exact[:, 0])) / np.max(np.abs(exact[:, 0]))
+        s2_dev = np.max(np.abs(traj.sum_sigma2 - s2_exact)) / np.max(s2_exact)
+        assert a_dev <= 1e-12
+        assert s2_dev <= 1e-12
+        sigma_last = traj[-1].sigma
+        assert (np.linalg.norm(sigma_last - exact[-1, 1:])
+                <= 1e-12 * np.max(np.sqrt(s2_exact)))
+        assert traj.diagnostics["krylov_error"] <= 1e-12
+
+    def test_steady_state_matches_dense_lu_at_dark_state(self, proj32):
+        cfg = make_config(z0=0.125, delta_c=0.3, delta=DELTA0, kappa_c=1.0,
+                          Omega=0.01, l_fsr=100.0)
+        st_ = steady_state_full(cfg, proj32)
+        A, c = full_system(cfg, proj32)
+        y = lu_solve(lu_factor(A), -c)
+        assert abs(st_.a - y[0]) <= 1e-10 * abs(y[0])
+        assert np.linalg.norm(st_.sigma - y[1:]) <= 1e-10 * np.linalg.norm(y[1:])
+
     def test_output_grid_and_initial_state(self):
         cfg = make_config(a=0.5, n_side=4, w=2.0, z0=0.125, Omega=0.05)
         kernel = free_space_kernel(cfg.lattice)
@@ -242,3 +292,4 @@ def test_full_vs_two_mode_spectrum_scan(disp, proj32):
         a_two = abs(steady_state_two_mode(build_two_mode(cfg, disp)).a) ** 2
         devs.append(abs(a_full - a_two) / a_two)
     assert max(devs) < 0.02
+

@@ -1,13 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from arraycav._numerics import smoothstep
 from arraycav.config import gamma_plus_Gamma0
 from arraycav.errors import ArrayCavError, ConvergenceError, GrazingError
-from arraycav.greens import GAMMA, Q
-from arraycav.lattice_sums import (DispersionGrid, cooperative_rates_real_space,
+from arraycav.greens import GAMMA, Q, kernel_fs_plane
+from arraycav.lattice_sums import (DEFAULT_EPS, DEFAULT_RADIUS, DEFAULT_TAPER,
+                                   TOTAL_DECAY_TOL, DispersionGrid, cooperative_rates_real_space,
                                    cooperative_rates_reciprocal,
                                    diffraction_orders, dispersion_curve,
                                    dispersion_grid, _sum_table)
+
+
+def direct_cosine_sums(k, a, radius=DEFAULT_RADIUS, eps=DEFAULT_EPS,
+                       taper=DEFAULT_TAPER):
+    """The damped, windowed lattice sums term by term over the whole disc:
+    the Richardson extrapolant and the window-only sum."""
+    m = int(np.floor(radius / a))
+    d = np.arange(-m, m + 1)
+    ii, jj = np.meshgrid(d, d, indexing="ij")
+    x, y = ii.ravel() * a, jj.ravel() * a
+    r = np.hypot(x, y)
+    sel = (r > 0) & (r <= radius)
+    x, y, r = x[sel], y[sel], r[sel]
+    vals = kernel_fs_plane(x, y)
+    base = (np.cos(k[0] * x + k[1] * y)
+            * smoothstep((r - (1.0 - taper) * radius) / (taper * radius)))
+    f = [np.sum(base * np.exp(-e * r) * vals) for e in eps]
+    return (8.0 * f[0] - 6.0 * f[1] + f[2]) / 3.0, np.sum(base * vals)
 
 
 class TestDiffractionOrders:
@@ -107,6 +129,24 @@ class TestRealSpace:
             cooperative_rates_real_space((1.495 * Q, 0.0), 0.4,
                                          residual_tol=1e-4)
 
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.floats(0.2, 1.0, exclude_min=True, exclude_max=True),
+           kx=st.floats(-2.0 * Q, 2.0 * Q), ky=st.floats(-2.0 * Q, 2.0 * Q))
+    def test_separable_sum_matches_direct_cosine_sum(self, a, kx, ky):
+        second, window_only = direct_cosine_sums((kx, ky), a)
+        # in the subradiant band the sum's error can make the decay negative,
+        # which DispersionPoint refuses by design
+        assume(2.0 * second.real + GAMMA > -TOTAL_DECAY_TOL + 1e-9)
+        pt = cooperative_rates_real_space((kx, ky), a, residual_tol=np.inf)
+        got = 0.5 * pt.gamma_k + 1j * pt.delta_k
+        # relative, with gamma as the floor of the scale where the sum cancels
+        assert abs(got - second) <= 1e-13 * max(abs(second), GAMMA)
+        # the residual rule |second - window-only| sees the same two sums
+        residual = abs(second - window_only)
+        with pytest.raises(ConvergenceError):
+            cooperative_rates_real_space((kx, ky), a, residual_tol=residual - 1e-12)
+        cooperative_rates_real_space((kx, ky), a, residual_tol=residual + 1e-12)
+
     def test_radius_precondition(self):
         with pytest.raises(ValueError, match="radius"):
             cooperative_rates_real_space((0.0, 0.0), 0.5, radius=10.0)
@@ -137,9 +177,11 @@ class TestDispersionCurve:
         with pytest.raises(GrazingError):
             dispersion_curve(["G", "X"], 2, 0.5)
         # non-strict: the sample stays, with NaN and a warning
-        with pytest.warns(UserWarning, match="grazing"):
+        with pytest.warns(UserWarning, match="grazing") as record:
             pts = dispersion_curve(["G", "X"], 2, 0.5, strict=False)
         assert np.isnan(pts[-1].gamma_k) and np.isfinite(pts[0].gamma_k)
+        # the warning points at the caller of dispersion_curve
+        assert record[0].filename == __file__
 
     def test_strict_subradiant_failure_is_library_error(self):
         # the README path at a = 0.5: the real-space sum makes Gamma_k + gamma
@@ -147,15 +189,9 @@ class TestDispersionCurve:
         with pytest.raises(ArrayCavError):
             dispersion_curve(["G", "X", "M", "G"], 60, 0.5)
 
-    def test_threaded_matches_serial(self):
-        serial = dispersion_curve(["G", "M"], 5, 0.6)
-        threaded = dispersion_curve(["G", "M"], 5, 0.6, threads=4)
-        assert [p.gamma_k for p in serial] == [p.gamma_k for p in threaded]
-        assert [p.delta_k for p in serial] == [p.delta_k for p in threaded]
-
-    def test_threaded_builds_the_sum_table_once(self):
+    def test_curve_builds_the_sum_table_once(self):
         before = _sum_table.cache_info().misses
-        dispersion_curve([(0.0, 0.0), (0.5, 0.0)], 4, 0.61, threads=4)
+        dispersion_curve([(0.0, 0.0), (0.5, 0.0)], 4, 0.61)
         assert _sum_table.cache_info().misses == before + 1
 
 
