@@ -13,10 +13,8 @@ from .config import (CavitySpec, DriveSpec, FullConfig, LatticeSpec,
                      parse_config, validate_regime)
 from .greens import (dyadic_green_fs, kernel_fs, kernel_fs_d2z,
                      kernel_fs_momentum)
-from .lattice_sums import (DiffractionOrder, DispersionGrid,
-                           DispersionPoint, cooperative_rates_real_space,
-                           cooperative_rates_reciprocal, diffraction_orders,
-                           dispersion_curve, dispersion_grid, dispersion_point)
+from .lattice_sums import (DispersionGrid, DispersionPoint, dispersion_curve,
+                           dispersion_grid, dispersion_point)
 from .confined import (KernelMatrix, ModeProfile, cavity_profile,
                        confined_kernel_hg, confined_kernel_paraxial,
                        confined_table, free_space_kernel, mode_decay_rate,

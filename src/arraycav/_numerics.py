@@ -25,17 +25,6 @@ def gl_interval(lo, hi, n):
     return lo + half * (x + 1.0), half * w
 
 
-def smoothstep(x):
-    """C^3 taper: 1 for x <= 0, 0 for x >= 1, degree-7 smoothstep in between.
-
-    Used as a radial window on truncated lattice sums; the smoothness order
-    sets the algebraic suppression of the boundary error against oscillatory
-    summands.
-    """
-    x = np.clip(x, 0.0, 1.0)
-    return 1.0 - x**4 * (35.0 - 84.0 * x + 70.0 * x**2 - 20.0 * x**3)
-
-
 def displacement_grid(n_side, a):
     """All pairwise displacements of an n_side^2 lattice: (2n-1, 2n-1) meshes of dx, dy."""
     d = np.arange(-(n_side - 1), n_side)

@@ -83,8 +83,6 @@ def build_two_mode(cfg: FullConfig, dispersion: DispersionPoint) -> TwoModeModel
     (gamma+Gamma)(c/l)/4, the route that reproduces the adiabatic cavity shift;
     dispersion.delta_k supplies the collective shift Delta.
     """
-    if dispersion.delta_k is None:
-        raise ValueError("dispersion point must carry the cooperative shift Delta")
     if cfg.cavity.w < 2.0:
         raise RegimeError("paraxial bound violated: w < 2 lambda")
     if cfg.lattice.a > 1.0:

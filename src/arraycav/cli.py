@@ -111,13 +111,8 @@ def cmd_dispersion(args):
     path = [p.strip() for p in args.path.split(",") if p.strip()]
     pts = dispersion_curve(path, args.samples, cfg.lattice.a, strict=False)
     q = 2.0 * np.pi
-    with open(args.out, "w") as fh:
-        fh.write("k_x/q,k_y/q,gamma_k/gamma,delta_k/gamma,method\n")
-        for p in pts:
-            dk = p.delta_k if p.delta_k is not None else np.nan
-            fh.write(",".join(_fmt(x) for x in
-                              (p.k_perp[0] / q, p.k_perp[1] / q, p.gamma_k, dk))
-                     + f",{p.method}\n")
+    rows = [(p.k_perp[0] / q, p.k_perp[1] / q, p.gamma_k, p.delta_k) for p in pts]
+    _write_csv(args.out, ["k_x/q", "k_y/q", "gamma_k/gamma", "delta_k/gamma"], rows)
     _write_manifest("dispersion", args, text, [args.out],
                     {"path": path, "samples": args.samples})
     return EXIT_OK

@@ -316,8 +316,8 @@ def validate_regime(cfg: FullConfig, Delta: float | None = None) -> RegimeReport
     lattice constant.  Report-only: callers decide what is fatal.
     """
     if Delta is None:
-        from .lattice_sums import cooperative_rates_real_space
-        Delta = cooperative_rates_real_space((0.0, 0.0), cfg.lattice.a).delta_k
+        from .lattice_sums import dispersion_point
+        Delta = dispersion_point((0.0, 0.0), cfg.lattice.a).delta_k
 
     gamma_coop = gamma_plus_Gamma0(cfg.lattice.a)
     d = cfg.drive

@@ -1,189 +1,170 @@
-"""Collective-mode dispersion of the infinite 2D array by two independent routes.
+"""Collective-mode dispersion of the infinite 2D array by Ewald summation.
 
 The cooperative decay Gamma_k and shift Delta_k of the Bloch dipole mode at
-transverse wavevector k are lattice sums of the free-space kernel,
+transverse wavevector k come from one lattice sum of the free-space kernel,
 
-    Gamma_k = 2 sum_{n != 0} e^{-i k . r_n} Re[D_fs(r_n)],
-    Delta_k =   sum_{n != 0} e^{-i k . r_n} Im[D_fs(r_n)].
+    S(k) = sum_{n != 0} e^{-i k . r_n} D_fs(r_n) = Gamma_k / 2 + i Delta_k .
 
-Route 1 (reciprocal): Poisson resummation over diffraction orders gives the
-decay exactly as a sum over propagating orders,
+For circular in-plane dipoles D_fs = -(3i/2)(1 + grad_perp^2 / (2 q^2)) g with
+g = e^{iqr} / (4 pi r).  Ewald's splitting (Linton, SIAM Rev. 52, 630 (2010))
+takes out the short-ranged, real part
+
+    g1(r) = Re[e^{iqr} erfc(r E + i q / (2E))] / (4 pi r)
+
+and sums the smooth remainder g - g1 over the diffraction orders k + Q:
+
+- spatial part: sum_{n != 0} cos(k . r_n) over the closed form of g1 and of
+  its in-plane Laplacian g1'' + g1'/r;
+- spectral part: (1/a^2) sum_Q w(k+Q) erfc(Gamma_Q / (2E)) / (2 Gamma_Q), with
+  w(p) = 1 - |p|^2 / (2 q^2) and Gamma_Q = sqrt(|k+Q|^2 - q^2), or
+  Gamma_Q = -i k_z on propagating orders, where erfc(-ix) = 1 + i erfi(x);
+- self term: (1 + grad_perp^2 / (2 q^2))(g - g1) at r = 0, in closed form.
+
+Both parts converge like Gaussians, so a few shells of each give S to
+round-off at every k.  The decay is the propagating orders' part alone,
 
     Gamma_k + gamma = (3 gamma lambda / (2 a^2)) sum_prop w(k+Q) / k_z ,
 
-with the circular-polarization weight w(p) = 1 - |p|^2/(2 q^2) and
-longitudinal wavenumber k_z per order.  Only the decay is produced this way;
-the shift integral converges too slowly in k space to be worth it.
-
-Route 2 (real space): direct summation with exponential damping e^{-eps r},
-eps in {0.02, 0.04, 0.08}/lambda, Richardson-extrapolated to eps -> 0, plus a
-smooth radial taper that suppresses the hard-cutoff boundary error of the
-oscillatory tails.  This route yields both Gamma_k and Delta_k.
+which gives the closed form at k = 0 and the exact zero of the subradiant
+band.  Where an order grazes the light line (k_z = 0) the decay diverges; the
+shift keeps its finite limit from inside the light cone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import smoothstep
-from .errors import ConfigError, ConvergenceError, GrazingError
-from .greens import GAMMA, LAMBDA, Q, kernel_fs_plane
+from .errors import ConfigError, GrazingError
+from .greens import GAMMA, LAMBDA, Q
 
-DEFAULT_EPS = (0.02, 0.04, 0.08)    # damping rates, units 1/lambda
-DEFAULT_RADIUS = 60.0               # summation radius, units lambda
-DEFAULT_TAPER = 0.4                 # fraction of the radius used by the window
-GRAZING_TOL = 1e-9                  # |k_z/q|^2 below this counts as grazing
-
-
-TOTAL_DECAY_TOL = 1e-3          # slack on Gamma_k + gamma >= 0 for summed routes
+GRAZING_TOL = 1e-9      # |k_z/q|^2 below this counts as grazing
+_TAIL = 6.0             # erfc argument at which both Ewald sums stop (erfc = 2e-17)
 
 
 @dataclass(frozen=True)
 class DispersionPoint:
     k_perp: tuple
     gamma_k: float              # cooperative decay Gamma_k, units gamma
-    delta_k: float | None       # cooperative shift Delta_k; None if not computed
-    method: str                 # real_space | reciprocal
-
-    def __post_init__(self):
-        if not np.isnan(self.gamma_k) and self.gamma_k < -GAMMA - TOTAL_DECAY_TOL:
-            raise ConvergenceError(f"total decay Gamma_k + gamma = "
-                                   f"{self.gamma_k + GAMMA:.3e} is negative")
+    delta_k: float              # cooperative shift Delta_k, units gamma
 
 
-@dataclass(frozen=True)
-class DiffractionOrder:
-    m: tuple                    # (m_x, m_y) order indices
-    q_vec: tuple                # reciprocal vector (2 pi / a)(m_x, m_y)
-    k_z: complex                # real (propagating) xor purely imaginary (evanescent)
+def _ewald_parameter(a):
+    """Splitting parameter E (1/lambda) of a lattice.
 
-    @property
-    def propagating(self) -> bool:
-        return self.k_z.imag == 0.0
-
-
-def diffraction_orders(k_perp, a, m_max=8):
-    """Enumerate grating orders k_perp + Q with their longitudinal wavenumbers."""
-    kx, ky = float(k_perp[0]), float(k_perp[1])
-    g = 2.0 * np.pi / a
-    orders = []
-    for mx in range(-m_max, m_max + 1):
-        for my in range(-m_max, m_max + 1):
-            px = kx + g * mx
-            py = ky + g * my
-            k2 = px * px + py * py
-            if k2 <= Q * Q:
-                kz = complex(np.sqrt(Q * Q - k2))
-            else:
-                kz = 1j * np.sqrt(k2 - Q * Q)
-            orders.append(DiffractionOrder(m=(mx, my), q_vec=(g * mx, g * my), k_z=kz))
-    return orders
-
-
-def cooperative_rates_reciprocal(k_perp, a, m_max=8):
-    """Gamma_k from the propagating diffraction orders; exact for the decay.
-
-    The shift Delta_k is not produced by this route (returned as None).  The
-    result is periodic under k -> k + 2 pi/a.  A wavevector putting any order
-    exactly on the light line raises GrazingError.
+    sqrt(pi)/(2a) balances the spatial and spectral shells; the floor
+    sqrt(pi) keeps q^2/(4E^2) <= pi, because the spatial and self terms
+    cancel at the scale e^{q^2/(4E^2)}.
     """
-    kx, ky = float(k_perp[0]), float(k_perp[1])
-    g = 2.0 * np.pi / a
-    total = 0.0
-    for mx in range(-m_max, m_max + 1):
-        for my in range(-m_max, m_max + 1):
-            px = kx + g * mx
-            py = ky + g * my
-            k2 = px * px + py * py
-            kz2 = Q * Q - k2
-            if abs(kz2) < GRAZING_TOL * Q * Q:
-                raise GrazingError(
-                    f"order ({mx},{my}) is grazing at this k_perp; shift k_perp "
-                    "infinitesimally away from the light line")
-            if kz2 > 0:
-                total += (1.0 - k2 / (2.0 * Q * Q)) / np.sqrt(kz2)
-    gamma_plus = 1.5 * GAMMA * LAMBDA / (a * a) * total
-    return DispersionPoint(k_perp=(kx, ky), gamma_k=gamma_plus - GAMMA,
-                           delta_k=None, method="reciprocal")
+    return np.sqrt(np.pi) * max(0.5 / a, 1.0)
 
 
-@lru_cache(maxsize=8)
-def _sum_table(a, radius, taper, eps):
-    """Weights of the damped real-space sums, cached per lattice.
+def _spatial_table(a, E):
+    """Quadrant table of the spatial part, and its outermost shell's largest term.
 
-    D_fs is radial, so the inversion- and mirror-symmetric sum over the
-    lattice folds onto the quadrant (i, j) in 0..m:
-
-        sum_n cos(k . r_n) e^{-eps r_n} w(r_n) D_fs(r_n) = c(kx)^T W c(ky),
-
-    c(k)_i = cos(k i a), W_ij the windowed, damped D_fs value at (i a, j a)
-    times its mirror multiplicity (1 at the origin, 2 on an axis, 4 inside),
-    zero at r = 0 and beyond ``radius``.  Returns a read-only stack of W, one
-    slice per damping rate in ``eps`` and a last one undamped.
+    The spatial part -(3i/2) L g1, L = 1 + grad_perp^2/(2 q^2), is imaginary,
+    so it adds to Delta_k only.  g1 is radial, so the sum folds onto the
+    quadrant (i, j) in 0..m:  sum_{n != 0} cos(k . r_n) (-3/2) L g1(r_n) =
+    c(kx)^T W c(ky), c(k)_i = cos(k i a), W_ij the summand at (i a, j a) times
+    its mirror multiplicity (1 at the origin, 2 on an axis, 4 inside), W_00 = 0.
     """
-    m = int(np.floor(radius / a))
-    d = np.arange(m + 1)
-    x, y = np.meshgrid(d * a, d * a, indexing="ij")
-    r = np.hypot(x, y)
-    sel = (r > 0) & (r <= radius)
+    from scipy.special import erfc
+
+    m = int(np.ceil(_TAIL / (E * a)))
+    d = np.arange(m + 1) * a
+    r = np.hypot(d[:, None], d[None, :])
+    r[0, 0] = a                                 # dropped below
+    u = np.exp(1j * Q * r) * erfc(r * E + 0.5j * Q / E)
+    c = 2.0 * E / np.sqrt(np.pi) * np.exp(Q * Q / (4.0 * E * E) - E * E * r * r)
+    # U = Re u and its r-derivatives, from u' = iq u - c
+    U, U1, U2 = u.real, -Q * u.imag - c, -Q * Q * u.real + 2.0 * E * E * r * c
+    lap = U2 / r - U1 / r**2 + U / r**3         # 4 pi (g1'' + g1'/r)
+    term = -1.5 * (U / r + lap / (2.0 * Q * Q)) / (4.0 * np.pi)
+    term[0, 0] = 0.0
     fold = np.where(d > 0, 2.0, 1.0)
-    mult = np.outer(fold, fold)
-    base = np.zeros(r.shape, dtype=complex)
-    base[sel] = (kernel_fs_plane(x[sel], y[sel]) * mult[sel]
-                 * smoothstep((r[sel] - (1.0 - taper) * radius) / (taper * radius)))
-    W = np.stack([base * np.exp(-e * r) for e in eps] + [base])
-    W.setflags(write=False)
-    return W
+    outer = max(np.abs(term[m]).max(), np.abs(term[:, m]).max())
+    return term * np.outer(fold, fold), float(outer)
 
 
-def cooperative_rates_real_space(k_perp, a, accel="damping_extrapolation",
-                                 radius=DEFAULT_RADIUS, eps=DEFAULT_EPS,
-                                 taper=DEFAULT_TAPER, residual_tol=5e-3):
-    """Gamma_k and Delta_k by damped real-space summation.
+def _self_shift(E):
+    """Im of the self term (1 + grad_perp^2/(2q^2))(-3i/2)(g - g1) at r = 0.
 
-    The three damped sums S(eps) are combined by second-order Richardson
-    extrapolation to eps -> 0; the difference between the first- and
-    second-order extrapolants is the convergence residual, and exceeding
-    ``residual_tol`` (units gamma) raises ConvergenceError.  The inversion
-    symmetry of the lattice makes the phase factor a cosine, so both outputs
-    are real by construction.
+    g - g1 = h0 + h2 r^2 + O(r^3) with no linear term, so the operator gives
+    h0 + 2 h2 / q^2; its real part is gamma/2.
     """
-    if accel != "damping_extrapolation":
-        raise ValueError(f"unknown acceleration scheme {accel!r}")
-    if radius < 20.0:
-        raise ValueError("summation radius must be >= 20 lambda")
-    if len(eps) != 3 or not np.allclose(np.diff(np.log(eps)), np.log(2.0)):
-        raise ValueError("eps must be three values in ratio 1:2:4")
-    W = _sum_table(float(a), float(radius), float(taper),
-                   tuple(float(e) for e in eps))
+    from scipy.special import erfi
+
+    b = 0.5 * Q / E
+    c = 2.0 * E / np.sqrt(np.pi) * np.exp(b * b)
+    return (Q * erfi(b) - c * (1.0 - E * E / (Q * Q))) / (4.0 * np.pi)
+
+
+def _lattice_sum(kx, ky, a):
+    """Gamma_k, Delta_k (units gamma) over broadcastable wavevector arrays.
+
+    Returns (gamma_k, delta_k, residual).  gamma_k is NaN where a diffraction
+    order grazes the light line (|k_z|^2 < GRAZING_TOL q^2); delta_k there is
+    the finite limit from inside the light cone.  ``residual`` is the largest
+    term of the outermost kept spatial and spectral shells, units gamma.
+    """
+    from scipy.special import erfc, erfi
+
+    kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float),
+                                 np.asarray(ky, dtype=float))
+    E = _ewald_parameter(a)
+    W, residual = _spatial_table(a, E)
+    d = np.arange(W.shape[0]) * a
+    delta = np.sum((np.cos(kx[..., None] * d) @ W) * np.cos(ky[..., None] * d),
+                   axis=-1) - _self_shift(E)
+
+    # spectral part over the orders of the folded wavevector; excluded orders
+    # have |k + Q| >= (2 M + 1) pi / a, so Gamma_Q >= 2 _TAIL E
+    g = 2.0 * np.pi / a
+    kx = kx - g * np.round(kx / g)
+    ky = ky - g * np.round(ky / g)
+    M = int(np.ceil(np.sqrt(Q * Q + (2.0 * _TAIL * E) ** 2) / g - 0.5))
+    gamma_plus = np.zeros(kx.shape)
+    grazing = np.zeros(kx.shape, dtype=bool)
+    for mx in range(-M, M + 1):
+        px2 = (kx + g * mx) ** 2
+        for my in range(-M, M + 1):
+            p2 = px2 + (ky + g * my) ** 2
+            kz2 = Q * Q - p2
+            w = 1.0 - p2 / (2.0 * Q * Q)
+            x = np.sqrt(np.abs(kz2)) / (2.0 * E)
+            near = np.abs(kz2) < GRAZING_TOL * Q * Q
+            prop = (kz2 > 0) & ~near
+            evan = (kz2 < 0) & ~near
+            # phi = erfi(x)/x (propagating), -erfc(x)/x (evanescent) and its
+            # limit 2/sqrt(pi) from inside the light cone at grazing
+            phi = np.full(x.shape, 2.0 / np.sqrt(np.pi))
+            phi[prop] = erfi(x[prop]) / x[prop]
+            phi[evan] = -erfc(x[evan]) / x[evan]
+            term = 3.0 / (8.0 * a * a * E) * w * phi
+            delta += term
+            gamma_plus[prop] += 1.5 / (a * a) * w[prop] / np.sqrt(kz2[prop])
+            grazing |= near
+            if max(abs(mx), abs(my)) == M:
+                residual = max(residual, float(np.abs(term).max()))
+    gamma_k = np.where(grazing, np.nan, GAMMA * LAMBDA * gamma_plus - GAMMA)
+    return gamma_k, delta, residual
+
+
+def dispersion_point(k_perp, a) -> DispersionPoint:
+    """Gamma_k and Delta_k at one wavevector.
+
+    A wavevector putting a diffraction order on the light line raises
+    GrazingError: the decay diverges there.
+    """
     kx, ky = float(k_perp[0]), float(k_perp[1])
-    d = np.arange(W.shape[-1]) * float(a)
-    f = (W @ np.cos(ky * d)) @ np.cos(kx * d)
-    second = (8.0 * f[0] - 6.0 * f[1] + f[2]) / 3.0
-    # convergence diagnostic: the extrapolant must agree with the second,
-    # independent regularization (window alone, no damping); near a grazing
-    # order both limits exist but differ until the radius resolves the beat
-    residual = abs(second - f[3])
-    if residual > residual_tol:
-        raise ConvergenceError(
-            f"regularization mismatch {residual:.2e} gamma exceeds "
-            f"{residual_tol:.2e} at k_perp={k_perp} (slowly converging sum, "
-            "likely near a grazing order; increase radius or shift k)")
-    return DispersionPoint(k_perp=(kx, ky), gamma_k=float(2.0 * second.real),
-                           delta_k=float(second.imag), method="real_space")
-
-
-def dispersion_point(k_perp, a, radius=DEFAULT_RADIUS) -> DispersionPoint:
-    """Merged best-of-both-routes sample: exact decay from the reciprocal
-    route, shift from the damped real-space sum."""
-    gk = cooperative_rates_reciprocal(k_perp, a).gamma_k
-    dk = cooperative_rates_real_space(k_perp, a, radius=radius).delta_k
-    return DispersionPoint(k_perp=(float(k_perp[0]), float(k_perp[1])),
-                           gamma_k=gk, delta_k=dk, method="reciprocal")
+    gk, dk, _ = _lattice_sum(kx, ky, a)
+    if np.isnan(gk):
+        raise GrazingError(
+            f"a diffraction order is grazing at k_perp={(kx, ky)}; shift k_perp "
+            "infinitesimally away from the light line")
+    return DispersionPoint(k_perp=(kx, ky), gamma_k=float(gk), delta_k=float(dk))
 
 
 # high-symmetry points of the square-lattice Brillouin zone, units pi/a
@@ -211,29 +192,27 @@ def resolve_bz_point(p, a):
     return (float(p[0]), float(p[1]))
 
 
-def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, strict=True):
-    """Dispersion along a Brillouin-zone path: Gamma by the reciprocal route,
-    Delta by the real-space route.
+def dispersion_curve(path, samples, a, strict=True):
+    """Dispersion along a Brillouin-zone path, all samples in one lattice sum.
 
-    ``path`` is a sequence of waypoints ('G', 'X', 'M' or explicit pairs);
-    ``samples`` points are distributed over the path proportionally to segment
-    length, endpoints included.
+    ``path`` is a sequence of waypoints ('G', 'X', 'M', 'kx:ky' or explicit
+    pairs); ``samples`` points are distributed over the path proportionally
+    to segment length, endpoints included.
 
-    Samples landing too close to a diffraction threshold (where the shift sum
-    is critically slow, or an order grazes the light line) raise an
-    ArrayCavError when ``strict``; with ``strict=False`` the routes that did
-    not finish leave NaN, with a warning, so whole-band sweeps survive the
-    van Hove points.
+    A path of fewer than 2 samples or waypoints, or of zero length, raises
+    ConfigError.  Samples where a diffraction order grazes the light line raise
+    GrazingError when ``strict``; with ``strict=False`` they keep NaN for
+    both rates, with one warning per call, so whole-band sweeps survive.
     """
     if samples < 2:
-        raise ValueError("need at least 2 samples")
+        raise ConfigError(f"need at least 2 samples, got {samples}")
     pts = [np.array(resolve_bz_point(p, a)) for p in path]
     if len(pts) < 2:
-        raise ValueError("need at least 2 waypoints")
+        raise ConfigError("need at least 2 waypoints")
     seg_len = [np.linalg.norm(b - a_) for a_, b in zip(pts, pts[1:])]
     total = sum(seg_len)
     if total == 0:
-        raise ValueError("degenerate path")
+        raise ConfigError("degenerate path: the waypoints enclose no length")
     # arc-length positions of the samples
     s_vals = np.linspace(0.0, total, samples)
     kvecs = []
@@ -243,23 +222,23 @@ def dispersion_curve(path, samples, a, radius=DEFAULT_RADIUS, strict=True):
             if s <= acc + L or (p1 is pts[-1] and s >= total):
                 frac = 0.0 if L == 0 else (s - acc) / L
                 frac = min(max(frac, 0.0), 1.0)
-                kvecs.append(tuple(p0 + frac * (p1 - p0)))
+                kvecs.append(tuple(float(c) for c in p0 + frac * (p1 - p0)))
                 break
             acc += L
 
-    out = []
-    for k in kvecs:
-        gk = dk = float("nan")
-        try:
-            gk = cooperative_rates_reciprocal(k, a).gamma_k
-            dk = cooperative_rates_real_space(k, a, radius=radius).delta_k
-        except (GrazingError, ConvergenceError) as exc:
-            if strict:
-                raise
-            warnings.warn(f"{exc}; NaN kept at k_perp={k}", stacklevel=2)
-        out.append(DispersionPoint(k_perp=k, gamma_k=gk, delta_k=dk,
-                                   method="reciprocal"))
-    return out
+    k = np.array(kvecs)
+    gk, dk, _ = _lattice_sum(k[:, 0], k[:, 1], a)
+    bad = np.isnan(gk)
+    if bad.any():
+        msg = (f"{int(bad.sum())} of {samples} samples put a diffraction order "
+               f"on the light line (grazing), first at k_perp="
+               f"{kvecs[int(np.argmax(bad))]}")
+        if strict:
+            raise GrazingError(msg)
+        warnings.warn(f"{msg}; NaN kept", stacklevel=2)
+        dk = np.where(bad, np.nan, dk)
+    return [DispersionPoint(k_perp=kv, gamma_k=float(g), delta_k=float(d))
+            for kv, g, d in zip(kvecs, gk, dk)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +247,8 @@ class DispersionGrid:
 
     ``delta_k`` is laid out in numpy fftfreq order on the n_side x n_side grid
     conjugate to the lattice (k = 2 pi m / (n_side a)); ``delta0`` is the
-    k = 0 value and ``residual`` the worst Richardson residual over the grid.
+    k = 0 value and ``residual`` the largest term of the outermost kept Ewald
+    shells over the grid, units gamma.
     """
 
     a: float
@@ -281,36 +261,19 @@ class DispersionGrid:
         return float(self.delta_k[0, 0])
 
 
-def dispersion_grid(a, n_side, radius=DEFAULT_RADIUS, eps=DEFAULT_EPS,
-                    taper=DEFAULT_TAPER) -> DispersionGrid:
-    """Delta_k on the full n_side^2 FFT grid in one shot.
+def dispersion_grid(a, n_side) -> DispersionGrid:
+    """Delta_k on the full n_side^2 Brillouin grid in one lattice sum.
 
-    The damped, windowed Im[D_fs] displacement table is embedded in a padded
-    M x M array (M a multiple of n_side covering the summation radius) whose
-    FFT evaluates every lattice sum exactly; the target grid is the M/n_side
-    subsampling.  Same damping/extrapolation scheme as the point route.
+    On grid points where a diffraction order grazes the light line (whenever
+    n_side a is an integer) Delta_k takes its finite limit from inside the
+    light cone.  Delta_k is even in kx and in ky, so the sum runs over the
+    non-negative frequencies and is mirrored onto the fftfreq layout.
     """
-    K = int(np.floor(radius / a))
-    M = n_side * int(np.ceil((2 * K + 1) / n_side))
-    d = np.arange(-K, K + 1)
-    dx, dy = np.meshgrid(d * a, d * a, indexing="ij")
-    r = np.hypot(dx, dy)
-    mask = r > 0
-    vals = np.zeros(r.shape)
-    vals[mask] = kernel_fs_plane(dx[mask], dy[mask]).imag
-    vals[mask] *= smoothstep((r[mask] - (1 - taper) * radius) / (taper * radius))
-    sums = []
-    step = M // n_side
-    idx = d % M
-    for e in eps:
-        big = np.zeros((M, M))
-        big[np.ix_(idx, idx)] = np.where(mask, vals * np.exp(-e * r), 0.0)
-        F = np.fft.fft2(big).real          # inversion-symmetric table -> real
-        sums.append(F[::step, ::step])
-    f1, f2, f4 = sums
-    second = (8.0 * f1 - 6.0 * f2 + f4) / 3.0
-    first = 2.0 * f1 - f2
-    residual = float(np.max(np.abs(second - first)))
-    second.setflags(write=False)
-    return DispersionGrid(a=float(a), n_side=int(n_side), delta_k=second,
+    m = np.arange(n_side)
+    k = 2.0 * np.pi * m[: n_side // 2 + 1] / (n_side * a)
+    _, half, residual = _lattice_sum(k[:, None], k[None, :], a)
+    fold = np.minimum(m, n_side - m)
+    delta = half[np.ix_(fold, fold)]
+    delta.setflags(write=False)
+    return DispersionGrid(a=float(a), n_side=int(n_side), delta_k=delta,
                           residual=residual)

@@ -17,9 +17,7 @@ from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
                                free_space_kernel, mode_decay_rate,
                                projected_kernel)
 from arraycav.greens import GAMMA, Q, kernel_fs_d2z
-from arraycav.lattice_sums import (cooperative_rates_real_space,
-                                   cooperative_rates_reciprocal,
-                                   dispersion_grid)
+from arraycav.lattice_sums import dispersion_grid, dispersion_point
 from arraycav.om_dynamics import (energy_functional, evolve_multimode,
                                   evolve_reduced, hamiltonian_coupling)
 from arraycav.optomech import (closed_form_params, coupling_matrix_C,
@@ -28,6 +26,7 @@ from arraycav.optomech import (closed_form_params, coupling_matrix_C,
 
 from conftest import make_config
 from dense_reference import full_system
+from lattice_reference import damped_lattice_sum
 
 
 def report(num, ok, detail):
@@ -40,17 +39,17 @@ def report(num, ok, detail):
 def test_criterion_1_cooperative_decay_closed_form(a):
     closed = gamma_plus_Gamma0(a)
     t0 = time.perf_counter()
-    rec = cooperative_rates_reciprocal((0.0, 0.0), a).gamma_k + GAMMA
-    t_rec = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rs = cooperative_rates_real_space((0.0, 0.0), a).gamma_k + GAMMA
-    t_rs = time.perf_counter() - t0
-    dev_rec = abs(rec - closed) / closed
-    dev_rs = abs(rs - closed)
-    ok = dev_rec <= 1e-6 and dev_rs <= 1e-3 and t_rec < 1.0 and t_rs < 1.0
-    report(1, ok, f"a={a}: Gamma0+gamma reciprocal dev {dev_rec:.1e} (<=1e-6), "
-                  f"real-space dev {dev_rs:.1e} gamma (<=1e-3), "
-                  f"times {t_rec:.2f}/{t_rs:.2f} s (<1 s)")
+    pt = dispersion_point((0.0, 0.0), a)
+    dt = time.perf_counter() - t0
+    ref, _ = damped_lattice_sum((0.0, 0.0), a)
+    dev_gamma = abs(pt.gamma_k + GAMMA - closed) / closed
+    dev_ref = abs(2.0 * ref.real + GAMMA - closed)
+    dev_delta = abs(pt.delta_k - ref.imag)
+    ok = dev_gamma <= 1e-12 and dev_ref <= 1e-3 and dev_delta <= 5e-3 and dt < 1.0
+    report(1, ok, f"a={a}: Gamma0+gamma Ewald dev {dev_gamma:.1e} (<=1e-12), "
+                  f"damped real-space dev {dev_ref:.1e} gamma (<=1e-3); "
+                  f"Delta0 Ewald vs real-space {dev_delta:.1e} gamma (<=5e-3); "
+                  f"{dt:.2f} s (<1 s)")
 
 
 # ---------------------------------------------------------------------- 2
@@ -117,7 +116,7 @@ def test_criterion_4_dark_state():
     st = steady_state_two_mode(model)
     two_mode_exact = st.a == 0.0
     # full N-atom model pinned to |a| <= 1e-3 |a_bare| at w = 4
-    delta0 = 0.40033205392606114
+    delta0 = 0.4003319962564511
     cfg = make_config(a=0.5, n_side=32, w=4.0, z0=0.125, delta_c=0.3,
                       delta=delta0, kappa_c=1.0, Omega=0.01, l_fsr=100.0)
     proj = projected_kernel(
@@ -280,12 +279,13 @@ def test_criterion_9_reduction_fidelity():
 # --------------------------------------------------------------------- 10
 def test_criterion_10_subradiance_band():
     a = 0.4
-    devs_rec, devs_rs = [], []
+    devs, devs_ref = [], []
     for frac in (1.1, 1.25, 1.4):
         k = (frac * Q, 0.0)
-        devs_rec.append(abs(cooperative_rates_reciprocal(k, a).gamma_k + GAMMA))
-        devs_rs.append(abs(cooperative_rates_real_space(k, a).gamma_k + GAMMA))
-    ok = max(devs_rec) == 0.0 and max(devs_rs) <= 1e-2
+        devs.append(abs(dispersion_point(k, a).gamma_k + GAMMA))
+        ref, _ = damped_lattice_sum(k, a)
+        devs_ref.append(abs(2.0 * ref.real + GAMMA))
+    ok = max(devs) == 0.0 and max(devs_ref) <= 1e-2
     report(10, ok, f"Gamma_k + gamma inside q < |k| < 2 pi/a - q at a = 0.4: "
-                   f"reciprocal exactly 0 (max {max(devs_rec):.1e}), "
-                   f"real-space max {max(devs_rs):.1e} (<=1e-2)")
+                   f"Ewald exactly 0 (max {max(devs):.1e}), "
+                   f"damped real-space max {max(devs_ref):.1e} (<=1e-2)")

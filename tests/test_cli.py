@@ -46,7 +46,7 @@ def test_dispersion_csv_and_manifest(cfg_file, tmp_path):
                "--samples", "3", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "k_x/q,k_y/q,gamma_k/gamma,delta_k/gamma,method"
+    assert lines[0] == "k_x/q,k_y/q,gamma_k/gamma,delta_k/gamma"
     assert len(lines) == 4
     # endpoint row matches the point API (a = 0.4)
     first = [float(x) for x in lines[1].split(",")[:4]]
@@ -148,6 +148,14 @@ def test_dispersion_bad_waypoint_is_config_error(cfg_file, tmp_path, capsys, way
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--path", "G,G"], ["--path", "G"],
+                                  ["--samples", "1"]])
+def test_dispersion_bad_path_is_config_error(cfg_file, tmp_path, capsys, args):
+    assert main(["dispersion", "--config", str(cfg_file), *args,
+                 "--out", str(tmp_path / "d.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_hard_error(cfg_file):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--config", str(cfg_file), "--bogus"])
@@ -216,8 +224,8 @@ def test_multimode_beyond_dense_limit_runs(tmp_path):
 
 
 def test_readme_dispersion_example_exits_0(tmp_path, capsys):
-    # the G,X,M,G path at a = 0.5 crosses the subradiant band, where the
-    # real-space shift sum fails: those samples carry delta_k = NaN
+    # the G,X,M,G path at a = 0.5 crosses the subradiant band and grazes no
+    # diffraction order: every sample is finite
     path = tmp_path / "run.cfg"
     path.write_text(default_config_text())
     out = tmp_path / "disp.csv"
@@ -225,9 +233,21 @@ def test_readme_dispersion_example_exits_0(tmp_path, capsys):
                  "--samples", "60", "--out", str(out)]) == 0
     rows = np.genfromtxt(out, delimiter=",", skip_header=1, usecols=(2, 3))
     assert rows.shape == (60, 2)
-    assert np.all(np.isfinite(rows[:, 0]))
-    assert 0 < np.sum(np.isnan(rows[:, 1])) < 60
-    assert "Traceback" not in capsys.readouterr().err
+    assert np.all(np.isfinite(rows))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["spectrum", "--dc-min", "-1", "--dc-max", "1", "--samples", "11"]])
+def test_large_lattice_constant_exits_0(tmp_path, command):
+    # a = 0.95: above a = 0.938 the damped real-space sum this replaced
+    # did not converge at k = 0
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text(a=0.95, delta=400.0))
+    out = ["--out", str(tmp_path / "spec.csv")] if command[0] == "spectrum" else []
+    assert main([command[0], "--config", str(path), *command[1:], *out]) == 0
 
 
 def test_dispersion_grazing_endpoint_exits_0(tmp_path):
