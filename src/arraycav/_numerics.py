@@ -25,13 +25,6 @@ def gl_interval(lo, hi, n):
     return lo + half * (x + 1.0), half * w
 
 
-def displacement_grid(n_side, a):
-    """All pairwise displacements of an n_side^2 lattice: (2n-1, 2n-1) meshes of dx, dy."""
-    d = np.arange(-(n_side - 1), n_side)
-    dx, dy = np.meshgrid(d * a, d * a, indexing="ij")
-    return dx, dy
-
-
 def toeplitz_from_table(table, n_side):
     """Materialize the dense N x N matrix T[n, m] = table[i_n - i_m, j_n - j_m].
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .config import emit_config, parse_config, validate_regime
+from .config import check_k_cut, emit_config, parse_config, validate_regime
 from .confined import confined_kernel_paraxial, free_space_kernel, projected_kernel
 from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
 from .errors import ArrayCavError, ConfigError, ConvergenceError, RegimeError
@@ -132,6 +132,9 @@ def cmd_spectrum(args):
 
 def cmd_omparams(args):
     cfg, text = _load_config(args.config)
+    k_cut_abs = None
+    if args.k_cut_over_q is not None:
+        k_cut_abs = check_k_cut(args.k_cut_over_q, "--k-cut-over-q") * 2 * np.pi
     grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side)
     params = closed_form_params(cfg, grid.delta0)
     result = {"closed_form": {
@@ -149,8 +152,7 @@ def cmd_omparams(args):
     }
     exit_code = EXIT_OK
     if args.consistency:
-        rep = om_consistency(cfg, grid, k_cut_abs=args.k_cut_over_q * 2 * np.pi
-                             if args.k_cut_over_q else None)
+        rep = om_consistency(cfg, grid, k_cut_abs=k_cut_abs)
         checks = {
             "kappa_trace_rel_dev": rep.kappa_rel_dev(),
             "kappa_trace_ok": rep.kappa_rel_dev() <= TOL_KAPPA_TRACE,
@@ -174,7 +176,8 @@ def cmd_omparams(args):
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest("omparams", args, text, [args.out])
+    extra = {"diagnostics": rep.diagnostics} if args.consistency else None
+    _write_manifest("omparams", args, text, [args.out], extra)
     return exit_code
 
 

@@ -155,6 +155,14 @@ def _getint(sec, section, key):
     return int(val)
 
 
+def check_k_cut(k_cut: float, source: str) -> float:
+    """The confinement cutoff (units q) if it lies in (0, 1), else a
+    ConfigError naming ``source``."""
+    if not 0.0 < k_cut < 1.0:
+        raise ConfigError(f"{source}: must lie in (0, 1) in units of q")
+    return k_cut
+
+
 def parse_config(text: str) -> FullConfig:
     """Parse an INI-style configuration document into typed records.
 
@@ -189,8 +197,10 @@ def parse_config(text: str) -> FullConfig:
     lat_sec = cp["lattice"]
     a = _getfloat(lat_sec, "lattice", "a")
     n_side = _getint(lat_sec, "lattice", "n_side")
-    if not 0.0 < a <= 1.0:
-        raise ConfigError("[lattice] key 'a': subwavelength spacing requires 0 < a <= 1")
+    if not 0.0 < a < 1.0:
+        raise ConfigError("[lattice] key 'a': subwavelength spacing requires 0 < a < 1 "
+                          "(at a = 1 the (+-1, 0) and (0, +-1) diffraction orders "
+                          "graze the light line at k = 0)")
     if n_side < 2:
         raise ConfigError("[lattice] key 'n_side': need at least 2 sites per edge")
     lattice = LatticeSpec(a=a, n_side=n_side)
@@ -214,8 +224,7 @@ def parse_config(text: str) -> FullConfig:
         k_cut = _getfloat(cav_sec, "cavity", "k_cut")
     else:
         k_cut = 4.0 / (w * Q)     # covers the Gaussian mode spectrum to e^-8
-    if not 0.0 < k_cut < 1.0:
-        raise ConfigError("[cavity] key 'k_cut': must lie in (0, 1) in units of q")
+    check_k_cut(k_cut, "[cavity] key 'k_cut'")
     cavity = CavitySpec(w=w, l_fsr=l_fsr, kappa_c=kappa_c, z0=z0, k_cut=k_cut)
 
     trap_sec = cp["trap"]
@@ -311,7 +320,7 @@ def validate_regime(cfg: FullConfig, Delta: float | None = None) -> RegimeReport
     """Evaluate every physical-regime inequality and report margins.
 
     ">>" conditions pass at ratio >= 10; the paraxial and subwavelength bounds
-    pass at their enforced limits (w >= 2 lambda, a <= lambda).  ``Delta`` is
+    pass at their enforced limits (w >= 2 lambda, a < lambda).  ``Delta`` is
     the cooperative shift at k = 0; when omitted it is computed from the
     lattice constant.  Report-only: callers decide what is fatal.
     """

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import (displacement_grid, gl_interval, open_convolve,
-                        toeplitz_from_table)
+from ._numerics import gl_interval, open_convolve, toeplitz_from_table
 from .config import LatticeSpec
 from .errors import ConfigError, ConvergenceError
 from .greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane, kernel_fs_plane)
@@ -101,14 +100,34 @@ def uniform_profile(lattice: LatticeSpec) -> ModeProfile:
     return ModeProfile(weights=u, label="uniform")
 
 
-def _quad_nodes(k_cut_abs, rho_max):
+def confined_nodes(k_cut_abs, rho_max):
+    """Gauss-Legendre node count of the confined quadrature out to radius
+    ``rho_max``: at least 192, growing with the largest phase k_cut rho."""
     phase = k_cut_abs * rho_max
     return max(192, int(0.75 * phase) + 96)
 
 
-def confined_table(lattice: LatticeSpec, k_cut_abs: float, derivative: int = 0,
-                   nodes: int | None = None):
-    """Displacement table of the confined kernel (or its d2z) over the lattice.
+# J0 values evaluated per block of radii: 2 MB of float64 at a time
+_J0_BLOCK = 1 << 18
+
+
+def lattice_radii(lattice: LatticeSpec):
+    """The radial index shared by every kernel table of the lattice.
+
+    Returns ``(rho, inverse)``: the R distinct radii rho = a sqrt(i^2 + j^2),
+    ascending, and the (2 n_side - 1, 2 n_side - 1) integer array such that
+    ``profile[inverse]`` is the displacement table of a radial profile
+    evaluated on ``rho``.  R is 21,860 at n_side 256, against 261,121
+    displacements.
+    """
+    sq = np.arange(-(lattice.n_side - 1), lattice.n_side) ** 2
+    radii2, inverse = np.unique(sq[:, None] + sq[None, :], return_inverse=True)
+    return lattice.a * np.sqrt(radii2), inverse.reshape(sq.size, sq.size)
+
+
+def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
+                   nodes: int | None = None, radii=None):
+    """Displacement tables of the confined kernel and of its d2z over the lattice.
 
     D_c(rho) = (3 gamma lambda / (16 pi)) Int_{u_min}^{q} (1 + u^2/q^2)
                J0(sqrt(q^2 - u^2) rho) du,          u_min = sqrt(q^2 - k_cut^2),
@@ -116,45 +135,51 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, derivative: int = 0,
     for circular polarization; the d2z variant carries an extra factor -u^2.
     Real-valued: only the propagating (radiative) channel is confined.
 
-    The kernel is radial, so the quadrature runs once per distinct lattice
-    radius rho = a sqrt(i^2 + j^2) and is scattered back over the
-    (2 n_side - 1)^2 displacements.  With R distinct integers i^2 + j^2
-    (21,860 at n_side 256, against 261,121 displacements) time and memory are
-    O(R * nodes).
+    Returns ``(D_c, d2z D_c)``.  Both share one pass of J0 over the distinct
+    lattice radii and the quadrature nodes, evaluated in blocks of radii and
+    contracted with the two weight vectors, then scattered over the
+    (2 n_side - 1)^2 displacements.  Time is O(R * nodes), memory O(R) plus
+    one block.  ``radii`` is the lattice's ``lattice_radii``, if already formed.
     """
     if not 0.0 < k_cut_abs < Q:
         raise ValueError("k_cut must lie strictly between 0 and q")
-    sq = np.arange(-(lattice.n_side - 1), lattice.n_side) ** 2
-    radii2, inverse = np.unique(sq[:, None] + sq[None, :], return_inverse=True)
-    rho = lattice.a * np.sqrt(radii2)
+    rho, inverse = lattice_radii(lattice) if radii is None else radii
     if nodes is None:
-        nodes = _quad_nodes(k_cut_abs, float(rho[-1]))
+        nodes = confined_nodes(k_cut_abs, float(rho[-1]))
     umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
     u, wu = gl_interval(umin, Q, nodes)
     weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * wu
-    if derivative == 2:
-        weight = -weight * u * u
-    elif derivative != 0:
-        raise ValueError("derivative must be 0 or 2")
+    weight_d2 = -weight * u * u
     from scipy.special import j0   # lazy: scipy.special is slow to import
 
     kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
-    out = j0(np.outer(rho, kk)) @ weight
-    if not np.isfinite(out).all():
+    out, out_d2 = np.empty(rho.size), np.empty(rho.size)
+    rows = max(1, _J0_BLOCK // nodes)
+    for s in range(0, rho.size, rows):
+        bessel = j0(np.outer(rho[s:s + rows], kk))
+        out[s:s + rows] = bessel @ weight
+        out_d2[s:s + rows] = bessel @ weight_d2
+    if not (np.isfinite(out).all() and np.isfinite(out_d2).all()):
         raise ConvergenceError("confined-kernel quadrature produced non-finite values")
-    return out[inverse].reshape(sq.size, sq.size)
+    return out[inverse], out_d2[inverse]
+
+
+def free_space_table(lattice: LatticeSpec, derivative: int = 0, *, radii=None):
+    """Displacement table of D_fs (or its d2z) with the coincident-point
+    conventions.  The kernel is radial for circular polarization, so the
+    closed form is evaluated once per distinct lattice radius and scattered;
+    ``radii`` is the lattice's ``lattice_radii``, if already formed."""
+    if derivative not in (0, 2):
+        raise ValueError("derivative must be 0 or 2")
+    rho, inverse = lattice_radii(lattice) if radii is None else radii
+    profile = kernel_fs_plane if derivative == 0 else kernel_fs_d2z_plane
+    return profile(rho, 0.0)[inverse]
 
 
 def free_space_kernel(lattice: LatticeSpec, derivative: int = 0) -> KernelMatrix:
     """Free-space kernel D_fs (or its d2z) with the coincident-point conventions."""
-    dx, dy = displacement_grid(lattice.n_side, lattice.a)
-    if derivative == 0:
-        table = kernel_fs_plane(dx, dy)
-    elif derivative == 2:
-        table = kernel_fs_d2z_plane(dx, dy)
-    else:
-        raise ValueError("derivative must be 0 or 2")
-    return KernelMatrix(table=table, kind="fs" if derivative == 0 else "fs_d2z",
+    return KernelMatrix(table=free_space_table(lattice, derivative),
+                        kind="fs" if derivative == 0 else "fs_d2z",
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
                                     "derivative": derivative})
 
@@ -167,11 +192,14 @@ def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float,
     cfg.cavity.k_cut_abs).  All atoms sit in the common plane z0; near the
     focus the coincident-plane kernel does not depend on z0, which is recorded
     in provenance only.  Symmetric and real (kind 'confined'), or the second
-    longitudinal derivative (kind 'confined_d2z').
+    longitudinal derivative (kind 'confined_d2z').  A caller that needs both
+    takes them from one ``confined_table`` call instead.
     """
+    if derivative not in (0, 2):
+        raise ValueError("derivative must be 0 or 2")
     kind = "confined" if derivative == 0 else "confined_d2z"
-    return KernelMatrix(table=confined_table(lattice, k_cut, derivative, nodes),
-                        kind=kind,
+    table = confined_table(lattice, k_cut, nodes=nodes)[derivative // 2]
+    return KernelMatrix(table=table, kind=kind,
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
                                     "z0": z0, "k_cut": k_cut,
                                     "derivative": derivative})

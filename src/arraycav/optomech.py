@@ -24,14 +24,14 @@ matrix M and C_00 all come from one coupling operator K_c applied by FFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._numerics import cyclic_weight_apply, open_convolve
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
-from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_kernel_paraxial,
-                       free_space_kernel, projected_kernel)
+from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_nodes,
+                       confined_table, free_space_table, lattice_radii)
 from .errors import ConfigError, RegimeError
 from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
@@ -268,6 +268,10 @@ class OmConsistency:
     g2_flat_profile: float     # (cos^2 - sin^2) variant, reported not adjudicated
     C00: complex
     trace_C: complex
+    # stage work sizes and convergence: the Ewald shell residual (units gamma)
+    # and, on the completeness route, the confined quadrature's node count and
+    # the distinct-radius and displacement counts of the kernel tables
+    diagnostics: dict = field(default_factory=dict)
 
     def kappa_rel_dev(self) -> float:
         return abs(self.kappa_sc_trace - self.kappa_sc_closed) / self.kappa_sc_closed
@@ -277,13 +281,23 @@ class OmConsistency:
 
 
 def _trace_tables(cfg: FullConfig, k_cut_abs: float):
-    """Displacement tables of 2 Re[D] and D'' of the projected kernels."""
-    lattice, z0 = cfg.lattice, cfg.cavity.z0
-    proj = projected_kernel(free_space_kernel(lattice),
-                            confined_kernel_paraxial(lattice, z0, k_cut_abs))
-    proj_d2 = projected_kernel(free_space_kernel(lattice, 2),
-                               confined_kernel_paraxial(lattice, z0, k_cut_abs, 2))
-    return 2.0 * proj.table.real, proj_d2.table
+    """Displacement tables of 2 Re[D] and D'' of the projected kernels, and the
+    work sizes of the table stage.
+
+    Every table is radial, so they share one radius index; the confined pair
+    shares one J0 pass.  The projection is ``projected_kernel``'s rule:
+    Re[D_fs] - D_c with Im[D_fs] kept (D_c is real).
+    """
+    lattice = cfg.lattice
+    radii = lattice_radii(lattice)
+    rho, inverse = radii
+    nodes = confined_nodes(k_cut_abs, float(rho[-1]))
+    conf, conf_d2 = confined_table(lattice, k_cut_abs, nodes=nodes, radii=radii)
+    fs = free_space_table(lattice, radii=radii)
+    fs_d2 = free_space_table(lattice, 2, radii=radii)
+    sizes = {"confined_nodes": nodes, "distinct_radii": int(rho.size),
+             "displacements": int(inverse.size)}
+    return 2.0 * (fs.real - conf), fs_d2 - conf_d2, sizes
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
@@ -306,12 +320,14 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     eta2_gbar = cfg.trap.eta**2 * params.g_bar
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
 
+    diagnostics = {"dispersion_residual": dispersion.residual}
     if C is not None:
         trace_c = complex(np.trace(C))
         c00 = complex(C[0, 0])
     else:
         k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
-        g2_tab, d2_tab = _trace_tables(cfg, k_cut_abs)
+        g2_tab, d2_tab, sizes = _trace_tables(cfg, k_cut_abs)
+        diagnostics.update(sizes)
         v0 = intensity_profile(lattice, cfg.cavity.w)
         center = n_side - 1
         # trace over the complete basis: sum_nu V^nu_n V^nu_m = delta_nm
@@ -346,6 +362,7 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
         g2_flat_profile=g2_flat_profile_form(cfg, dispersion.delta0),
         C00=c00,
         trace_C=trace_c,
+        diagnostics=diagnostics,
     )
 
 

@@ -110,6 +110,43 @@ def test_omparams_consistency_exit(cfg_file, tmp_path):
     assert "kappa_trace_rel_dev" in checks
 
 
+@pytest.mark.parametrize("k_cut", ["0", "1.5", "-0.1"])
+def test_k_cut_override_out_of_range_is_config_error(cfg_file, tmp_path, capsys,
+                                                     k_cut):
+    out = tmp_path / "om.json"
+    assert main(["omparams", "--config", str(cfg_file), "--consistency",
+                 "--k-cut-over-q", k_cut, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--k-cut-over-q" in err and "(0, 1)" in err
+    assert not out.exists()
+
+
+def test_omparams_manifest_records_diagnostics(cfg_file, tmp_path):
+    out = tmp_path / "om.json"
+    main(["omparams", "--config", str(cfg_file), "--out", str(out)])
+    assert "diagnostics" not in json.loads(
+        (tmp_path / "om.json.manifest.json").read_text())
+    main(["omparams", "--config", str(cfg_file), "--consistency",
+          "--out", str(out)])
+    manifest = json.loads((tmp_path / "om.json.manifest.json").read_text())
+    diag = manifest["diagnostics"]
+    assert diag["displacements"] == (2 * 24 - 1) ** 2
+    assert 24 < diag["distinct_radii"] < diag["displacements"]
+    assert diag["confined_nodes"] >= 192
+    assert 0.0 < diag["dispersion_residual"] < 1e-11
+    assert manifest["outputs"][0]["sha256"]
+
+
+def test_wavelength_spacing_is_config_error(tmp_path, capsys):
+    # at a = 1 the (+-1, 0) orders graze at k = 0: no Delta_0 to offer
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text(a=0.5, delta=400.0).replace(
+        "a = 0.5", "a = 1.0"))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "graze" in err
+
+
 def test_dynamics_reduced_csv(cfg_file, tmp_path):
     out = tmp_path / "dyn.csv"
     assert main(["dynamics", "--config", str(cfg_file), "--model", "reduced",

@@ -64,6 +64,14 @@ def test_invariant_violations(key, value, frag):
         parse_config(text)
 
 
+def test_wavelength_spacing_refused():
+    # a = 1 puts the (+-1, 0) and (0, +-1) orders on the light line at k = 0
+    text = default_config_text().replace("a = 0.5", "a = 1.0", 1)
+    with pytest.raises(ConfigError, match=r"0 < a < 1.*graze") as exc:
+        parse_config(text)
+    assert "\n" not in str(exc.value)
+
+
 @pytest.mark.parametrize("value", ["linear_x", "linear_y", "elliptic"])
 def test_only_circular_polarization(value):
     text = default_config_text().replace("polarization = circular",
@@ -80,7 +88,7 @@ def test_roundtrip_bit_for_bit():
 
 
 @settings(max_examples=25, deadline=None)
-@given(a=st.floats(0.2, 1.0), w=st.floats(2.0, 6.0),
+@given(a=st.floats(0.2, 1.0, exclude_max=True), w=st.floats(2.0, 6.0),
        eta=st.floats(0.01, 0.3), delta=st.floats(-500, 500))
 def test_roundtrip_property(a, w, eta, delta):
     n_side = int(np.ceil(4 * w / a))

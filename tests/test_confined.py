@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
-from arraycav._numerics import displacement_grid, gl_interval
+from arraycav._numerics import gl_interval
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (MAX_DENSE_SITES, KernelMatrix, ModeProfile,
-                               _quad_nodes,
                                cavity_profile, confined_kernel_hg,
-                               confined_kernel_paraxial, confined_table,
-                               free_space_kernel, mode_decay_rate,
-                               projected_kernel, uniform_profile)
+                               confined_kernel_paraxial, confined_nodes,
+                               confined_table, free_space_kernel,
+                               free_space_table, lattice_radii,
+                               mode_decay_rate, projected_kernel,
+                               uniform_profile)
 from arraycav.errors import ConfigError
-from arraycav.greens import GAMMA, LAMBDA, Q, kernel_fs, kernel_fs_d2z
+from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs, kernel_fs_d2z,
+                             kernel_fs_d2z_plane, kernel_fs_plane)
 
 W = 4.0
 KCUT = 4.0 / W          # absolute cutoff (1/lambda) covering the mode spectrum
@@ -87,11 +89,17 @@ class TestConfinedKernel:
             projected_kernel(fs, small)
 
 
+def _displacement_meshes(lattice):
+    """All pairwise displacements: (2n-1, 2n-1) meshes of dx, dy."""
+    d = np.arange(-(lattice.n_side - 1), lattice.n_side) * lattice.a
+    return np.meshgrid(d, d, indexing="ij")
+
+
 def _full_grid_table(lattice, k_cut_abs, derivative):
     """Reference: the Bessel quadrature evaluated at every displacement."""
-    dx, dy = displacement_grid(lattice.n_side, lattice.a)
+    dx, dy = _displacement_meshes(lattice)
     rho = np.hypot(dx, dy)
-    nodes = _quad_nodes(k_cut_abs, float(rho.max()))
+    nodes = confined_nodes(k_cut_abs, float(rho.max()))
     umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
     u, wu = gl_interval(umin, Q, nodes)
     weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * wu
@@ -104,30 +112,60 @@ def _full_grid_table(lattice, k_cut_abs, derivative):
 class TestConfinedTable:
     @settings(max_examples=15, deadline=None)
     @given(n_side=st.integers(2, 40), a=st.floats(0.2, 1.0),
-           k_cut=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
-           derivative=st.sampled_from([0, 2]))
-    def test_radial_table_matches_full_grid(self, n_side, a, k_cut, derivative):
+           k_cut=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True))
+    def test_radial_table_matches_full_grid(self, n_side, a, k_cut):
+        # both tables of the shared J0 pass against the per-displacement grid
         lat = LatticeSpec(a=a, n_side=n_side)
-        table = confined_table(lat, k_cut * Q, derivative)
-        ref = _full_grid_table(lat, k_cut * Q, derivative)
-        assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
-        assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
-        np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
-        np.testing.assert_array_equal(table, table.T)               # x <-> y
+        tables = confined_table(lat, k_cut * Q)
+        for derivative, table in zip((0, 2), tables):
+            ref = _full_grid_table(lat, k_cut * Q, derivative)
+            assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
+            assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
+            np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
+            np.testing.assert_array_equal(table, table.T)               # x <-> y
 
     def test_memory_stays_per_radius(self):
-        # the full-grid J0 intermediate alone was ~400 MB at this size
+        # both tables together; the unblocked R x nodes J0 intermediates alone
+        # were 67 MB at this size, and 23 MB is measured with numpy 2.4
         lat = LatticeSpec(a=0.25, n_side=256)
         tracemalloc.start()
         try:
-            confined_table(lat, 0.75, 2)
+            confined_table(lat, 0.75)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 150e6
+        assert peak < 30e6
+
+    def test_shared_radii_give_the_same_tables(self):
+        lat = LatticeSpec(a=0.3, n_side=9)
+        radii = lattice_radii(lat)
+        for got, want in zip(confined_table(lat, 2.0, radii=radii),
+                             confined_table(lat, 2.0)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestKernelTables:
+    @settings(max_examples=25, deadline=None)
+    @given(n_side=st.integers(2, 64),
+           a=st.floats(0.2, 1.0, exclude_min=True, exclude_max=True),
+           derivative=st.sampled_from([0, 2]))
+    def test_radial_free_space_matches_meshes(self, n_side, a, derivative):
+        lat = LatticeSpec(a=a, n_side=n_side)
+        table = free_space_table(lat, derivative)
+        plane = kernel_fs_plane if derivative == 0 else kernel_fs_d2z_plane
+        ref = plane(*_displacement_meshes(lat))
+        assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
+        assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
+        np.testing.assert_array_equal(table, table.T)               # x <-> y
+
+    def test_derivative_must_be_0_or_2(self, lat32):
+        for build in (free_space_kernel, free_space_table):
+            with pytest.raises(ValueError, match="derivative"):
+                build(lat32, 1)
+        with pytest.raises(ValueError, match="derivative"):
+            confined_kernel_paraxial(lat32, 0.0, KCUT, derivative=1)
+
     @settings(max_examples=20, deadline=None)
     @given(n_side=st.integers(2, 20), a=st.floats(0.2, 1.0),
            derivative=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1))

@@ -233,7 +233,7 @@ class TestDenseReference:
     """The FFT coupling operator against the explicit N x N formulas."""
 
     @settings(max_examples=12, deadline=None)
-    @given(n_side=st.integers(4, 12), a=st.floats(0.2, 1.0),
+    @given(n_side=st.integers(4, 12), a=st.floats(0.2, 1.0, exclude_max=True),
            z0=st.floats(0.0, 0.25), seed=st.integers(0, 2**16),
            thin=st.floats(0.05, 1.0))
     def test_C_M_and_C00_match(self, n_side, a, z0, seed, thin):
@@ -304,6 +304,30 @@ class TestConsistencyRoutes:
         rep = om_consistency(cfg, grid16, k_cut_abs=3.0)
         assert rep.g2_closed == pytest.approx(rep.g2_flat_profile, rel=1e-14)
         assert rep.g2_trace > 0
+
+    def test_one_bessel_pass_per_call(self, small_setup, grid16, monkeypatch):
+        # D_c and its d2z share one J0 evaluation per (radius, node) pair
+        import scipy.special
+        j0, shapes = scipy.special.j0, []
+
+        def counting_j0(x):
+            shapes.append(x.shape)
+            return j0(x)
+
+        monkeypatch.setattr(scipy.special, "j0", counting_j0)
+        cfg, _, _, _, k_cut = small_setup
+        diag = om_consistency(cfg, grid16, k_cut_abs=k_cut).diagnostics
+        nodes, radii = diag["confined_nodes"], diag["distinct_radii"]
+        assert sum(rows for rows, _ in shapes) == radii
+        assert {cols for _, cols in shapes} == {nodes}
+        assert diag["displacements"] == (2 * 16 - 1) ** 2 > radii
+        assert diag["dispersion_residual"] == grid16.residual
+
+    def test_explicit_route_records_only_the_residual(self, small_setup, grid16):
+        cfg, proj, proj2, basis, _ = small_setup
+        C = coupling_matrix_C(cfg, basis, proj, proj2, grid16)
+        diag = om_consistency(cfg, grid16, C=C).diagnostics
+        assert diag == {"dispersion_residual": grid16.residual}
 
     def test_mismatched_grid_rejected(self, small_setup):
         cfg, _, _, _, _ = small_setup
