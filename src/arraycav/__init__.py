@@ -18,7 +18,7 @@ from .lattice_sums import (DispersionGrid, DispersionPoint, dispersion_curve,
 from .confined import (KernelMatrix, ModeProfile, cavity_profile,
                        confined_kernel_hg, confined_kernel_paraxial,
                        confined_table, free_space_kernel, mode_decay_rate,
-                       projected_kernel, uniform_profile)
+                       projected_kernel, projected_kernels, uniform_profile)
 from .cavity_dynamics import (FullTrajectory, SystemState, TwoModeModel,
                               build_two_mode, evolve_full, spectrum_scan,
                               steady_state_full, steady_state_two_mode)
@@ -26,5 +26,5 @@ from .optomech import (MechanicalBasis, OmParams, closed_form_params,
                        coupling_matrix_C, coupling_matrix_M,
                        intensity_profile, k_sc_ground_state_average,
                        mechanical_basis, om_consistency)
-from .om_dynamics import (OmState, evolve_multimode, evolve_reduced,
-                          standard_model_report)
+from .om_dynamics import (OmState, OmTrajectory, evolve_multimode,
+                          evolve_reduced, standard_model_report)

@@ -1,4 +1,5 @@
-"""Shared numerical helpers: quadrature nodes, lattice FFT convolutions, ODE driver."""
+"""Shared numerical helpers: quadrature nodes, lattice FFT convolutions, matrix
+exponential, ODE driver."""
 
 from __future__ import annotations
 
@@ -36,13 +37,18 @@ def toeplitz_from_table(table, n_side):
     return win[::-1, ::-1].reshape(n_side * n_side, n_side * n_side)
 
 
+def padded_shape(n):
+    """FFT grid of an open convolution on an n x n lattice: the power of two
+    >= 2n - 1 per axis, so the cyclic wrap never reaches the n x n window."""
+    nf = 1 << (2 * n - 2).bit_length()
+    return nf, nf
+
+
 def padded_fft(table):
     """Zero-padded 2D FFT of a (2n-1, 2n-1) displacement table: the factor
     ``open_convolve`` multiplies by, formed once where one table is applied
     many times."""
-    n = (table.shape[-1] + 1) // 2
-    nf = 1 << (2 * n - 2).bit_length()
-    return np.fft.fft2(table, s=(nf, nf))
+    return np.fft.fft2(table, s=padded_shape((table.shape[-1] + 1) // 2))
 
 
 def open_convolve(table, field, table_fft=None):
@@ -64,14 +70,67 @@ def open_convolve(table, field, table_fft=None):
     return conv.real
 
 
-def cyclic_weight_apply(weights, field):
-    """y_p = sum_n f_n (1/N) sum_k W_k e^{i k (r_n - r_p)} over the lattice's own k grid.
+# Pade degrees of Higham's scaling and squaring, with the largest 1-norm each
+# reaches to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+# (2005), Table 2.3) and the numerator coefficients b_0..b_m
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
-    ``weights`` lives on the n x n FFT frequency grid (numpy fftfreq order);
-    ``field`` is an (n, n) grid or a stack (..., n, n) of them.  This is the exact discrete-Brillouin-zone convolution; the kernel is
-    n-periodic by construction.
+
+def _pade(A, m):
+    """Numerator U + V and denominator V - U of the [m/m] Pade approximant,
+    U holding the odd and V the even powers of A."""
+    b = _PADE_B[m]
+    eye = np.eye(len(A), dtype=A.dtype)
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        u = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        v = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    else:
+        powers = [eye, A2]
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ A2)
+        u = A @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
+        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    return u + v, v - u
+
+
+def expm(A):
+    """Matrix exponential by scaling and squaring with Pade approximants
+    (Higham 2005): the degree and the scaling 2^-s follow from the 1-norm, so
+    the approximant meets double precision on the scaled matrix.
+
+    numpy matmuls and one numpy solve only.  scipy.linalg is not imported: its
+    own BLAS thread pool would contend with numpy's on a small machine.
     """
-    return np.fft.fft2(weights * np.fft.ifft2(field))
+    A = np.asarray(A)
+    norm = float(np.max(np.sum(np.abs(A), axis=0), initial=0.0))
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            num, den = _pade(A, m)
+            return np.linalg.solve(den, num)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    num, den = _pade(A / 2.0**s, 13)
+    X = np.linalg.solve(den, num)
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 def output_times(t_final, dt_out):
@@ -84,7 +143,8 @@ def output_times(t_final, dt_out):
 def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9, atol=None, method="RK45"):
     """Drive solve_ivp with dense complex state, sampling every dt_out.
 
-    Returns (times, states) with states[i] the state at times[i]; deterministic
+    Returns (times, states, rhs_evals) with states[i] the state at times[i]
+    and rhs_evals the solver's right-hand-side evaluation count; deterministic
     for identical inputs and step controls.
     """
     from scipy.integrate import solve_ivp   # lazy: only om_dynamics integrates
@@ -97,4 +157,4 @@ def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9, atol=None, method="RK4
                     rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.t, sol.y.T.copy()
+    return sol.t, sol.y.T.copy(), int(sol.nfev)

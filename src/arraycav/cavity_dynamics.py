@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import open_convolve, output_times, padded_fft
+from ._numerics import expm, open_convolve, output_times, padded_fft
 from .config import FullConfig, gamma_plus_Gamma0
 from .confined import KernelMatrix
 from .errors import ConvergenceError, RegimeError
@@ -283,8 +283,9 @@ def _chain_propagation(h, n_out, driven):
 
     One expm of the augmented (m+1)^2 matrix [[h H, h e_1], [0, 0]] is the
     propagator over one output spacing; it is applied once per output time.
+    The expm is numpy's scaling and squaring (``_numerics.expm``), so the full
+    model never wakes scipy's separate BLAS pool.
     """
-    from scipy.linalg import expm   # lazy: full model only
 
     def coefficients(H):
         m = len(H)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import check_k_cut, emit_config, parse_config, validate_regime
-from .confined import confined_kernel_paraxial, free_space_kernel, projected_kernel
+from .confined import projected_kernels
 from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
 from .errors import ArrayCavError, ConfigError, ConvergenceError, RegimeError
 from .lattice_sums import dispersion_curve, dispersion_grid, dispersion_point
@@ -181,17 +181,12 @@ def cmd_omparams(args):
     return exit_code
 
 
-def _projected(cfg, derivative=0):
-    return projected_kernel(
-        free_space_kernel(cfg.lattice, derivative),
-        confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs,
-                                 derivative))
-
-
 def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
+    channel = (cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
     if args.model == "full":
-        traj = evolve_full(cfg, _projected(cfg), args.t_final, args.dt_out)
+        traj = evolve_full(cfg, projected_kernels(*channel)[0], args.t_final,
+                           args.dt_out)
         rows = zip(traj.t, traj.a.real, traj.a.imag, traj.sum_sigma2)
         _write_csv(args.out, ["t", "re_a", "im_a", "sum_abs_sigma2"], rows)
         extra = traj.diagnostics
@@ -203,13 +198,12 @@ def cmd_dynamics(args):
         else:
             basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed,
                                      n_modes=min(args.modes, cfg.lattice.n_sites))
-            C = coupling_matrix_C(cfg, basis, _projected(cfg), _projected(cfg, 2),
-                                  grid)
+            C = coupling_matrix_C(cfg, basis, *projected_kernels(*channel), grid)
             states = evolve_multimode(cfg, params, C, args.t_final, args.dt_out)
         rows = [(s.t, s.a.real, s.a.imag, s.b[0].real, s.b[0].imag,
                  abs(s.a) ** 2) for s in states]
         _write_csv(args.out, ["t", "re_a", "im_a", "re_b0", "im_b0", "abs_a2"], rows)
-        extra = {}
+        extra = {"rhs_evals": states.rhs_evals}
     _write_manifest("dynamics", args, text, [args.out], {"model": args.model, **extra})
     return EXIT_OK
 

@@ -193,7 +193,7 @@ def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float,
     focus the coincident-plane kernel does not depend on z0, which is recorded
     in provenance only.  Symmetric and real (kind 'confined'), or the second
     longitudinal derivative (kind 'confined_d2z').  A caller that needs both
-    takes them from one ``confined_table`` call instead.
+    takes them from one ``confined_table`` call instead (``projected_kernels``).
     """
     if derivative not in (0, 2):
         raise ValueError("derivative must be 0 or 2")
@@ -227,6 +227,24 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
     prov = dict(fs.provenance)
     prov.update({k: confined.provenance[k] for k in ("z0", "k_cut")})
     return KernelMatrix(table=table, kind=base_kind[fs.kind], provenance=prov)
+
+
+def projected_kernels(lattice: LatticeSpec, z0: float, k_cut: float,
+                      nodes: int | None = None, radii=None):
+    """The projected kernel and its d2z (kinds 'projected', 'projected_d2z'):
+    what ``projected_kernel`` gives from ``free_space_kernel`` and
+    ``confined_kernel_paraxial`` for derivatives 0 and 2, built from one
+    radius index and one confined J0 pass.  ``nodes`` and ``radii`` are as for
+    ``confined_table``."""
+    radii = lattice_radii(lattice) if radii is None else radii
+    confined = confined_table(lattice, k_cut, nodes=nodes, radii=radii)
+    prov = {"a": lattice.a, "n_side": lattice.n_side, "z0": z0, "k_cut": k_cut}
+    # D_c is real: subtracting it removes the radiative part only
+    return tuple(
+        KernelMatrix(table=free_space_table(lattice, derivative, radii=radii) - conf,
+                     kind=kind, provenance={**prov, "derivative": derivative})
+        for derivative, conf, kind in ((0, confined[0], "projected"),
+                                       (2, confined[1], "projected_d2z")))
 
 
 def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:

@@ -41,6 +41,15 @@ class OmState:
     t: float
 
 
+class OmTrajectory(list):
+    """OmStates at the output times, with the integrator's work: ``rhs_evals``
+    right-hand-side evaluations."""
+
+    def __init__(self, states, rhs_evals: int):
+        super().__init__(states)
+        self.rhs_evals = rhs_evals
+
+
 def hamiltonian_coupling(C):
     """Conservative part of the quadratic mode coupling: i * symmetrized Im[C].
 
@@ -57,16 +66,19 @@ def _multimode_rhs(cfg: FullConfig, params: OmParams, C):
     g = params.g
     om = cfg.trap.omega_m
     Omega = cfg.drive.Omega
-    imc = C.imag
+    # contiguous real parts: C.real and C.imag are strided views, and x is
+    # real, so both products are real matrix-vector products
+    rec, imc = np.ascontiguousarray(C.real), np.ascontiguousarray(C.imag)
 
     def rhs(_t, y):
         a = y[0]
         b = y[1:]
         x = 2.0 * b.real                     # b_nu + b_nu*
-        quad = x @ C @ x
+        imcx = imc @ x
+        quad = x @ (rec @ x) + 1j * (x @ imcx)
         da = (1j * det - kappa_c / 2.0) * a - 1j * g * x[0] * a + quad * a - 1j * Omega
         n_ph = abs(a) ** 2
-        db = -1j * om * b + 2j * (imc @ x) * n_ph
+        db = -1j * om * b + 2j * imcx * n_ph
         db[0] -= 1j * g * n_ph
         out = np.empty_like(y)
         out[0] = da
@@ -78,7 +90,7 @@ def _multimode_rhs(cfg: FullConfig, params: OmParams, C):
 
 def evolve_multimode(cfg: FullConfig, params: OmParams, C, t_final, dt_out,
                      a0=0.0 + 0.0j, b0=None, rtol=1e-10):
-    """Integrate the multimode mean-field model; returns a list of OmState."""
+    """Integrate the multimode mean-field model; returns an OmTrajectory."""
     C = np.asarray(C, dtype=complex)
     n_modes = C.shape[0]
     if n_modes > 512:
@@ -87,15 +99,16 @@ def evolve_multimode(cfg: FullConfig, params: OmParams, C, t_final, dt_out,
     y0[0] = a0
     if b0 is not None:
         y0[1:] = np.asarray(b0, dtype=complex)
-    times, states = integrate_linear(_multimode_rhs(cfg, params, C), y0,
-                                     t_final, dt_out, rtol=rtol)
-    return [OmState(a=complex(y[0]), b=y[1:].copy(), t=float(t))
-            for t, y in zip(times, states)]
+    times, states, rhs_evals = integrate_linear(_multimode_rhs(cfg, params, C), y0,
+                                                t_final, dt_out, rtol=rtol)
+    return OmTrajectory((OmState(a=complex(y[0]), b=y[1:].copy(), t=float(t))
+                         for t, y in zip(times, states)), rhs_evals)
 
 
 def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
                    a0=0.0 + 0.0j, b0=0.0 + 0.0j, rtol=1e-10):
-    """Integrate the reduced standard-optomechanics model (cavity + one mode)."""
+    """Integrate the reduced standard-optomechanics model (cavity + one mode);
+    returns an OmTrajectory."""
     det = cfg.drive.delta_c - params.Delta_AC
     kappa = cfg.cavity.kappa_c + params.kappa_sc
     g, g2 = params.g, params.g2
@@ -112,9 +125,9 @@ def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
         return np.array([da, db])
 
     y0 = np.array([a0, b0], dtype=complex)
-    times, states = integrate_linear(rhs, y0, t_final, dt_out, rtol=rtol)
-    return [OmState(a=complex(y[0]), b=np.array([y[1]]), t=float(t))
-            for t, y in zip(times, states)]
+    times, states, rhs_evals = integrate_linear(rhs, y0, t_final, dt_out, rtol=rtol)
+    return OmTrajectory((OmState(a=complex(y[0]), b=np.array([y[1]]), t=float(t))
+                         for t, y in zip(times, states)), rhs_evals)
 
 
 def energy_functional(state: OmState, cfg: FullConfig, params: OmParams, C):

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import cyclic_weight_apply, open_convolve
+from ._numerics import open_convolve, padded_shape
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_nodes,
-                       confined_table, free_space_table, lattice_radii)
+                       lattice_radii, projected_kernels)
 from .errors import ConfigError, RegimeError
 from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
@@ -154,7 +154,7 @@ def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
 # ---------------------------------------------------------------------------
 # the coupling operator K_c, applied by FFT, behind C, M and C_00
 
-_BLOCK = 32     # fields per FFT batch; peak memory ~ _BLOCK (2 n_side)^2 complex
+_BLOCK = 32     # fields per FFT batch; peak memory ~ _BLOCK (2 n_side)^2 floats
 
 
 def _weights(cfg: FullConfig, dispersion: DispersionGrid):
@@ -168,7 +168,7 @@ def _weights(cfg: FullConfig, dispersion: DispersionGrid):
 
 def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
                        g2_tab: np.ndarray, d2_tab: np.ndarray):
-    """K_c on a stack of (n, n) site fields:
+    """K_c on a stack of real (n, n) site fields:
 
         K_c f = sin^2(q z0) D'' f / (q^2 (delta-Delta))
                 - i cos^2(q z0) (P1 f - (i/2) P2 Gamma2 f),
@@ -178,36 +178,67 @@ def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
     Brillouin-grid convolutions with weights (delta-Delta)/(delta-Delta_k)
     and (delta-Delta)/(delta-Delta_k)^2 (a printed 'delta - Delta_k^2' read
     as the only dimensionally consistent form).
+
+    Every caller passes real fields, so the operator returns the real pair
+    (Re K_c f, Im K_c f) stacked on a leading axis of length 2:
+    Re = sin^2 Re[D''] f / (q^2 (delta-Delta)) - (cos^2/2) P2 Gamma2 f and
+    Im = sin^2 Im[D''] f / (q^2 (delta-Delta)) - cos^2 P1 f.  The three tables
+    are transformed once, by padded rfft2; a block of fields then costs one
+    padded rfft2, three padded irfft2 and one n x n rfft2/irfft2 pair.
     """
+    n = cfg.lattice.n_side
     dmD, w1, w2 = _weights(cfg, dispersion)
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
+    pad = padded_shape(n)
+    scale = sin2 / (Q * Q * dmD)
+    tables = np.fft.rfft2(np.stack([g2_tab, scale * d2_tab.real,
+                                    scale * d2_tab.imag]), s=pad)
+    window = (Ellipsis, slice(n - 1, 2 * n - 1), slice(n - 1, 2 * n - 1))
+    # P1 and P2 act on the n x n half spectrum of rfft2: exact, because
+    # Delta_k is even in k, so w1 and w2 are real and even and map the
+    # Hermitian spectrum of a real field to a Hermitian spectrum
+    half = n // 2 + 1
+    brillouin = np.stack([-cos2 * w1[:, :half], -0.5 * cos2 * w2[:, :half]])[:, None]
 
     def apply(f):
-        x = (cyclic_weight_apply(w1, f)
-             - 0.5j * cyclic_weight_apply(w2, open_convolve(g2_tab, f)))
-        return sin2 * open_convolve(d2_tab, f) / (Q * Q * dmD) - 1j * cos2 * x
+        ff = np.fft.rfft2(f, s=pad)
+        out = np.empty((2,) + f.shape)
+        out[0] = np.fft.irfft2(tables[1] * ff, s=pad)[window]
+        out[1] = np.fft.irfft2(tables[2] * ff, s=pad)[window]
+        g = np.fft.irfft2(tables[0] * ff, s=pad)[window]
+        p1f, p2g = np.fft.irfft2(brillouin * np.fft.rfft2(np.stack([f, g])), s=(n, n))
+        out[0] += p2g
+        out[1] += p1f
+        return out
 
     return apply
 
 
 def _column_blocks(op, cols: np.ndarray, n_side: int):
-    """Yield (j, op applied to columns j:j+_BLOCK of the N x m site array)."""
+    """Yield (j, op on columns j:j+_BLOCK of the real N x m site array), the
+    latter as the (2, b, N) array of real and imaginary parts."""
     for j in range(0, cols.shape[1], _BLOCK):
         f = cols[:, j:j + _BLOCK].T.reshape(-1, n_side, n_side)
-        yield j, op(f).reshape(len(f), -1).T
+        yield j, op(f).reshape(2, len(f), -1)
 
 
 def _mode_couplings(cfg: FullConfig, dispersion: DispersionGrid,
                     g2_tab: np.ndarray, d2_tab: np.ndarray, V: np.ndarray):
     """C = eta^2 gbar [i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V)], s = sqrt(V0),
-    over the N x m mode columns V, in blocks of _BLOCK modes."""
+    over the N x m mode columns V, in blocks of _BLOCK modes.  Each block is
+    one real GEMM of (s o V)^T against its real and imaginary parts."""
     params = closed_form_params(cfg, dispersion.delta0)
     sin2 = np.sin(cfg.qz0) ** 2
     sv = np.sqrt(intensity_profile(cfg.lattice, cfg.cavity.w)).reshape(-1, 1) * V
     op = _coupling_operator(cfg, dispersion, g2_tab, d2_tab)
-    C = np.empty((V.shape[1], V.shape[1]), dtype=complex)
+    m = V.shape[1]
+    C = np.empty((m, m), dtype=complex)
     for j, kf in _column_blocks(op, sv, cfg.lattice.n_side):
-        C[:, j:j + _BLOCK] = sv.T @ (1j * sin2 * sv[:, j:j + _BLOCK] + kf)
+        b = kf.shape[1]
+        kf[1] += sin2 * sv[:, j:j + b].T
+        x = sv.T @ kf.reshape(2 * b, -1).T
+        C.real[:, j:j + b] = x[:, :b]
+        C.imag[:, j:j + b] = x[:, b:]
     return cfg.trap.eta**2 * params.g_bar * C
 
 
@@ -232,7 +263,7 @@ def coupling_matrix_M(cfg: FullConfig, kernel: KernelMatrix,
     op = _coupling_operator(cfg, dispersion, 2.0 * kernel.table.real, kernel_d2.table)
     M = np.empty((n, n))
     for j, kf in _column_blocks(op, np.eye(n), cfg.lattice.n_side):
-        M[:, j:j + _BLOCK] = 2.0 * kf.imag
+        M[:, j:j + _BLOCK] = 2.0 * kf[1].T
     return M
 
 
@@ -285,19 +316,17 @@ def _trace_tables(cfg: FullConfig, k_cut_abs: float):
     work sizes of the table stage.
 
     Every table is radial, so they share one radius index; the confined pair
-    shares one J0 pass.  The projection is ``projected_kernel``'s rule:
-    Re[D_fs] - D_c with Im[D_fs] kept (D_c is real).
+    shares one J0 pass (``projected_kernels``).
     """
     lattice = cfg.lattice
     radii = lattice_radii(lattice)
     rho, inverse = radii
     nodes = confined_nodes(k_cut_abs, float(rho[-1]))
-    conf, conf_d2 = confined_table(lattice, k_cut_abs, nodes=nodes, radii=radii)
-    fs = free_space_table(lattice, radii=radii)
-    fs_d2 = free_space_table(lattice, 2, radii=radii)
+    proj, proj_d2 = projected_kernels(lattice, cfg.cavity.z0, k_cut_abs,
+                                      nodes=nodes, radii=radii)
     sizes = {"confined_nodes": nodes, "distinct_radii": int(rho.size),
              "displacements": int(inverse.size)}
-    return 2.0 * (fs.real - conf), fs_d2 - conf_d2, sizes
+    return 2.0 * proj.table.real, proj_d2.table, sizes
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,

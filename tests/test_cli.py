@@ -314,3 +314,60 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_full_model_leaves_scipy_linalg_unloaded(tmp_path):
+    # scipy.linalg brings its own BLAS thread pool, which contends with
+    # numpy's; the full model's propagator is numpy-only
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text())
+    code = ("import sys; from arraycav.cli import main; "
+            f"rc = main(['dynamics', '--config', {str(path)!r}, '--model', 'full', "
+            f"'--t-final', '10', '--out', {str(tmp_path / 'dyn.csv')!r}]); "
+            "print(rc, 'scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("model", ["multimode", "full"])
+def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
+    # both projected kernels come from one confined J0 pass: one evaluation
+    # per (distinct radius, quadrature node) pair
+    import scipy.special
+    from arraycav.confined import confined_nodes, lattice_radii
+    j0, evaluations = scipy.special.j0, []
+
+    def counting_j0(x):
+        evaluations.append(x.size)
+        return j0(x)
+
+    monkeypatch.setattr(scipy.special, "j0", counting_j0)
+    text = default_config_text(a=0.5, n_side=16, w=2.0, z0=0.125, delta=100.0)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["dynamics", "--config", str(path), "--model", model, "--modes",
+                 "32", "--t-final", "2.0", "--out", str(tmp_path / "dyn.csv")]) == 0
+    cfg = make_config(a=0.5, n_side=16, w=2.0, z0=0.125, delta=100.0)
+    rho, _ = lattice_radii(cfg.lattice)
+    assert sum(evaluations) == rho.size * confined_nodes(cfg.cavity.k_cut_abs, rho[-1])
+
+
+def test_dynamics_manifest_records_rhs_evals(cfg_file, tmp_path):
+    from arraycav.lattice_sums import dispersion_grid
+    from arraycav.om_dynamics import evolve_reduced
+    from arraycav.optomech import closed_form_params
+    records = {}
+    for model in ("reduced", "multimode", "full"):
+        out = tmp_path / f"{model}.csv"
+        assert main(["dynamics", "--config", str(cfg_file), "--model", model,
+                     "--modes", "32", "--t-final", "5.0", "--out", str(out)]) == 0
+        records[model] = json.loads(
+            (tmp_path / f"{model}.csv.manifest.json").read_text())
+    cfg = make_config(a=0.4, n_side=24, w=2.0, z0=0.125, delta=100.0, l_fsr=100.0)
+    params = closed_form_params(cfg, dispersion_grid(0.4, 24).delta0)
+    assert records["reduced"]["rhs_evals"] == \
+        evolve_reduced(cfg, params, 5.0, 5.0 / 200).rhs_evals > 0
+    assert records["multimode"]["rhs_evals"] > 0
+    assert "rhs_evals" not in records["full"]     # the full model has no RHS
+    assert {r["model"] for r in records.values()} == set(records)

@@ -15,7 +15,7 @@ from arraycav.confined import (MAX_DENSE_SITES, KernelMatrix, ModeProfile,
                                confined_table, free_space_kernel,
                                free_space_table, lattice_radii,
                                mode_decay_rate, projected_kernel,
-                               uniform_profile)
+                               projected_kernels, uniform_profile)
 from arraycav.errors import ConfigError
 from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs, kernel_fs_d2z,
                              kernel_fs_d2z_plane, kernel_fs_plane)
@@ -240,6 +240,20 @@ class TestProjectedKernel:
         with pytest.raises(ValueError, match="different channel"):
             projected_kernel(proj, other)
 
+
+    @pytest.mark.parametrize("n_side", [1, 2, 7, 32])
+    def test_pair_from_one_pass_matches_separate_builders(self, n_side):
+        # same tables to the bit, kinds and provenance as projected_kernel on
+        # the separate free-space and confined builders
+        lat = LatticeSpec(a=0.5, n_side=n_side)
+        pair = projected_kernels(lat, 0.125, KCUT)
+        for derivative, got in zip((0, 2), pair):
+            want = projected_kernel(
+                free_space_kernel(lat, derivative),
+                confined_kernel_paraxial(lat, 0.125, KCUT, derivative))
+            np.testing.assert_array_equal(got.table, want.table)
+            assert got.kind == want.kind
+            assert got.provenance == want.provenance
 
 class TestModeDecayRate:
     def test_cavity_profile_free_space(self, lat32, kernels32):

@@ -229,6 +229,26 @@ class TestCouplingMatrices:
         assert c1[0, 0] == pytest.approx(c2[0, 0], rel=1e-10)
 
 
+    @pytest.mark.parametrize("n_modes", [32, 96, 256])
+    def test_table_transforms_formed_once(self, small_setup, grid16,
+                                          monkeypatch, n_modes):
+        # the three tables take one rfft2 call per C build, however many
+        # blocks; a block of real fields takes one padded rfft2, three padded
+        # irfft2 and one n x n rfft2/irfft2 pair; no complex transform runs
+        cfg, proj, proj2, _, _ = small_setup
+        basis = mechanical_basis(cfg.lattice, 2.0, completion_seed=3,
+                                 n_modes=n_modes)
+        calls = {name: 0 for name in ("rfft2", "irfft2", "fft2", "ifft2")}
+        for name in calls:
+            def counting(*args, _f=getattr(np.fft, name), _name=name, **kw):
+                calls[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counting)
+        coupling_matrix_C(cfg, basis, proj, proj2, grid16)
+        blocks = -(-n_modes // 32)
+        assert calls == {"rfft2": 1 + 2 * blocks, "irfft2": 4 * blocks,
+                         "fft2": 0, "ifft2": 0}
+
 class TestDenseReference:
     """The FFT coupling operator against the explicit N x N formulas."""
 
