@@ -51,6 +51,19 @@ def padded_fft(table):
     return np.fft.fft2(table, s=padded_shape((table.shape[-1] + 1) // 2))
 
 
+def padded_rfft(x, n):
+    """Zero-padded real 2D FFT on the open-convolution grid of an n x n
+    lattice, of real (2n-1, 2n-1) displacement tables or real (n, n) site
+    fields (leading axes stack them): the factors ``open_convolve_real``
+    multiplies."""
+    return np.fft.rfft2(x, s=padded_shape(n))
+
+
+def _open_window(conv, n):
+    """The n x n lattice window of a padded cyclic convolution."""
+    return conv[..., n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+
+
 def open_convolve(table, field, table_fft=None):
     """(T f)_p = sum_m table(r_p - r_m) f_m on an n x n lattice, via zero-padded FFT.
 
@@ -64,70 +77,53 @@ def open_convolve(table, field, table_fft=None):
         table_fft = padded_fft(table)
     nf = table_fft.shape[-1]
     ff = np.fft.fft2(field, s=(nf, nf))
-    conv = np.fft.ifft2(table_fft * ff)[..., n - 1 : 2 * n - 1, n - 1 : 2 * n - 1]
+    conv = _open_window(np.fft.ifft2(table_fft * ff), n)
     if np.iscomplexobj(table) or np.iscomplexobj(field):
         return conv
     return conv.real
 
 
-# Pade degrees of Higham's scaling and squaring, with the largest 1-norm each
-# reaches to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-# (2005), Table 2.3) and the numerator coefficients b_0..b_m
-_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+def open_convolve_real(table_rfft, field_rfft, n):
+    """``open_convolve`` of a real table and real fields on an n x n lattice,
+    from the ``padded_rfft`` of both: one inverse real transform.  A field
+    transformed once can meet several tables."""
+    return _open_window(np.fft.irfft2(table_rfft * field_rfft, s=padded_shape(n)), n)
+
+
+# Higham's scaling and squaring with the [13/13] Pade approximant: the largest
+# 1-norm it reaches to double precision and its numerator coefficients
+# b_0..b_13 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3),
+# divided by b_0 so that the denominator is I + O(A) and e^0 = I exactly
 _THETA_13 = 5.371920351148152e0
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-
-
-def _pade(A, m):
-    """Numerator U + V and denominator V - U of the [m/m] Pade approximant,
-    U holding the odd and V the even powers of A."""
-    b = _PADE_B[m]
-    eye = np.eye(len(A), dtype=A.dtype)
-    A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        u = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        v = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    else:
-        powers = [eye, A2]
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ A2)
-        u = A @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
-        v = sum(b[2 * j] * p for j, p in enumerate(powers))
-    return u + v, v - u
+_PADE_13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 
 
 def expm(A):
-    """Matrix exponential by scaling and squaring with Pade approximants
-    (Higham 2005): the degree and the scaling 2^-s follow from the 1-norm, so
-    the approximant meets double precision on the scaled matrix.
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant (Higham 2005): the scaling 2^-s brings the 1-norm below
+    theta_13, where the approximant meets double precision.
 
     numpy matmuls and one numpy solve only.  scipy.linalg is not imported: its
     own BLAS thread pool would contend with numpy's on a small machine.
     """
     A = np.asarray(A)
     norm = float(np.max(np.sum(np.abs(A), axis=0), initial=0.0))
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            num, den = _pade(A, m)
-            return np.linalg.solve(den, num)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    num, den = _pade(A / 2.0**s, 13)
-    X = np.linalg.solve(den, num)
+    s = int(np.ceil(np.log2(norm / _THETA_13))) if norm > _THETA_13 else 0
+    A = A / 2.0**s
+    b = _PADE_13
+    eye = np.eye(len(A), dtype=A.dtype)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    # U holds the odd powers of A, V the even ones; e^A ~ (V - U)^-1 (V + U)
+    u = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    v = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    X = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         X = X @ X
     return X

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import check_k_cut, emit_config, parse_config, validate_regime
-from .confined import projected_kernels
+from .confined import (confined_kernel_paraxial, free_space_kernel, projected_kernel,
+                       projected_kernels)
 from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
 from .errors import ArrayCavError, ConfigError, ConvergenceError, RegimeError
 from .lattice_sums import dispersion_curve, dispersion_grid, dispersion_point
@@ -185,8 +186,9 @@ def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
     channel = (cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
     if args.model == "full":
-        traj = evolve_full(cfg, projected_kernels(*channel)[0], args.t_final,
-                           args.dt_out)
+        kernel = projected_kernel(free_space_kernel(cfg.lattice),
+                                  confined_kernel_paraxial(*channel))
+        traj = evolve_full(cfg, kernel, args.t_final, args.dt_out)
         rows = zip(traj.t, traj.a.real, traj.a.imag, traj.sum_sigma2)
         _write_csv(args.out, ["t", "re_a", "im_a", "sum_abs_sigma2"], rows)
         extra = traj.diagnostics

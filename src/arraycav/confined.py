@@ -176,11 +176,23 @@ def free_space_table(lattice: LatticeSpec, derivative: int = 0, *, radii=None):
     return profile(rho, 0.0)[inverse]
 
 
-def free_space_kernel(lattice: LatticeSpec, derivative: int = 0) -> KernelMatrix:
-    """Free-space kernel D_fs (or its d2z) with the coincident-point conventions."""
-    return KernelMatrix(table=free_space_table(lattice, derivative),
+def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, *,
+                      radii=None) -> KernelMatrix:
+    """Free-space kernel D_fs (or its d2z) with the coincident-point conventions;
+    ``radii`` as for ``free_space_table``."""
+    return KernelMatrix(table=free_space_table(lattice, derivative, radii=radii),
                         kind="fs" if derivative == 0 else "fs_d2z",
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
+                                    "derivative": derivative})
+
+
+def _confined_kernel(lattice: LatticeSpec, z0: float, k_cut: float,
+                     derivative: int, table: np.ndarray) -> KernelMatrix:
+    """Wrap one table of ``confined_table`` as the confined KernelMatrix."""
+    return KernelMatrix(table=table,
+                        kind="confined" if derivative == 0 else "confined_d2z",
+                        provenance={"a": lattice.a, "n_side": lattice.n_side,
+                                    "z0": z0, "k_cut": k_cut,
                                     "derivative": derivative})
 
 
@@ -197,12 +209,8 @@ def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float,
     """
     if derivative not in (0, 2):
         raise ValueError("derivative must be 0 or 2")
-    kind = "confined" if derivative == 0 else "confined_d2z"
     table = confined_table(lattice, k_cut, nodes=nodes)[derivative // 2]
-    return KernelMatrix(table=table, kind=kind,
-                        provenance={"a": lattice.a, "n_side": lattice.n_side,
-                                    "z0": z0, "k_cut": k_cut,
-                                    "derivative": derivative})
+    return _confined_kernel(lattice, z0, k_cut, derivative, table)
 
 
 def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
@@ -232,19 +240,16 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
 def projected_kernels(lattice: LatticeSpec, z0: float, k_cut: float,
                       nodes: int | None = None, radii=None):
     """The projected kernel and its d2z (kinds 'projected', 'projected_d2z'):
-    what ``projected_kernel`` gives from ``free_space_kernel`` and
-    ``confined_kernel_paraxial`` for derivatives 0 and 2, built from one
-    radius index and one confined J0 pass.  ``nodes`` and ``radii`` are as for
+    ``projected_kernel`` of ``free_space_kernel`` and ``confined_kernel_paraxial``
+    for derivatives 0 and 2, with both confined tables taken from one radius
+    index and one confined J0 pass.  ``nodes`` and ``radii`` are as for
     ``confined_table``."""
     radii = lattice_radii(lattice) if radii is None else radii
     confined = confined_table(lattice, k_cut, nodes=nodes, radii=radii)
-    prov = {"a": lattice.a, "n_side": lattice.n_side, "z0": z0, "k_cut": k_cut}
-    # D_c is real: subtracting it removes the radiative part only
     return tuple(
-        KernelMatrix(table=free_space_table(lattice, derivative, radii=radii) - conf,
-                     kind=kind, provenance={**prov, "derivative": derivative})
-        for derivative, conf, kind in ((0, confined[0], "projected"),
-                                       (2, confined[1], "projected_d2z")))
+        projected_kernel(free_space_kernel(lattice, derivative, radii=radii),
+                         _confined_kernel(lattice, z0, k_cut, derivative, table))
+        for derivative, table in zip((0, 2), confined))
 
 
 def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import open_convolve, padded_shape
+from ._numerics import open_convolve, open_convolve_real, padded_rfft
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_nodes,
                        lattice_radii, projected_kernels)
@@ -189,11 +189,9 @@ def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
     n = cfg.lattice.n_side
     dmD, w1, w2 = _weights(cfg, dispersion)
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
-    pad = padded_shape(n)
     scale = sin2 / (Q * Q * dmD)
-    tables = np.fft.rfft2(np.stack([g2_tab, scale * d2_tab.real,
-                                    scale * d2_tab.imag]), s=pad)
-    window = (Ellipsis, slice(n - 1, 2 * n - 1), slice(n - 1, 2 * n - 1))
+    tables = padded_rfft(np.stack([g2_tab, scale * d2_tab.real,
+                                   scale * d2_tab.imag]), n)
     # P1 and P2 act on the n x n half spectrum of rfft2: exact, because
     # Delta_k is even in k, so w1 and w2 are real and even and map the
     # Hermitian spectrum of a real field to a Hermitian spectrum
@@ -201,11 +199,11 @@ def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
     brillouin = np.stack([-cos2 * w1[:, :half], -0.5 * cos2 * w2[:, :half]])[:, None]
 
     def apply(f):
-        ff = np.fft.rfft2(f, s=pad)
+        ff = padded_rfft(f, n)
         out = np.empty((2,) + f.shape)
-        out[0] = np.fft.irfft2(tables[1] * ff, s=pad)[window]
-        out[1] = np.fft.irfft2(tables[2] * ff, s=pad)[window]
-        g = np.fft.irfft2(tables[0] * ff, s=pad)[window]
+        out[0] = open_convolve_real(tables[1], ff, n)
+        out[1] = open_convolve_real(tables[2], ff, n)
+        g = open_convolve_real(tables[0], ff, n)
         p1f, p2g = np.fft.irfft2(brillouin * np.fft.rfft2(np.stack([f, g])), s=(n, n))
         out[0] += p2g
         out[1] += p1f

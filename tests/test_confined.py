@@ -240,7 +240,6 @@ class TestProjectedKernel:
         with pytest.raises(ValueError, match="different channel"):
             projected_kernel(proj, other)
 
-
     @pytest.mark.parametrize("n_side", [1, 2, 7, 32])
     def test_pair_from_one_pass_matches_separate_builders(self, n_side):
         # same tables to the bit, kinds and provenance as projected_kernel on
@@ -254,6 +253,7 @@ class TestProjectedKernel:
             np.testing.assert_array_equal(got.table, want.table)
             assert got.kind == want.kind
             assert got.provenance == want.provenance
+
 
 class TestModeDecayRate:
     def test_cavity_profile_free_space(self, lat32, kernels32):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from arraycav._numerics import expm, integrate_linear
+from arraycav._numerics import (expm, integrate_linear, open_convolve,
+                                open_convolve_real, padded_rfft)
 from arraycav.cavity_dynamics import _generator, _Krylov
 from arraycav.confined import projected_kernels
 
 from conftest import make_config
 
-# 1-norms that select every Pade degree: 3, 5, 7, 9, and 13 with 0-8 squarings
+# 1-norms from well inside theta_13 (no squaring) to 8 squarings
 NORMS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3)
 
 
@@ -49,8 +50,8 @@ class TestExpm:
 
     @pytest.mark.parametrize("norm", NORMS[:-1])
     def test_oscillations_match_closed_form(self, norm):
-        # spectral radius = 1-norm, so each Pade degree and scaling is used up
-        # to its bound (random matrices have spectra well inside their norm);
+        # spectral radius = 1-norm, so each scaling is used up to its bound
+        # (random matrices have spectra well inside their norm);
         # at norm 1e3 the phases alone carry ~1e-13 of round-off
         w = norm * np.linspace(-1.0, 1.0, 5)
         assert np.max(np.abs(expm(np.diag(1j * w)) - np.diag(np.exp(1j * w)))) <= 1e-13
@@ -60,6 +61,18 @@ class TestExpm:
 
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_real_open_convolution_matches_complex_path(n):
+    # one transformed field against a stack of transformed tables
+    rng = np.random.default_rng(n)
+    tables = rng.standard_normal((3, 2 * n - 1, 2 * n - 1))
+    fields = rng.standard_normal((4, n, n))
+    got = open_convolve_real(padded_rfft(tables, n)[:, None], padded_rfft(fields, n), n)
+    for table, conv in zip(tables, got):
+        want = open_convolve(table, fields)
+        assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_integrate_linear_counts_rhs_evaluations():
