@@ -14,8 +14,13 @@ not see the mirrors).
 The confined kernel at coincident planes is a radial Bessel integral over the
 disc; substituting u = k_z removes the light-line singularity and makes the
 integrand polynomial-smooth, so Gauss-Legendre quadrature converges to machine
-precision.  A small-scale Hermite-Gauss mode sum (pole handled by residue)
-serves as an independent oracle for the same radiative content.
+precision.  As a function of the radius the kernel is band-limited by k_cut,
+so the quadrature runs only at the Chebyshev points of an interpolant on
+[0, rho_max] (Trefethen, Approximation Theory and Approximation Practice,
+ch. 8), and the lattice radii are read off in barycentric form (Berrut &
+Trefethen, SIAM Rev. 46, 501 (2004)).  A small-scale Hermite-Gauss mode sum
+(pole handled by residue) serves as an independent oracle for the same
+radiative content.
 """
 
 from __future__ import annotations
@@ -107,8 +112,28 @@ def confined_nodes(k_cut_abs, rho_max):
     return max(192, int(0.75 * phase) + 96)
 
 
-# J0 values evaluated per block of radii: 2 MB of float64 at a time
-_J0_BLOCK = 1 << 18
+def chebyshev_degree(k_cut_abs, rho_max):
+    """Degree K of the Chebyshev interpolant of the confined tables on
+    [0, rho_max].
+
+    The tables have exponential type k_cut, so on an interval of half-width
+    rho_max / 2 their Chebyshev coefficients fall like J_k(z), z = k_cut
+    rho_max / 2: they reach round-off a transition width ~ z^(1/3) past
+    k = z.  K = ceil(z) + max(60, ceil(12 z^(1/3))).  A margin of 60 suffices
+    up to phases k_cut rho_max ~ 330 (40 does not); from phase ~ 600 on, a
+    fixed 60 leaves a coefficient tail above 1e-13, so the margin follows the
+    transition width there.
+    """
+    z = 0.5 * k_cut_abs * rho_max
+    return math.ceil(z) + max(60, math.ceil(12.0 * z ** (1.0 / 3.0)))
+
+
+# Largest Chebyshev coefficient of the last _TAIL_COEFFS, relative to the
+# largest, that the interpolant accepts
+_TAIL_COEFFS, _TAIL_TOL = 8, 1e-13
+
+# J0 values or interpolation weights formed per block: 2 MB of float64 at a time
+_BLOCK = 1 << 18
 
 
 def lattice_radii(lattice: LatticeSpec):
@@ -118,15 +143,20 @@ def lattice_radii(lattice: LatticeSpec):
     ascending, and the (2 n_side - 1, 2 n_side - 1) integer array such that
     ``profile[inverse]`` is the displacement table of a radial profile
     evaluated on ``rho``.  R is 21,860 at n_side 256, against 261,121
-    displacements.
+    displacements.  The squared radii i^2 + j^2 <= 2 (n_side - 1)^2 are marked
+    in a presence mask whose running count is the index: O(n_side^2) time and
+    memory, no sort.
     """
     sq = np.arange(-(lattice.n_side - 1), lattice.n_side) ** 2
-    radii2, inverse = np.unique(sq[:, None] + sq[None, :], return_inverse=True)
-    return lattice.a * np.sqrt(radii2), inverse.reshape(sq.size, sq.size)
+    radii2 = sq[:, None] + sq[None, :]
+    present = np.zeros(2 * sq[0] + 1, dtype=bool)
+    present[radii2] = True
+    return lattice.a * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[radii2]
 
 
 def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
-                   nodes: int | None = None, radii=None):
+                   nodes: int | None = None, radii=None,
+                   diagnostics: dict | None = None):
     """Displacement tables of the confined kernel and of its d2z over the lattice.
 
     D_c(rho) = (3 gamma lambda / (16 pi)) Int_{u_min}^{q} (1 + u^2/q^2)
@@ -135,33 +165,73 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
     for circular polarization; the d2z variant carries an extra factor -u^2.
     Real-valued: only the propagating (radiative) channel is confined.
 
-    Returns ``(D_c, d2z D_c)``.  Both share one pass of J0 over the distinct
-    lattice radii and the quadrature nodes, evaluated in blocks of radii and
-    contracted with the two weight vectors, then scattered over the
-    (2 n_side - 1)^2 displacements.  Time is O(R * nodes), memory O(R) plus
-    one block.  ``radii`` is the lattice's ``lattice_radii``, if already formed.
+    Returns ``(D_c, d2z D_c)``.  Both are entire functions of rho of
+    exponential type k_cut, so a Chebyshev interpolant of degree
+    K = ``chebyshev_degree`` on [0, rho_max] reproduces them to round-off.
+    One pass of J0 at the K + 1 first-kind Chebyshev points and the quadrature
+    nodes, contracted with both weight vectors, gives the values there.  The
+    Chebyshev coefficients of the same values (a (K + 1)^2 cosine matrix) must
+    fall below 1e-13 of the largest over their last 8, else ConvergenceError.
+    The tables at the R distinct lattice radii follow by barycentric
+    interpolation in blocks of radii and are scattered over the
+    (2 n_side - 1)^2 displacements.  Time is (K + 1) nodes J0 evaluations plus
+    O(R K) arithmetic, memory O(R + K^2) plus one block: at n_side 256,
+    a = 0.25 and k_cut = 0.75, K = 94, and 18 k J0 evaluations replace the
+    4.2 M of a per-radius quadrature.  ``radii`` is the lattice's
+    ``lattice_radii``, if already formed.  ``diagnostics``, if a dict,
+    receives ``chebyshev_degree`` and ``chebyshev_tail`` (the larger relative
+    tail of the two tables).
     """
     if not 0.0 < k_cut_abs < Q:
         raise ValueError("k_cut must lie strictly between 0 and q")
     rho, inverse = lattice_radii(lattice) if radii is None else radii
+    rho_max = float(rho[-1])
     if nodes is None:
-        nodes = confined_nodes(k_cut_abs, float(rho[-1]))
+        nodes = confined_nodes(k_cut_abs, rho_max)
+    degree = chebyshev_degree(k_cut_abs, rho_max)
     umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
     u, wu = gl_interval(umin, Q, nodes)
     weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * wu
-    weight_d2 = -weight * u * u
+    weights = np.stack([weight, -weight * u * u], axis=1)
     from scipy.special import j0   # lazy: scipy.special is slow to import
 
     kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
-    out, out_d2 = np.empty(rho.size), np.empty(rho.size)
-    rows = max(1, _J0_BLOCK // nodes)
+    k = np.arange(degree + 1)
+    theta = (k + 0.5) * (np.pi / (degree + 1))
+    x = np.cos(theta)
+    points = 0.5 * rho_max * (1.0 + x)
+    values = np.empty((degree + 1, 2))
+    rows = max(1, _BLOCK // nodes)
+    for s in range(0, degree + 1, rows):
+        values[s:s + rows] = j0(np.outer(points[s:s + rows], kk)) @ weights
+    # c_k = (2 / (K + 1)) sum_j values_j cos(k theta_j), with k theta_j
+    # reduced exactly (in integers) to [0, 2 pi): cos of the unreduced
+    # product leaves a tail floor of ~1e-14 at K = 94 and ~1e-13 at K = 900
+    turns = np.outer(k, 2 * k + 1) % (4 * (degree + 1))
+    coeffs = np.cos(turns * (np.pi / (2 * (degree + 1)))) @ values * (2.0 / (degree + 1))
+    coeffs[0] *= 0.5
+    tail = float(np.max(np.max(np.abs(coeffs[-_TAIL_COEFFS:]), axis=0)
+                        / np.max(np.abs(coeffs), axis=0)))
+    if diagnostics is not None:
+        diagnostics.update(chebyshev_degree=degree, chebyshev_tail=tail)
+    if not tail < _TAIL_TOL:
+        raise ConvergenceError(
+            f"confined-kernel Chebyshev tail {tail:.2g} not below {_TAIL_TOL:g} "
+            f"at degree {degree}")
+    # barycentric formula at first-kind points (Berrut & Trefethen 2004)
+    bary = np.where(k % 2, -1.0, 1.0) * np.sin(theta)
+    t = rho * (2.0 / rho_max if rho_max > 0 else 0.0) - 1.0
+    out = np.empty((2, rho.size))
+    rows = max(1, _BLOCK // (degree + 1))
     for s in range(0, rho.size, rows):
-        bessel = j0(np.outer(rho[s:s + rows], kk))
-        out[s:s + rows] = bessel @ weight
-        out_d2[s:s + rows] = bessel @ weight_d2
-    if not (np.isfinite(out).all() and np.isfinite(out_d2).all()):
-        raise ConvergenceError("confined-kernel quadrature produced non-finite values")
-    return out[inverse], out_d2[inverse]
+        diff = t[s:s + rows, None] - x
+        hit = np.nonzero(diff == 0.0)
+        diff[hit] = 1.0
+        c = bary / diff
+        block = (c @ values) / np.sum(c, axis=1)[:, None]
+        block[hit[0]] = values[hit[1]]
+        out[:, s:s + rows] = block.T
+    return out[0][inverse], out[1][inverse]
 
 
 def free_space_table(lattice: LatticeSpec, derivative: int = 0, *, radii=None):
@@ -238,14 +308,16 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
 
 
 def projected_kernels(lattice: LatticeSpec, z0: float, k_cut: float,
-                      nodes: int | None = None, radii=None):
+                      nodes: int | None = None, radii=None,
+                      diagnostics: dict | None = None):
     """The projected kernel and its d2z (kinds 'projected', 'projected_d2z'):
     ``projected_kernel`` of ``free_space_kernel`` and ``confined_kernel_paraxial``
     for derivatives 0 and 2, with both confined tables taken from one radius
-    index and one confined J0 pass.  ``nodes`` and ``radii`` are as for
-    ``confined_table``."""
+    index and one confined J0 pass.  ``nodes``, ``radii`` and ``diagnostics``
+    are as for ``confined_table``."""
     radii = lattice_radii(lattice) if radii is None else radii
-    confined = confined_table(lattice, k_cut, nodes=nodes, radii=radii)
+    confined = confined_table(lattice, k_cut, nodes=nodes, radii=radii,
+                              diagnostics=diagnostics)
     return tuple(
         projected_kernel(free_space_kernel(lattice, derivative, radii=radii),
                          _confined_kernel(lattice, z0, k_cut, derivative, table))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import open_convolve, open_convolve_real, padded_rfft
+from ._numerics import box_sum, open_convolve, open_convolve_real, padded_rfft
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_nodes,
                        lattice_radii, projected_kernels)
@@ -298,8 +298,9 @@ class OmConsistency:
     C00: complex
     trace_C: complex
     # stage work sizes and convergence: the Ewald shell residual (units gamma)
-    # and, on the completeness route, the confined quadrature's node count and
-    # the distinct-radius and displacement counts of the kernel tables
+    # and, on the completeness route, the confined quadrature's node count,
+    # its Chebyshev degree and relative coefficient tail, and the
+    # distinct-radius and displacement counts of the kernel tables
     diagnostics: dict = field(default_factory=dict)
 
     def kappa_rel_dev(self) -> float:
@@ -314,16 +315,18 @@ def _trace_tables(cfg: FullConfig, k_cut_abs: float):
     work sizes of the table stage.
 
     Every table is radial, so they share one radius index; the confined pair
-    shares one J0 pass (``projected_kernels``).
+    shares one J0 pass at the Chebyshev points of its interpolant
+    (``projected_kernels``), whose degree and coefficient tail are recorded
+    next to the node count.
     """
     lattice = cfg.lattice
     radii = lattice_radii(lattice)
     rho, inverse = radii
     nodes = confined_nodes(k_cut_abs, float(rho[-1]))
+    sizes = {"confined_nodes": nodes}
     proj, proj_d2 = projected_kernels(lattice, cfg.cavity.z0, k_cut_abs,
-                                      nodes=nodes, radii=radii)
-    sizes = {"confined_nodes": nodes, "distinct_radii": int(rho.size),
-             "displacements": int(inverse.size)}
+                                      nodes=nodes, radii=radii, diagnostics=sizes)
+    sizes.update(distinct_radii=int(rho.size), displacements=int(inverse.size))
     return 2.0 * proj.table.real, proj_d2.table, sizes
 
 
@@ -362,12 +365,13 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
         b2 = np.sum(v0) * d2_tab[center, center] / (Q * Q * dmD)
         mean_w1 = float(np.mean(w1))
         # Z_n = (1/N) sum_kk' e^{i(k-k') r_n} gamma_kk' W2_k as a lattice
-        # cross-correlation: p2(d) (BZ-grid kernel) against Gamma2(-d)
+        # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d), that
+        # is the box sum of their product over the n x n window at each site
         p2_tab = np.fft.ifft2(w2)
         dmod = np.arange(-(n_side - 1), n_side) % n_side
         p2_big = p2_tab[np.ix_(dmod, dmod)]
         h = p2_big * g2_tab[::-1, ::-1]
-        z = open_convolve(h, np.ones((n_side, n_side)))
+        z = box_sum(h)
         b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(v0 * z)
         trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
         c00 = complex(_mode_couplings(cfg, dispersion, g2_tab, d2_tab,

@@ -333,13 +333,13 @@ def test_full_model_leaves_scipy_linalg_unloaded(tmp_path):
 @pytest.mark.parametrize("model", ["multimode", "full"])
 def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
     # both projected kernels come from one confined J0 pass: one evaluation
-    # per (distinct radius, quadrature node) pair
+    # per (Chebyshev point, quadrature node) pair
     import scipy.special
-    from arraycav.confined import confined_nodes, lattice_radii
-    j0, evaluations = scipy.special.j0, []
+    from arraycav.confined import chebyshev_degree, confined_nodes, lattice_radii
+    j0, shapes = scipy.special.j0, []
 
     def counting_j0(x):
-        evaluations.append(x.size)
+        shapes.append(x.shape)
         return j0(x)
 
     monkeypatch.setattr(scipy.special, "j0", counting_j0)
@@ -350,7 +350,9 @@ def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
                  "32", "--t-final", "2.0", "--out", str(tmp_path / "dyn.csv")]) == 0
     cfg = make_config(a=0.5, n_side=16, w=2.0, z0=0.125, delta=100.0)
     rho, _ = lattice_radii(cfg.lattice)
-    assert sum(evaluations) == rho.size * confined_nodes(cfg.cavity.k_cut_abs, rho[-1])
+    k_cut = cfg.cavity.k_cut_abs
+    assert shapes == [(chebyshev_degree(k_cut, rho[-1]) + 1,
+                       confined_nodes(k_cut, rho[-1]))]
 
 
 def test_dynamics_manifest_records_rhs_evals(cfg_file, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
+from arraycav import confined
 from arraycav._numerics import gl_interval
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (MAX_DENSE_SITES, KernelMatrix, ModeProfile,
-                               cavity_profile, confined_kernel_hg,
-                               confined_kernel_paraxial, confined_nodes,
-                               confined_table, free_space_kernel,
-                               free_space_table, lattice_radii,
-                               mode_decay_rate, projected_kernel,
-                               projected_kernels, uniform_profile)
-from arraycav.errors import ConfigError
+                               cavity_profile, chebyshev_degree,
+                               confined_kernel_hg, confined_kernel_paraxial,
+                               confined_nodes, confined_table,
+                               free_space_kernel, free_space_table,
+                               lattice_radii, mode_decay_rate,
+                               projected_kernel, projected_kernels,
+                               uniform_profile)
+from arraycav.errors import ConfigError, ConvergenceError
 from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs, kernel_fs_d2z,
                              kernel_fs_d2z_plane, kernel_fs_plane)
 
@@ -95,10 +98,8 @@ def _displacement_meshes(lattice):
     return np.meshgrid(d, d, indexing="ij")
 
 
-def _full_grid_table(lattice, k_cut_abs, derivative):
-    """Reference: the Bessel quadrature evaluated at every displacement."""
-    dx, dy = _displacement_meshes(lattice)
-    rho = np.hypot(dx, dy)
+def _quadrature(rho, k_cut_abs, derivative):
+    """Reference: the Bessel quadrature evaluated at each radius."""
     nodes = confined_nodes(k_cut_abs, float(rho.max()))
     umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
     u, wu = gl_interval(umin, Q, nodes)
@@ -107,6 +108,11 @@ def _full_grid_table(lattice, k_cut_abs, derivative):
         weight = -weight * u * u
     kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
     return (j0(np.outer(rho.ravel(), kk)) @ weight).reshape(rho.shape)
+
+
+def _full_grid_table(lattice, k_cut_abs, derivative):
+    """Reference: the Bessel quadrature evaluated at every displacement."""
+    return _quadrature(np.hypot(*_displacement_meshes(lattice)), k_cut_abs, derivative)
 
 
 class TestConfinedTable:
@@ -123,6 +129,67 @@ class TestConfinedTable:
             assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
             np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
             np.testing.assert_array_equal(table, table.T)               # x <-> y
+
+    def test_acceptance_scale_matches_per_radius_quadrature(self):
+        # the acceptance scale: R = 21,860 radii, Chebyshev degree 94
+        lat = LatticeSpec(a=0.25, n_side=256)
+        rho, inverse = lattice_radii(lat)
+        diagnostics = {}
+        tables = confined_table(lat, 0.75, diagnostics=diagnostics)
+        assert diagnostics["chebyshev_degree"] == chebyshev_degree(0.75, rho[-1]) == 94
+        assert diagnostics["chebyshev_tail"] < 2e-15     # round-off, not truncation
+        for derivative, table in zip((0, 2), tables):
+            ref = _quadrature(rho, 0.75, derivative)
+            assert np.max(np.abs(table - ref[inverse])) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("a, n_side", [(0.9, 96), (0.95, 136)])
+    def test_large_phase_matches_per_radius_quadrature(self, a, n_side, monkeypatch):
+        # phases k_cut rho_max ~ 730 and 1,080, where a fixed margin of 60
+        # over k_cut rho_max / 2 leaves a coefficient tail above 1e-13
+        lat, k_cut = LatticeSpec(a=a, n_side=n_side), 0.95 * Q
+        rho, inverse = lattice_radii(lat)
+        tables = confined_table(lat, k_cut)
+        with monkeypatch.context() as patch:
+            patch.setattr(confined, "chebyshev_degree",
+                          lambda k, r: math.ceil(0.5 * k * r) + 60)
+            with pytest.raises(ConvergenceError, match="Chebyshev tail"):
+                confined_table(lat, k_cut)
+        first = np.unique(inverse, return_index=True)[1]    # a displacement per radius
+        sample = np.r_[0:rho.size:9, rho.size - 1]
+        for derivative, table in zip((0, 2), tables):
+            ref = _quadrature(rho[sample], k_cut, derivative)
+            got = table.ravel()[first[sample]]
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_degree_too_low_is_refused(self, monkeypatch):
+        # the worst phase of the hypothesis range, k_cut rho_max ~ 330: a
+        # degree 20 short of the rule returns no table
+        lat = LatticeSpec(a=1.0, n_side=40)
+        degree = chebyshev_degree(0.95 * Q, lattice_radii(lat)[0][-1])
+        monkeypatch.setattr(confined, "chebyshev_degree", lambda k, r: degree - 20)
+        diagnostics = {}
+        with pytest.raises(ConvergenceError, match="Chebyshev tail"):
+            confined_table(lat, 0.95 * Q, diagnostics=diagnostics)
+        assert diagnostics["chebyshev_degree"] == degree - 20
+        assert diagnostics["chebyshev_tail"] >= 1e-13
+
+    def test_radius_on_a_chebyshev_point_takes_its_value(self):
+        # radii that land exactly on interpolation points, where the
+        # barycentric formula divides by zero
+        rho_max = 8.0
+        degree = chebyshev_degree(2.0, rho_max)
+        x = np.cos((np.arange(degree + 1) + 0.5) * (np.pi / (degree + 1)))
+        rho = np.unique(np.concatenate([[0.0, rho_max], 0.5 * rho_max * (1.0 + x)]))
+        on_point = np.isin(rho * (2.0 / rho_max) - 1.0, x)
+        assert on_point.sum() > 10
+        inverse = np.arange(rho.size).reshape(1, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no division by zero on the way
+            tables = confined_table(LatticeSpec(a=0.5, n_side=2), 2.0,
+                                    radii=(rho, inverse))
+        for derivative, table in zip((0, 2), tables):
+            ref = _quadrature(rho, 2.0, derivative)
+            assert np.max(np.abs(table[0] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_memory_stays_per_radius(self):
         # both tables together; the unblocked R x nodes J0 intermediates alone
@@ -142,6 +209,17 @@ class TestConfinedTable:
         for got, want in zip(confined_table(lat, 2.0, radii=radii),
                              confined_table(lat, 2.0)):
             np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_side=st.integers(1, 300), a=st.floats(0.05, 1.0, exclude_max=True))
+def test_radius_index_matches_a_sort(n_side, a):
+    sq = np.arange(-(n_side - 1), n_side) ** 2
+    radii2, inverse = np.unique(sq[:, None] + sq[None, :], return_inverse=True)
+    rho, index = lattice_radii(LatticeSpec(a=a, n_side=n_side))
+    np.testing.assert_array_equal(rho, a * np.sqrt(radii2))
+    assert rho.dtype == np.float64 and index.dtype == inverse.dtype
+    np.testing.assert_array_equal(index, inverse.reshape(sq.size, sq.size))
 
 
 class TestKernelTables:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from arraycav._numerics import (expm, integrate_linear, open_convolve,
+from arraycav._numerics import (box_sum, expm, integrate_linear, open_convolve,
                                 open_convolve_real, padded_rfft)
 from arraycav.cavity_dynamics import _generator, _Krylov
 from arraycav.confined import projected_kernels
@@ -73,6 +73,16 @@ def test_real_open_convolution_matches_complex_path(n):
     for table, conv in zip(tables, got):
         want = open_convolve(table, fields)
         assert np.max(np.abs(conv - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 128])
+def test_box_sum_matches_open_convolution_with_ones(n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((2 * n - 1, 2 * n - 1, 2)) @ np.array([1.0, 1j])
+    got = box_sum(table)
+    want = open_convolve(table, np.ones((n, n)))
+    assert got.shape == want.shape == (n, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_integrate_linear_counts_rhs_evaluations():

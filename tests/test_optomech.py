@@ -326,7 +326,8 @@ class TestConsistencyRoutes:
         assert rep.g2_trace > 0
 
     def test_one_bessel_pass_per_call(self, small_setup, grid16, monkeypatch):
-        # D_c and its d2z share one J0 evaluation per (radius, node) pair
+        # D_c and its d2z share one J0 pass, one evaluation per (Chebyshev
+        # point, node) pair
         import scipy.special
         j0, shapes = scipy.special.j0, []
 
@@ -338,8 +339,8 @@ class TestConsistencyRoutes:
         cfg, _, _, _, k_cut = small_setup
         diag = om_consistency(cfg, grid16, k_cut_abs=k_cut).diagnostics
         nodes, radii = diag["confined_nodes"], diag["distinct_radii"]
-        assert sum(rows for rows, _ in shapes) == radii
-        assert {cols for _, cols in shapes} == {nodes}
+        assert shapes == [(diag["chebyshev_degree"] + 1, nodes)]
+        assert diag["chebyshev_tail"] < 1e-13
         assert diag["displacements"] == (2 * 16 - 1) ** 2 > radii
         assert diag["dispersion_residual"] == grid16.residual
 
