@@ -16,14 +16,13 @@ from .greens import (dyadic_green_fs, kernel_fs, kernel_fs_d2z,
 from .lattice_sums import (DispersionGrid, DispersionPoint, dispersion_curve,
                            dispersion_grid, dispersion_point)
 from .confined import (KernelMatrix, ModeProfile, cavity_profile,
-                       confined_kernel_hg, confined_kernel_paraxial,
-                       confined_table, free_space_kernel, mode_decay_rate,
-                       projected_kernel, projected_kernels, uniform_profile)
+                       confined_kernel_paraxial, confined_table,
+                       free_space_kernel, mode_decay_rate, projected_kernel,
+                       projected_kernels)
 from .cavity_dynamics import (FullTrajectory, SystemState, TwoModeModel,
                               build_two_mode, evolve_full, spectrum_scan,
                               steady_state_full, steady_state_two_mode)
-from .optomech import (MechanicalBasis, OmParams, closed_form_params,
-                       coupling_matrix_C, coupling_matrix_M,
+from .optomech import (OmParams, closed_form_params, coupling_matrix_C,
                        intensity_profile, k_sc_ground_state_average,
                        mechanical_basis, om_consistency)
 from .om_dynamics import (OmState, OmTrajectory, evolve_multimode,

@@ -6,7 +6,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 
@@ -24,17 +23,6 @@ def gl_interval(lo, hi, n):
     x, w = gauss_legendre(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
-
-
-def toeplitz_from_table(table, n_side):
-    """Materialize the dense N x N matrix T[n, m] = table[i_n - i_m, j_n - j_m].
-
-    ``table`` has shape (2*n_side-1, 2*n_side-1) indexed by displacement
-    offset + (n_side-1).  Gathered from a strided window view of the table,
-    so the N x N result is the only O(N^2) allocation.
-    """
-    win = sliding_window_view(table[::-1, ::-1], (n_side, n_side))
-    return win[::-1, ::-1].reshape(n_side * n_side, n_side * n_side)
 
 
 def padded_shape(n):
@@ -146,8 +134,9 @@ def output_times(t_final, dt_out):
     return np.linspace(0.0, t_final, n_out)
 
 
-def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9, atol=None, method="RK45"):
-    """Drive solve_ivp with dense complex state, sampling every dt_out.
+def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9):
+    """Drive solve_ivp (RK45, absolute tolerance rtol / 100) with dense complex
+    state, sampling every dt_out.
 
     Returns (times, states, rhs_evals) with states[i] the state at times[i]
     and rhs_evals the solver's right-hand-side evaluation count; deterministic
@@ -156,11 +145,9 @@ def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9, atol=None, method="RK4
     from scipy.integrate import solve_ivp   # lazy: only om_dynamics integrates
 
     y0 = np.asarray(y0, dtype=complex)
-    if atol is None:
-        atol = rtol * 1e-2
     t_eval = output_times(t_final, dt_out)
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, t_eval=t_eval,
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", t_eval=t_eval,
+                    rtol=rtol, atol=rtol * 1e-2)
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
     return sol.t, sol.y.T.copy(), int(sol.nfev)

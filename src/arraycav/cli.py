@@ -27,8 +27,8 @@ from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
 from .errors import ArrayCavError, ConfigError, ConvergenceError, RegimeError
 from .lattice_sums import dispersion_curve, dispersion_grid, dispersion_point
 from .om_dynamics import evolve_multimode, evolve_reduced, standard_model_report
-from .optomech import (closed_form_params, coupling_matrix_C, mechanical_basis,
-                       om_consistency)
+from .optomech import (check_modes, closed_form_params, coupling_matrix_C,
+                       mechanical_basis, om_consistency)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,6 +90,13 @@ def _write_manifest(command, args, cfg_text, outputs, extra=None):
     return path
 
 
+def _require(ok, option, rule):
+    """A ConfigError naming the command-line ``option`` unless ``ok``: every
+    command checks its options before any work."""
+    if not ok:
+        raise ConfigError(f"{option}: {rule}")
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
@@ -121,6 +128,10 @@ def cmd_dispersion(args):
 
 def cmd_spectrum(args):
     cfg, text = _load_config(args.config)
+    for option, value in (("--dc-min", args.dc_min), ("--dc-max", args.dc_max)):
+        _require(np.isfinite(value), option, "must be finite")
+    _require(args.samples >= 2, "--samples",
+             f"need at least 2 samples, got {args.samples}")
     disp = dispersion_point((0.0, 0.0), cfg.lattice.a)
     model = build_two_mode(cfg, disp)
     scan = spectrum_scan(model, (args.dc_min, args.dc_max), args.samples)
@@ -146,7 +157,8 @@ def cmd_omparams(args):
     }}
     result["standard_model"] = standard_model_report(params, cfg)
     result["ratios"] = {
-        "kappa_sc_over_g": (params.kappa_sc / params.g if params.g else None),
+        "kappa_sc_over_g":
+            result["standard_model"]["membrane_in_the_middle"]["kappa_sc_over_g"],
         "g_over_eta": params.g / params.eta,
         "kappa_sc_over_eta2": params.kappa_sc / params.eta**2,
         "g2_over_eta2": params.g2 / params.eta**2,
@@ -184,6 +196,12 @@ def cmd_omparams(args):
 
 def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
+    for option, value in (("--t-final", args.t_final), ("--dt-out", args.dt_out)):
+        _require(np.isfinite(value) and value > 0, option, "must be a finite time > 0")
+    if args.model == "multimode":
+        n_sites = cfg.lattice.n_sites
+        n_modes = check_modes(min(args.modes, n_sites), n_sites, "--modes")
+        _require(args.seed >= 0, "--seed", f"must be >= 0, got {args.seed}")
     channel = (cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
     if args.model == "full":
         kernel = projected_kernel(free_space_kernel(cfg.lattice),
@@ -199,7 +217,7 @@ def cmd_dynamics(args):
             states = evolve_reduced(cfg, params, args.t_final, args.dt_out)
         else:
             basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed,
-                                     n_modes=min(args.modes, cfg.lattice.n_sites))
+                                     n_modes=n_modes)
             C = coupling_matrix_C(cfg, basis, *projected_kernels(*channel), grid)
             states = evolve_multimode(cfg, params, C, args.t_final, args.dt_out)
         rows = [(s.t, s.a.real, s.a.imag, s.b[0].real, s.b[0].imag,
@@ -213,7 +231,14 @@ def cmd_dynamics(args):
 def cmd_kernel(args):
     from .greens import kernel_fs, kernel_fs_d2z, kernel_fs_momentum
     _load_config(args.config)
-    rx, ry = (float(x) for x in args.r_perp.split(","))
+    try:
+        rx, ry = (float(x) for x in args.r_perp.split(","))
+        ok = np.isfinite(rx) and np.isfinite(ry)
+    except ValueError:
+        ok = False
+    _require(ok, "--r-perp",
+             f"expected two finite numbers 'x,y', got {args.r_perp!r}")
+    _require(np.isfinite(args.dz), "--dz", "must be finite")
     if args.kind == "fs":
         value = kernel_fs((rx, ry), args.dz)
     elif args.kind == "fs-d2z":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,9 @@ MARGIN = 10.0
 
 @dataclass(frozen=True, eq=False)
 class PhysicalConfig:
-    lambda_: float = LAMBDA
-    gamma: float = GAMMA
-    q: float = Q
-    polarization: str = "circular"   # the only value every kernel honours
+    """The [physical] section's one free value.  Its other keys are fixed:
+    lambda and gamma are the internal units (1), polarization is circular."""
+
     omega_l: float = 1e8          # laser frequency in units gamma (retardation checks)
 
 
@@ -192,7 +191,7 @@ def parse_config(text: str) -> FullConfig:
     omega_l = _getfloat(phys_sec, "physical", "omega_l") if "omega_l" in phys_sec else 1e8
     if omega_l <= 0:
         raise ConfigError("[physical] key 'omega_l': must be > 0")
-    physical = PhysicalConfig(polarization=pol, omega_l=omega_l)
+    physical = PhysicalConfig(omega_l=omega_l)
 
     lat_sec = cp["lattice"]
     a = _getfloat(lat_sec, "lattice", "a")
@@ -259,9 +258,9 @@ def emit_config(cfg: FullConfig) -> str:
     out = io.StringIO()
     fmt = lambda x: repr(float(x))
     out.write("[physical]\n")
-    out.write(f"lambda = {fmt(cfg.physical.lambda_)}\n")
-    out.write(f"gamma = {fmt(cfg.physical.gamma)}\n")
-    out.write(f"polarization = {cfg.physical.polarization}\n")
+    out.write(f"lambda = {fmt(LAMBDA)}\n")
+    out.write(f"gamma = {fmt(GAMMA)}\n")
+    out.write("polarization = circular\n")
     out.write(f"omega_l = {fmt(cfg.physical.omega_l)}\n")
     out.write("\n[lattice]\n")
     out.write(f"a = {fmt(cfg.lattice.a)}\n")

@@ -18,9 +18,7 @@ precision.  As a function of the radius the kernel is band-limited by k_cut,
 so the quadrature runs only at the Chebyshev points of an interpolant on
 [0, rho_max] (Trefethen, Approximation Theory and Approximation Practice,
 ch. 8), and the lattice radii are read off in barycentric form (Berrut &
-Trefethen, SIAM Rev. 46, 501 (2004)).  A small-scale Hermite-Gauss mode sum
-(pole handled by residue) serves as an independent oracle for the same
-radiative content.
+Trefethen, SIAM Rev. 46, 501 (2004)).
 """
 
 from __future__ import annotations
@@ -30,15 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import gl_interval, open_convolve, toeplitz_from_table
+from ._numerics import gl_interval, open_convolve
 from .config import LatticeSpec
 from .errors import ConfigError, ConvergenceError
 from .greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane, kernel_fs_plane)
-
-# Largest dense dimension built: an N x N kernel (``dense()``), the matrix M,
-# or a basis of that many modes.  One N x N complex array is 268 MB at this
-# size.  No production path of the full N-atom model needs one.
-MAX_DENSE_SITES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +52,8 @@ class KernelMatrix:
     """Translation-invariant lattice kernel K[n, m] = table[i_n - i_m, j_n - j_m].
 
     ``table`` holds the kernel over the (2 n_side - 1)^2 displacements, indexed
-    by offset + (n_side - 1), units gamma.  It is the only stored form; the
-    dense N x N matrix is built on request by ``dense()``.
+    by offset + (n_side - 1), units gamma.  It is the only form: every
+    consumer applies it by FFT convolution.
     """
 
     table: np.ndarray
@@ -74,14 +67,6 @@ class KernelMatrix:
     @property
     def n_sites(self) -> int:
         return self.n_side * self.n_side
-
-    def dense(self) -> np.ndarray:
-        """The N x N matrix, for dense linear algebra (N <= MAX_DENSE_SITES)."""
-        if self.n_sites > MAX_DENSE_SITES:
-            raise ConfigError(
-                f"dense kernel for N = {self.n_sites} refused "
-                f"(limit {MAX_DENSE_SITES}); use the displacement table instead")
-        return toeplitz_from_table(self.table, self.n_side)
 
 
 def cavity_profile(lattice: LatticeSpec, w: float) -> ModeProfile:
@@ -98,11 +83,6 @@ def cavity_profile(lattice: LatticeSpec, w: float) -> ModeProfile:
     u = u / np.linalg.norm(u)
     u.setflags(write=False)
     return ModeProfile(weights=u.astype(complex), label="cavity_gaussian")
-
-
-def uniform_profile(lattice: LatticeSpec) -> ModeProfile:
-    u = np.full(lattice.n_sites, 1.0 / math.sqrt(lattice.n_sites), dtype=complex)
-    return ModeProfile(weights=u, label="uniform")
 
 
 def confined_nodes(k_cut_abs, rho_max):
@@ -234,23 +214,20 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
     return out[0][inverse], out[1][inverse]
 
 
-def free_space_table(lattice: LatticeSpec, derivative: int = 0, *, radii=None):
-    """Displacement table of D_fs (or its d2z) with the coincident-point
-    conventions.  The kernel is radial for circular polarization, so the
-    closed form is evaluated once per distinct lattice radius and scattered;
-    ``radii`` is the lattice's ``lattice_radii``, if already formed."""
+def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, *,
+                      radii=None) -> KernelMatrix:
+    """Free-space kernel D_fs (or its d2z) with the coincident-point conventions.
+
+    The kernel is radial for circular polarization, so the closed form is
+    evaluated once per distinct lattice radius and scattered over the
+    displacement table; ``radii`` is the lattice's ``lattice_radii``, if
+    already formed.
+    """
     if derivative not in (0, 2):
         raise ValueError("derivative must be 0 or 2")
     rho, inverse = lattice_radii(lattice) if radii is None else radii
     profile = kernel_fs_plane if derivative == 0 else kernel_fs_d2z_plane
-    return profile(rho, 0.0)[inverse]
-
-
-def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, *,
-                      radii=None) -> KernelMatrix:
-    """Free-space kernel D_fs (or its d2z) with the coincident-point conventions;
-    ``radii`` as for ``free_space_table``."""
-    return KernelMatrix(table=free_space_table(lattice, derivative, radii=radii),
+    return KernelMatrix(table=profile(rho, 0.0)[inverse],
                         kind="fs" if derivative == 0 else "fs_d2z",
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
                                     "derivative": derivative})
@@ -331,46 +308,3 @@ def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:
     u = profile.weights.reshape(kernel.n_side, kernel.n_side)
     tu = open_convolve(kernel.table.real, u)
     return float(np.real(np.sum(np.conj(u) * 2.0 * tu)))
-
-
-# ---------------------------------------------------------------------------
-# Hermite-Gauss oracle for the radiative confined content
-
-def _hg_axis(x, p, w):
-    """Normalized 1D Hermite-Gauss function h_p(x) at waist w."""
-    from scipy.special import eval_hermite
-
-    norm = (2.0 / (np.pi * w * w)) ** 0.25 / math.sqrt(2.0**p * math.factorial(p))
-    return norm * eval_hermite(p, np.sqrt(2.0) * x / w) * np.exp(-(x / w) ** 2)
-
-
-def confined_kernel_hg(lattice: LatticeSpec, w: float, p_max: int = 0) -> np.ndarray:
-    """Radiative confined kernel Re[D_c] from an explicit Hermite-Gauss mode sum,
-    as a real N x N array.
-
-    Counter-propagating paraxial channels with transverse profiles
-    phi_{p p'}(r) = h_p(x) h_{p'}(y), p, p' <= p_max, each carry the residue of
-    the frequency integral at the optical pole, giving at coincident planes
-
-        Re[D_c] = (3 gamma lambda^2 / (8 pi)) sum_{p p'} phi(r_n) phi(r_m).
-
-    Desk-scale oracle (p_max <= 6, N <= 400) for the momentum-disc kernel's
-    radiative content.  The pole integral is evaluated analytically by
-    residue, which needs no frequency discretization.  The sum is not
-    translation-invariant, so it has no displacement table.
-    """
-    if p_max > 6:
-        raise ConfigError("p_max limited to 6 (oracle scale)")
-    if lattice.n_sites > 400:
-        raise ConfigError("HG oracle limited to N <= 400 sites")
-    X, Y = lattice.meshes()
-    x = X.ravel()
-    y = Y.ravel()
-    hx = np.stack([_hg_axis(x, p, w) for p in range(p_max + 1)])
-    hy = np.stack([_hg_axis(y, p, w) for p in range(p_max + 1)])
-    entries = np.zeros((lattice.n_sites, lattice.n_sites))
-    for p in range(p_max + 1):
-        for pp in range(p_max + 1):
-            phi = hx[p] * hy[pp]
-            entries += np.outer(phi, phi)
-    return entries * (3.0 * GAMMA * LAMBDA * LAMBDA / (8.0 * np.pi))

@@ -18,8 +18,9 @@ k_sc = -2 sum_{nu != 0} Re[C_nu_nu] (the nu = 0 self term, kappa_2 = -2 Re[C_00]
 vanishes because the cubed Gaussian profile is still cavity-matched), and
 g_2 = -Im[C_00].  The trace over the complete mode basis never needs an
 explicit basis: completeness reduces every term to lattice convolutions, which
-is how the large-lattice consistency checks are evaluated.  C, the inter-atom
-matrix M and C_00 all come from one coupling operator K_c applied by FFT.
+is how the consistency checks are evaluated at any lattice size.  C over a
+thin basis of at most MAX_MODES modes and C_00 both come from one coupling
+operator K_c applied by FFT to real site fields.
 """
 
 from __future__ import annotations
@@ -30,21 +31,16 @@ import numpy as np
 
 from ._numerics import box_sum, open_convolve, open_convolve_real, padded_rfft
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
-from .confined import (MAX_DENSE_SITES, KernelMatrix, confined_nodes,
-                       lattice_radii, projected_kernels)
+from .confined import (KernelMatrix, confined_nodes, lattice_radii,
+                       projected_kernels)
 from .errors import ConfigError, RegimeError
 from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
 
 
-@dataclass(frozen=True, eq=False)
-class MechanicalBasis:
-    """Orthonormal collective-motion profiles, the first n_modes of a full
-    basis (n_modes = N); column 0 is cavity-weighted."""
-
-    V: np.ndarray              # real N x n_modes, columns are modes
-    completion_seed: int
-    method: str = "random_orthogonal"
+# Largest explicit mechanical basis, and so the largest C and multimode model.
+# Every trace over all N modes takes the completeness route instead.
+MAX_MODES = 512
 
 
 @dataclass(frozen=True)
@@ -122,25 +118,33 @@ def intensity_profile(lattice: LatticeSpec, w: float):
     return v0 / np.linalg.norm(v0)
 
 
+def check_modes(n_modes: int, n_sites: int, source: str) -> int:
+    """The explicit mode count if it lies in [1, min(N, MAX_MODES)], else a
+    ConfigError naming ``source``."""
+    if not 1 <= n_modes <= n_sites:
+        raise ConfigError(f"{source} = {n_modes} outside [1, N = {n_sites}]")
+    if n_modes > MAX_MODES:
+        raise ConfigError(f"{source}: explicit basis of {n_modes} modes refused "
+                          f"(limit MAX_MODES = {MAX_MODES}); use the trace route")
+    return n_modes
+
+
 def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
-                     n_modes: int | None = None) -> MechanicalBasis:
-    """Orthonormal mechanical basis with column 0 the cavity-weighted profile.
+                     n_modes: int | None = None) -> np.ndarray:
+    """Orthonormal mechanical basis, the real N x n_modes array whose columns
+    are modes, with column 0 the cavity-weighted profile.
 
     The remaining columns are a deterministic pseudo-random orthogonal
     completion; every reported collective quantity is completion-independent
     (trace identities), which the seed makes testable.  Column j depends only
     on the draws of columns 0..j, so ``n_modes`` keeps the first columns
-    through a thin QR of an N x n_modes draw (default: all N).
+    through a thin QR of an N x n_modes draw (default: all N, which
+    ``check_modes`` allows up to MAX_MODES).
     """
     if lattice.extent < 4.0 * w:
         raise ConfigError(f"lattice too small: extent {lattice.extent:g} < 4 w")
     n = lattice.n_sites
-    m = n if n_modes is None else n_modes
-    if not 1 <= m <= n:
-        raise ConfigError(f"n_modes = {m} outside [1, N = {n}]")
-    if m > MAX_DENSE_SITES:
-        raise ConfigError(f"explicit basis of {m} modes refused "
-                          f"(limit {MAX_DENSE_SITES}); use the trace route")
+    m = check_modes(n if n_modes is None else n_modes, n, "n_modes")
     v0 = intensity_profile(lattice, w).ravel()
     rng = np.random.default_rng(completion_seed)
     draw = rng.standard_normal((n, m))
@@ -148,11 +152,11 @@ def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
     qmat, r = np.linalg.qr(draw)
     qmat = qmat * np.sign(np.diag(r))
     # QR preserves the first column direction; sign fix makes it +V0
-    return MechanicalBasis(V=qmat, completion_seed=completion_seed)
+    return qmat
 
 
 # ---------------------------------------------------------------------------
-# the coupling operator K_c, applied by FFT, behind C, M and C_00
+# the coupling operator K_c, applied by FFT, behind C and C_00
 
 _BLOCK = 32     # fields per FFT batch; peak memory ~ _BLOCK (2 n_side)^2 floats
 
@@ -212,14 +216,6 @@ def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
     return apply
 
 
-def _column_blocks(op, cols: np.ndarray, n_side: int):
-    """Yield (j, op on columns j:j+_BLOCK of the real N x m site array), the
-    latter as the (2, b, N) array of real and imaginary parts."""
-    for j in range(0, cols.shape[1], _BLOCK):
-        f = cols[:, j:j + _BLOCK].T.reshape(-1, n_side, n_side)
-        yield j, op(f).reshape(2, len(f), -1)
-
-
 def _mode_couplings(cfg: FullConfig, dispersion: DispersionGrid,
                     g2_tab: np.ndarray, d2_tab: np.ndarray, V: np.ndarray):
     """C = eta^2 gbar [i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V)], s = sqrt(V0),
@@ -229,57 +225,35 @@ def _mode_couplings(cfg: FullConfig, dispersion: DispersionGrid,
     sin2 = np.sin(cfg.qz0) ** 2
     sv = np.sqrt(intensity_profile(cfg.lattice, cfg.cavity.w)).reshape(-1, 1) * V
     op = _coupling_operator(cfg, dispersion, g2_tab, d2_tab)
-    m = V.shape[1]
+    n, m = cfg.lattice.n_side, V.shape[1]
     C = np.empty((m, m), dtype=complex)
-    for j, kf in _column_blocks(op, sv, cfg.lattice.n_side):
-        b = kf.shape[1]
-        kf[1] += sin2 * sv[:, j:j + b].T
+    for j in range(0, m, _BLOCK):
+        f = sv[:, j:j + _BLOCK].T
+        b = len(f)
+        kf = op(f.reshape(b, n, n)).reshape(2, b, -1)   # (Re, Im) K_c f
+        kf[1] += sin2 * f
         x = sv.T @ kf.reshape(2 * b, -1).T
         C.real[:, j:j + b] = x[:, :b]
         C.imag[:, j:j + b] = x[:, b:]
     return cfg.trap.eta**2 * params.g_bar * C
 
 
-def coupling_matrix_M(cfg: FullConfig, kernel: KernelMatrix,
-                      kernel_d2: KernelMatrix, dispersion: DispersionGrid):
-    """Cavity-mediated inter-atom mechanical coupling matrix (real N x N).
-
-    M = 2 Im[K_c] on real site fields:
-
-    M_nm = sin^2(q z0) 2 Im[D''_nm]/(q^2 (delta-Delta))
-           - 2 cos^2(q z0) (1/N) sum_k e^{-i k (r_n - r_m)} (delta-Delta)/(delta-Delta_k).
-
-    The gamma_kk' term of K_c drops out: Delta_k is even in k, so P2 and
-    Gamma2 are real.  Contains no Lamb-Dicke factor: the coupling is per unit
-    q z displacement.
-    """
-    n = cfg.lattice.n_sites
-    if kernel.kind != "projected" or kernel_d2.kind != "projected_d2z":
-        raise ValueError("M requires projected kernel inputs")
-    if n > MAX_DENSE_SITES:
-        raise ConfigError(f"explicit M for N = {n} refused (limit {MAX_DENSE_SITES})")
-    op = _coupling_operator(cfg, dispersion, 2.0 * kernel.table.real, kernel_d2.table)
-    M = np.empty((n, n))
-    for j, kf in _column_blocks(op, np.eye(n), cfg.lattice.n_side):
-        M[:, j:j + _BLOCK] = 2.0 * kf[1].T
-    return M
-
-
-def coupling_matrix_C(cfg: FullConfig, basis: MechanicalBasis,
+def coupling_matrix_C(cfg: FullConfig, basis: np.ndarray,
                       kernel: KernelMatrix, kernel_d2: KernelMatrix,
                       dispersion: DispersionGrid):
     """Inter-mode coupling matrix C_{nu nu'} over the columns of an explicit
-    mechanical basis (truncate it with ``mechanical_basis(n_modes=...)``; the
-    weakly coupled high modes act as an inert reservoir in time evolution).
+    mechanical basis, the real N x n_modes array of ``mechanical_basis``
+    (truncate it with ``n_modes``; the weakly coupled high modes act as an
+    inert reservoir in time evolution).
 
     C = eta^2 gbar [ i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V) ],
     s = sqrt(V0), with the coupling operator K_c applied by FFT to blocks of
     modes: O(n_modes N log N) time, no N x N array.  Scales exactly as eta^2.
     """
-    if basis.V.shape[0] != cfg.lattice.n_sites:
+    if basis.shape[0] != cfg.lattice.n_sites:
         raise ValueError("basis does not match the lattice")
     return _mode_couplings(cfg, dispersion, 2.0 * kernel.table.real,
-                           kernel_d2.table, basis.V)
+                           kernel_d2.table, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +271,10 @@ class OmConsistency:
     g2_flat_profile: float     # (cos^2 - sin^2) variant, reported not adjudicated
     C00: complex
     trace_C: complex
-    # stage work sizes and convergence: the Ewald shell residual (units gamma)
-    # and, on the completeness route, the confined quadrature's node count,
-    # its Chebyshev degree and relative coefficient tail, and the
-    # distinct-radius and displacement counts of the kernel tables
+    # stage work sizes and convergence: the Ewald shell residual (units gamma),
+    # the confined quadrature's node count, its Chebyshev degree and relative
+    # coefficient tail, and the distinct-radius and displacement counts of
+    # the kernel tables
     diagnostics: dict = field(default_factory=dict)
 
     def kappa_rel_dev(self) -> float:
@@ -331,15 +305,13 @@ def _trace_tables(cfg: FullConfig, k_cut_abs: float):
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
-                   C: np.ndarray | None = None,
                    k_cut_abs: float | None = None) -> OmConsistency:
     """Cross-route consistency of the second-order optomechanical quantities.
 
-    With an explicit ``C`` (small lattices) the traces are read off directly;
-    otherwise completeness sum_nu V^nu (V^nu)^T = 1 collapses every
-    basis-summed term to lattice convolutions of the projected-kernel tables,
-    which costs O(N log N) and is exactly what any orthonormal completion
-    would give.
+    Completeness sum_nu V^nu (V^nu)^T = 1 collapses every basis-summed term
+    to lattice convolutions of the projected-kernel tables, which costs
+    O(N log N) and is exactly what any orthonormal completion would give.
+    ``k_cut_abs`` overrides the confinement cutoff (default the config's).
     """
     if dispersion.a != cfg.lattice.a or dispersion.n_side != cfg.lattice.n_side:
         raise ValueError("dispersion grid does not match the lattice")
@@ -350,32 +322,27 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     eta2_gbar = cfg.trap.eta**2 * params.g_bar
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
 
-    diagnostics = {"dispersion_residual": dispersion.residual}
-    if C is not None:
-        trace_c = complex(np.trace(C))
-        c00 = complex(C[0, 0])
-    else:
-        k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
-        g2_tab, d2_tab, sizes = _trace_tables(cfg, k_cut_abs)
-        diagnostics.update(sizes)
-        v0 = intensity_profile(lattice, cfg.cavity.w)
-        center = n_side - 1
-        # trace over the complete basis: sum_nu V^nu_n V^nu_m = delta_nm
-        b1 = np.sum(v0)
-        b2 = np.sum(v0) * d2_tab[center, center] / (Q * Q * dmD)
-        mean_w1 = float(np.mean(w1))
-        # Z_n = (1/N) sum_kk' e^{i(k-k') r_n} gamma_kk' W2_k as a lattice
-        # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d), that
-        # is the box sum of their product over the n x n window at each site
-        p2_tab = np.fft.ifft2(w2)
-        dmod = np.arange(-(n_side - 1), n_side) % n_side
-        p2_big = p2_tab[np.ix_(dmod, dmod)]
-        h = p2_big * g2_tab[::-1, ::-1]
-        z = box_sum(h)
-        b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(v0 * z)
-        trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
-        c00 = complex(_mode_couplings(cfg, dispersion, g2_tab, d2_tab,
-                                      v0.reshape(-1, 1))[0, 0])
+    k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
+    g2_tab, d2_tab, sizes = _trace_tables(cfg, k_cut_abs)
+    diagnostics = {"dispersion_residual": dispersion.residual, **sizes}
+    v0 = intensity_profile(lattice, cfg.cavity.w)
+    center = n_side - 1
+    # trace over the complete basis: sum_nu V^nu_n V^nu_m = delta_nm
+    b1 = np.sum(v0)
+    b2 = np.sum(v0) * d2_tab[center, center] / (Q * Q * dmD)
+    mean_w1 = float(np.mean(w1))
+    # Z_n = (1/N) sum_kk' e^{i(k-k') r_n} gamma_kk' W2_k as a lattice
+    # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d), that
+    # is the box sum of their product over the n x n window at each site
+    p2_tab = np.fft.ifft2(w2)
+    dmod = np.arange(-(n_side - 1), n_side) % n_side
+    p2_big = p2_tab[np.ix_(dmod, dmod)]
+    h = p2_big * g2_tab[::-1, ::-1]
+    z = box_sum(h)
+    b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(v0 * z)
+    trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
+    c00 = complex(_mode_couplings(cfg, dispersion, g2_tab, d2_tab,
+                                  v0.reshape(-1, 1))[0, 0])
 
     kappa_1 = -2.0 * trace_c.real
     kappa_2 = -2.0 * c00.real
@@ -432,13 +399,3 @@ def k_sc_ground_state_average(cfg: FullConfig, kernel_d2: KernelMatrix,
              "profile_derivative": term_mid, "paraxial_shift": term_w1,
              "single_atom": term_gamma}
     return total, terms
-
-
-def favorable_ratio(params: OmParams) -> float:
-    """kappa_sc / g: algebraically equal to
-    eta sqrt(N_a) (gamma/(delta-Delta)) eps / (6 sin 2 q z0), so the
-    motion-induced loss stays a factor ~ eta (gamma/detuning) below the
-    coupling, the membrane advantage of the ordered array."""
-    if params.g == 0:
-        return np.inf
-    return params.kappa_sc / params.g

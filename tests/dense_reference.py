@@ -1,19 +1,32 @@
-"""Dense N x N reference formulas for the full-model generator and the
-mechanical coupling matrices.
+"""Dense N x N reference formulas: lattice kernels, the full-model generator,
+the mechanical coupling matrix and a Hermite-Gauss confined-kernel oracle.
 
-These are the explicit-matrix definitions of the generator A of the full
-N-atom system and of C and M: the Brillouin-grid convolutions are built from
-the phase matrix F[n, k] = exp(i k . r_n) and the kernels are materialized
-with ``KernelMatrix.dense()``.  O(N^3); small lattices only.  The library
-applies the same operators by FFT (and the generator on a Krylov chain); the
-tests compare the two.
+These are the explicit-matrix definitions of the kernel K[n, m], of the
+generator A of the full N-atom system and of C: the Brillouin-grid
+convolutions are built from the phase matrix F[n, k] = exp(i k . r_n) and the
+kernels are materialized from their displacement tables by ``dense``.
+O(N^3); small lattices only.  The library applies the same operators by FFT
+(and the generator on a Krylov chain); the tests compare the two.
 """
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import eval_hermite
 
 from arraycav.cavity_dynamics import coupling_profile
-from arraycav.greens import Q
+from arraycav.greens import GAMMA, LAMBDA, Q
 from arraycav.optomech import closed_form_params, intensity_profile
+
+
+def dense(kernel):
+    """The N x N matrix K[n, m] = table[i_n - i_m, j_n - j_m] of a KernelMatrix,
+    row-major sites.  Gathered from a strided window view of the table, so the
+    N x N result is the only O(N^2) allocation."""
+    n = kernel.n_side
+    win = sliding_window_view(kernel.table[::-1, ::-1], (n, n))
+    return win[::-1, ::-1].reshape(n * n, n * n)
 
 
 def full_system(cfg, kernel):
@@ -26,7 +39,7 @@ def full_system(cfg, kernel):
     A[0, 0] = 1j * cfg.drive.delta_c - cfg.cavity.kappa_c / 2.0
     A[0, 1:] = -1j * s2 * g
     A[1:, 0] = -1j * s2 * g
-    A[1:, 1:] = 1j * cfg.drive.delta * np.eye(n) - kernel.dense()
+    A[1:, 1:] = 1j * cfg.drive.delta * np.eye(n) - dense(kernel)
     c = np.zeros(n + 1, dtype=complex)
     c[0] = -1j * cfg.drive.Omega
     return A, c
@@ -48,26 +61,6 @@ def _weights(cfg, dispersion):
     return dmD, dmD / det_k, dmD / det_k**2
 
 
-def dense_M(cfg, kernel, kernel_d2, dispersion):
-    """M_nm = sin^2 2 Im[D''_nm]/(q^2 (delta-Delta))
-              - cos^2 (1/N) sum_k [e^{-i k (r_n - r_m)} (delta-Delta)/(delta-Delta_k)
-                + (i/2) sum_k' e^{-i k r_n} e^{i k' r_m} gamma_kk'
-                  (delta-Delta)/(delta-Delta_k)^2 + h.c.],
-    with gamma_kk' the momentum-space decay matrix of the projected kernel."""
-    lattice = cfg.lattice
-    n = lattice.n_sites
-    dmD, w1, w2 = _weights(cfg, dispersion)
-    F = phase_matrix(lattice)
-    g2m = 2.0 * kernel.dense().real
-    gamma_kk = F.conj().T @ g2m @ F / n
-    p1c = (F.conj() * w1.ravel()) @ F.T / n
-    t_m = (F.conj() * w2.ravel()) @ gamma_kk @ F.T / n
-    qz0 = cfg.qz0
-    bracket = p1c + 0.5j * t_m
-    return (np.sin(qz0) ** 2 * 2.0 * kernel_d2.dense().imag / (Q * Q * dmD)
-            - np.cos(qz0) ** 2 * 2.0 * bracket.real)
-
-
 def dense_C(cfg, V, kernel, kernel_d2, dispersion):
     """C = eta^2 gbar [i sin^2 V^T diag(V0) V + sin^2 V^T (S o D'') V / (q^2 (delta-Delta))
                        - i cos^2 V^T (S o X) V],
@@ -80,14 +73,48 @@ def dense_C(cfg, V, kernel, kernel_d2, dispersion):
     s = np.sqrt(v0)
     S = np.outer(s, s)
     F = phase_matrix(lattice)
-    g2m = 2.0 * kernel.dense().real
+    g2m = 2.0 * dense(kernel).real
     p1 = (F * w1.ravel()) @ F.conj().T / n
     p2 = (F * w2.ravel()) @ F.conj().T / n
     x3 = p1 - 0.5j * (p2 @ g2m)
     qz0 = cfg.qz0
     sin2, cos2 = np.sin(qz0) ** 2, np.cos(qz0) ** 2
     c1 = V.T @ (v0[:, None] * V)
-    c2 = V.T @ ((S * kernel_d2.dense()) @ V) / (Q * Q * dmD)
+    c2 = V.T @ ((S * dense(kernel_d2)) @ V) / (Q * Q * dmD)
     c3 = V.T @ ((S * x3) @ V)
     return cfg.trap.eta**2 * params.g_bar * (1j * sin2 * c1 + sin2 * c2
                                              - 1j * cos2 * c3)
+
+
+def _hg_axis(x, p, w):
+    """Normalized 1D Hermite-Gauss function h_p(x) at waist w."""
+    norm = (2.0 / (np.pi * w * w)) ** 0.25 / math.sqrt(2.0**p * math.factorial(p))
+    return norm * eval_hermite(p, np.sqrt(2.0) * x / w) * np.exp(-(x / w) ** 2)
+
+
+def confined_kernel_hg(lattice, w, p_max=0):
+    """Radiative confined kernel Re[D_c] from an explicit Hermite-Gauss mode sum,
+    as a real N x N array.
+
+    Counter-propagating paraxial channels with transverse profiles
+    phi_{p p'}(r) = h_p(x) h_{p'}(y), p, p' <= p_max, each carry the residue of
+    the frequency integral at the optical pole, giving at coincident planes
+
+        Re[D_c] = (3 gamma lambda^2 / (8 pi)) sum_{p p'} phi(r_n) phi(r_m).
+
+    An oracle for the momentum-disc kernel's radiative content; the pole
+    integral is evaluated analytically by residue, which needs no frequency
+    discretization.  The sum is not translation-invariant, so it has no
+    displacement table.
+    """
+    X, Y = lattice.meshes()
+    x = X.ravel()
+    y = Y.ravel()
+    hx = np.stack([_hg_axis(x, p, w) for p in range(p_max + 1)])
+    hy = np.stack([_hg_axis(y, p, w) for p in range(p_max + 1)])
+    entries = np.zeros((lattice.n_sites, lattice.n_sites))
+    for p in range(p_max + 1):
+        for pp in range(p_max + 1):
+            phi = hx[p] * hy[pp]
+            entries += np.outer(phi, phi)
+    return entries * (3.0 * GAMMA * LAMBDA * LAMBDA / (8.0 * np.pi))

@@ -110,6 +110,57 @@ def test_omparams_consistency_exit(cfg_file, tmp_path):
     assert "kappa_trace_rel_dev" in checks
 
 
+def test_omparams_json_is_strict_at_g_zero(tmp_path):
+    # z0 = 0 puts the array on a field node: g = 0, so kappa_sc/g has no value
+    path = tmp_path / "node.cfg"
+    path.write_text(default_config_text(a=0.4, n_side=24, w=2.0, z0=0.0,
+                                        delta=100.0, l_fsr=100.0))
+    out = tmp_path / "om.json"
+    main(["omparams", "--config", str(path), "--consistency", "--out", str(out)])
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    data = json.loads(out.read_text(), parse_constant=refuse)
+    assert data["closed_form"]["g"] == 0.0
+    assert data["standard_model"]["membrane_in_the_middle"]["kappa_sc_over_g"] is None
+    assert data["ratios"]["kappa_sc_over_g"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--model", "multimode", "--modes", "600", "--t-final", "10"],
+    ["dynamics", "--t-final", "-1"],
+    ["dynamics", "--t-final", "0"],
+    ["dynamics", "--model", "multimode", "--seed", "-1", "--t-final", "10"],
+    ["dynamics", "--t-final", "10", "--dt-out", "0"],
+    ["spectrum", "--dc-min", "-5", "--dc-max", "5", "--samples", "1"],
+    ["spectrum", "--dc-min", "nan", "--dc-max", "5"],
+    ["kernel", "--r-perp", "0.5"],
+    ["kernel", "--r-perp", "0.5,x"],
+    ["kernel", "--dz", "nan"]],
+    ids=["modes-600", "t-final-negative", "t-final-0", "seed-negative",
+         "dt-out-0", "samples-1", "dc-min-nan", "r-perp-one-number",
+         "r-perp-not-a-number", "dz-nan"])
+def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # each option is checked before any lattice sum, kernel or basis is built
+    from arraycav import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the options were checked")
+
+    for name in ("dispersion_grid", "dispersion_point", "mechanical_basis",
+                 "free_space_kernel"):
+        monkeypatch.setattr(cli, name, no_work)
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text())
+    out = tmp_path / "out.csv"
+    tail = [] if argv[0] == "kernel" else ["--out", str(out)]
+    assert main([argv[0], "--config", str(path), *argv[1:], *tail]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: --")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k_cut", ["0", "1.5", "-0.1"])
 def test_k_cut_override_out_of_range_is_config_error(cfg_file, tmp_path, capsys,
                                                      k_cut):
@@ -225,8 +276,8 @@ def test_dynamics_multimode_and_full(tmp_path):
 
 
 def test_full_model_beyond_dense_limit_runs(tmp_path):
-    # N = 65^2 = 4225 > MAX_DENSE_SITES: a dense generator alone would be
-    # 286 MB; the Krylov chain holds m (N + 1) complex numbers
+    # N = 65^2 = 4225: a dense generator alone would be 286 MB; the Krylov
+    # chain holds m (N + 1) complex numbers
     import tracemalloc
     path = tmp_path / "big.cfg"
     path.write_text(default_config_text(a=0.5, n_side=65, w=4.0))
@@ -249,8 +300,8 @@ def test_full_model_beyond_dense_limit_runs(tmp_path):
 
 
 def test_multimode_beyond_dense_limit_runs(tmp_path):
-    # N = 65^2 = 4225 > MAX_DENSE_SITES: the thin basis and the FFT couplings
-    # never form an N x N array
+    # N = 65^2 = 4225: the thin basis and the FFT couplings never form an
+    # N x N array
     path = tmp_path / "big.cfg"
     path.write_text(default_config_text(a=0.5, n_side=65, w=4.0))
     out = tmp_path / "mm.csv"

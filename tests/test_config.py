@@ -104,7 +104,6 @@ def test_small_lattice_warns():
 
 def test_derived_quantities():
     cfg = make_config(w=4.0, eta=0.1)
-    assert cfg.physical.q == pytest.approx(2 * np.pi)
     assert cfg.cavity.z_rayleigh == pytest.approx(np.pi * 16)
     assert cfg.trap.x0 == pytest.approx(0.1 / (2 * np.pi))
     assert cfg.cavity.k_cut_abs == pytest.approx(1.0)   # default 4/w at w=4
