@@ -11,8 +11,7 @@ from .config import (CavitySpec, DriveSpec, FullConfig, LatticeSpec,
                      NoiseContract, PhysicalConfig, TrapSpec,
                      default_config_text, emit_config, gamma_plus_Gamma0,
                      parse_config, validate_regime)
-from .greens import (dyadic_green_fs, kernel_fs, kernel_fs_d2z,
-                     kernel_fs_momentum)
+from .greens import kernel_fs, kernel_fs_d2z, kernel_fs_momentum
 from .lattice_sums import (DispersionGrid, DispersionPoint, dispersion_curve,
                            dispersion_grid, dispersion_point)
 from .confined import (KernelMatrix, ModeProfile, cavity_profile,
@@ -22,8 +21,9 @@ from .confined import (KernelMatrix, ModeProfile, cavity_profile,
 from .cavity_dynamics import (FullTrajectory, SystemState, TwoModeModel,
                               build_two_mode, evolve_full, spectrum_scan,
                               steady_state_full, steady_state_two_mode)
-from .optomech import (OmParams, closed_form_params, coupling_matrix_C,
-                       intensity_profile, k_sc_ground_state_average,
-                       mechanical_basis, om_consistency)
-from .om_dynamics import (OmState, OmTrajectory, evolve_multimode,
+from .optomech import (MechanicalChain, OmParams, closed_form_params,
+                       coupling_matrix_C, intensity_profile,
+                       k_sc_ground_state_average, mechanical_basis,
+                       om_consistency)
+from .om_dynamics import (OmState, OmTrajectory, evolve_chain, evolve_multimode,
                           evolve_reduced, standard_model_report)

@@ -127,11 +127,22 @@ def expm(A):
     return X
 
 
+MAX_OUTPUT_TIMES = 1_000_000     # samples of one trajectory
+
+
+def output_count(t_final, dt_out):
+    """Sample count of ``output_times``, round(t_final/dt_out) + 1 and at
+    least 2; a ValueError beyond MAX_OUTPUT_TIMES."""
+    intervals = t_final / dt_out
+    if not intervals < MAX_OUTPUT_TIMES - 0.5:
+        raise ValueError(f"t_final/dt_out = {intervals:.3g} gives more than "
+                         f"{MAX_OUTPUT_TIMES} output samples")
+    return max(2, int(round(intervals)) + 1)
+
+
 def output_times(t_final, dt_out):
-    """Sample times 0, h, ..., t_final with h the spacing nearest dt_out
-    (at least two samples)."""
-    n_out = max(2, int(round(t_final / dt_out)) + 1)
-    return np.linspace(0.0, t_final, n_out)
+    """Sample times 0, h, ..., t_final with h the spacing nearest dt_out."""
+    return np.linspace(0.0, t_final, output_count(t_final, dt_out))
 
 
 def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9):

@@ -20,15 +20,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
+from ._numerics import output_count
 from .config import check_k_cut, emit_config, parse_config, validate_regime
 from .confined import (confined_kernel_paraxial, free_space_kernel, projected_kernel,
                        projected_kernels)
 from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
 from .errors import ArrayCavError, ConfigError, ConvergenceError, RegimeError
 from .lattice_sums import dispersion_curve, dispersion_grid, dispersion_point
-from .om_dynamics import evolve_multimode, evolve_reduced, standard_model_report
-from .optomech import (check_modes, closed_form_params, coupling_matrix_C,
-                       mechanical_basis, om_consistency)
+from .om_dynamics import evolve_chain, evolve_reduced, standard_model_report
+from .optomech import (MAX_MODES, MechanicalChain, check_modes, closed_form_params,
+                       om_consistency)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -198,9 +199,13 @@ def cmd_dynamics(args):
     cfg, text = _load_config(args.config)
     for option, value in (("--t-final", args.t_final), ("--dt-out", args.dt_out)):
         _require(np.isfinite(value) and value > 0, option, "must be a finite time > 0")
+    try:
+        output_count(args.t_final, args.dt_out)
+    except ValueError as exc:
+        raise ConfigError(f"--dt-out: {exc}") from None
     if args.model == "multimode":
         n_sites = cfg.lattice.n_sites
-        n_modes = check_modes(min(args.modes, n_sites), n_sites, "--modes")
+        max_modes = check_modes(min(args.modes, n_sites), n_sites, "--modes")
         _require(args.seed >= 0, "--seed", f"must be >= 0, got {args.seed}")
     channel = (cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
     if args.model == "full":
@@ -216,14 +221,20 @@ def cmd_dynamics(args):
         if args.model == "reduced":
             states = evolve_reduced(cfg, params, args.t_final, args.dt_out)
         else:
-            basis = mechanical_basis(cfg.lattice, cfg.cavity.w, args.seed,
-                                     n_modes=n_modes)
-            C = coupling_matrix_C(cfg, basis, *projected_kernels(*channel), grid)
-            states = evolve_multimode(cfg, params, C, args.t_final, args.dt_out)
+            chain = MechanicalChain(cfg, *projected_kernels(*channel), grid)
+            states = evolve_chain(cfg, params, chain, args.t_final, args.dt_out,
+                                  max_modes)
+            report = states.diagnostics
+            if not report["chain_converged"]:
+                deviation = report["chain_deviation"]
+                found = "not measured" if deviation is None else f"{deviation:.2g}"
+                print(f"warning: the mechanical chain stops at m = {report['chain_m']} "
+                      f"modes (--modes {max_modes}) before agreement to "
+                      f"{report['chain_tolerance']:g} (deviation {found})", file=sys.stderr)
         rows = [(s.t, s.a.real, s.a.imag, s.b[0].real, s.b[0].imag,
                  abs(s.a) ** 2) for s in states]
         _write_csv(args.out, ["t", "re_a", "im_a", "re_b0", "im_b0", "abs_a2"], rows)
-        extra = {"rhs_evals": states.rhs_evals}
+        extra = {"rhs_evals": states.rhs_evals, **states.diagnostics}
     _write_manifest("dynamics", args, text, [args.out], {"model": args.model, **extra})
     return EXIT_OK
 
@@ -295,9 +306,12 @@ def main(argv=None) -> int:
     p.add_argument("--t-final", type=float, required=True, dest="t_final")
     p.add_argument("--dt-out", type=float, default=None, dest="dt_out")
     p.add_argument("--seed", type=int, default=0,
-                   help="mechanical-basis completion seed (multimode)")
+                   help="accepted for compatibility (>= 0); has no effect: the "
+                        "multimode model's modes come from the mechanical chain")
     p.add_argument("--modes", type=int, default=256,
-                   help="mechanical modes kept in the multimode model")
+                   help="largest mechanical chain of the multimode model "
+                        f"(at most {MAX_MODES}); the chain stops earlier once "
+                        "m and 2m modes agree")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dynamics)
 

@@ -20,6 +20,3 @@ class ConvergenceError(ArrayCavError):
 class GrazingError(ArrayCavError):
     """Wavevector sits exactly on a light line / grazing diffraction order."""
 
-
-class SingularityError(ArrayCavError):
-    """Evaluation requested at a non-removable singular point."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GrazingError, SingularityError
+from .errors import GrazingError
 
 Q = 2.0 * np.pi          # optical wavenumber, units 1/lambda
 GAMMA = 1.0              # free-space decay rate (internal unit)
@@ -128,27 +128,6 @@ def _check_inplane(e_d):
     if abs(e_d[2]) > 1e-12:
         raise ValueError("dipole orientation must be in-plane (e_d . e_z = 0)")
     return e_d
-
-
-def dyadic_green_fs(r):
-    """Free-space dyadic Green's tensor G(r), a complex 3x3 array.
-
-    Parameters
-    ----------
-    r : length-3 displacement in units of lambda; must be nonzero.
-
-    The tensor is symmetric in its indices, so G(r) = G(-r)^T holds trivially.
-    """
-    r = np.asarray(r, dtype=float)
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
-        raise SingularityError("dyadic Green's function diverges at zero displacement")
-    x = Q * rn
-    e = np.exp(1j * x) / (4.0 * np.pi * rn)
-    a = e * (1.0 + (1j * x - 1.0) / x**2)
-    b = e * (-1.0 + (3.0 - 3j * x) / x**2)
-    rhat = r / rn
-    return a * np.eye(3) + b * np.outer(rhat, rhat)
 
 
 def kernel_fs(r_perp, dz=0.0, e_d=None):

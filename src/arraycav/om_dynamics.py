@@ -21,6 +21,10 @@ functional
 
 (Im_s the symmetrized imaginary part), conserved when kappa = Omega = 0 and
 the non-conservative Re[C] is dropped.
+
+From rest (b = 0) the multimode model needs only the modes of the mechanical
+chain (``optomech.MechanicalChain``); ``evolve_chain`` lengthens the chain
+until two lengths give the same trajectory.
 """
 
 from __future__ import annotations
@@ -30,8 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import integrate_linear
+from .cavity_dynamics import _rel_dev
 from .config import FullConfig, NoiseContract
-from .optomech import MAX_MODES, OmParams
+from .optomech import MAX_MODES, MechanicalChain, OmParams
+
+RTOL = 1e-10         # RK45 relative tolerance of both models
+CHAIN_TOL = 1e-8     # agreement of the m- and 2m-mode chain trajectories,
+                     # above the RK45 error at RTOL (~1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,61 +52,119 @@ class OmState:
 
 class OmTrajectory(list):
     """OmStates at the output times, with the integrator's work: ``rhs_evals``
-    right-hand-side evaluations."""
+    right-hand-side evaluations, and ``diagnostics`` of the route taken."""
 
-    def __init__(self, states, rhs_evals: int):
+    def __init__(self, states, rhs_evals: int, diagnostics=None):
         super().__init__(states)
         self.rhs_evals = rhs_evals
+        self.diagnostics = diagnostics or {}
 
 
-def _multimode_rhs(cfg: FullConfig, params: OmParams, C):
-    det = cfg.drive.delta_c - params.Delta_AC
-    kappa_c = cfg.cavity.kappa_c
+def _multimode_rhs(cfg: FullConfig, params: OmParams, stack):
+    """Right-hand side for a stack of k independent multimode systems, the
+    (k, n, n) coupling matrices ``stack``; the state is k blocks (a, b_1..b_n)."""
+    drive = 1j * (cfg.drive.delta_c - params.Delta_AC) - cfg.cavity.kappa_c / 2.0
     g = params.g
     om = cfg.trap.omega_m
     Omega = cfg.drive.Omega
-    # contiguous real parts: C.real and C.imag are strided views, and x is
-    # real, so both products are real matrix-vector products
-    rec, imc = np.ascontiguousarray(C.real), np.ascontiguousarray(C.imag)
+    k, n = stack.shape[:2]
+    # x is real, so C x is the real products Re C x and Im C x, stacked in one
+    # contiguous (k, 2n, n) array
+    parts = np.ascontiguousarray(np.concatenate([stack.real, stack.imag], axis=1))
+    re_im = np.array([1.0, 1j])
 
     def rhs(_t, y):
-        a = y[0]
-        b = y[1:]
-        x = 2.0 * b.real                     # b_nu + b_nu*
-        imcx = imc @ x
-        quad = x @ (rec @ x) + 1j * (x @ imcx)
-        da = (1j * det - kappa_c / 2.0) * a - 1j * g * x[0] * a + quad * a - 1j * Omega
-        n_ph = abs(a) ** 2
-        db = -1j * om * b + 2j * imcx * n_ph
-        db[0] -= 1j * g * n_ph
+        y = y.reshape(k, n + 1)
+        a = y[:, 0]
+        x = 2.0 * y[:, 1:].real[:, :, None]    # b_nu + b_nu*
+        cx = parts @ x
+        quad = (cx.reshape(k, 2, n) @ x)[:, :, 0] @ re_im      # x.C.x
+        n_ph = (a * a.conj()).real
         out = np.empty_like(y)
-        out[0] = da
-        out[1:] = db
-        return out
+        out[:, 0] = (drive - 1j * g * x[:, 0, 0] + quad) * a - 1j * Omega
+        out[:, 1:] = -1j * om * y[:, 1:] + 2j * cx[:, n:, 0] * n_ph[:, None]
+        out[:, 1] -= 1j * g * n_ph
+        return out.ravel()
 
     return rhs
 
 
+def _integrate(cfg: FullConfig, params: OmParams, stack, t_final, dt_out, y0,
+               rtol=RTOL):
+    """One RK45 run of the systems of ``stack`` from the (k, n + 1) states y0;
+    returns (times, states of shape (len(times), k, n + 1), rhs_evals)."""
+    times, states, rhs_evals = integrate_linear(_multimode_rhs(cfg, params, stack),
+                                                y0.ravel(), t_final, dt_out, rtol=rtol)
+    return times, states.reshape((len(times),) + y0.shape), rhs_evals
+
+
+def _trajectory(times, states, rhs_evals, diagnostics=None):
+    return OmTrajectory((OmState(a=complex(y[0]), b=y[1:].copy(), t=float(t))
+                         for t, y in zip(times, states)), rhs_evals, diagnostics)
+
+
 def evolve_multimode(cfg: FullConfig, params: OmParams, C, t_final, dt_out,
-                     a0=0.0 + 0.0j, b0=None, rtol=1e-10):
-    """Integrate the multimode mean-field model; returns an OmTrajectory."""
+                     a0=0.0 + 0.0j, b0=None, rtol=RTOL):
+    """Integrate the multimode mean-field model over the modes of C; returns
+    an OmTrajectory."""
     C = np.asarray(C, dtype=complex)
     n_modes = C.shape[0]
     if n_modes > MAX_MODES:
         raise ValueError("multimode integration limited to MAX_MODES = "
                          f"{MAX_MODES} modes")
-    y0 = np.zeros(n_modes + 1, dtype=complex)
-    y0[0] = a0
+    y0 = np.zeros((1, n_modes + 1), dtype=complex)
+    y0[0, 0] = a0
     if b0 is not None:
-        y0[1:] = np.asarray(b0, dtype=complex)
-    times, states, rhs_evals = integrate_linear(_multimode_rhs(cfg, params, C), y0,
-                                                t_final, dt_out, rtol=rtol)
-    return OmTrajectory((OmState(a=complex(y[0]), b=y[1:].copy(), t=float(t))
-                         for t, y in zip(times, states)), rhs_evals)
+        y0[0, 1:] = np.asarray(b0, dtype=complex)
+    times, states, rhs_evals = _integrate(cfg, params, C[None], t_final, dt_out,
+                                          y0, rtol)
+    return _trajectory(times, states[:, 0], rhs_evals)
+
+
+def evolve_chain(cfg: FullConfig, params: OmParams, chain: MechanicalChain,
+                 t_final, dt_out, max_modes=MAX_MODES):
+    """Multimode model from rest (b = 0) on the mechanical chain.
+
+    Integrates the chain of m and of 2m modes side by side, in one RK45 run
+    with shared steps: first m = 2, then m = 8, 32, ..., so that each chain
+    length is integrated once.  It stops when a and b_0 of the two agree to
+    CHAIN_TOL of max|a| and of max|b_0|, when the chain closes (the span is
+    invariant, so the run is exact), or when 2m reaches ``max_modes`` or the
+    chain's memory limit (the last pair is then (cap // 2, cap)).  Returns
+    the 2m-mode trajectory as an OmTrajectory; ``rhs_evals`` sums all runs,
+    and ``diagnostics`` hold its mode count ``chain_m``, the deviation
+    ``chain_deviation`` from the m-mode run (None if a cap of 1 allowed no
+    second length), ``chain_tolerance``, ``chain_invariant``,
+    ``chain_converged`` (agreement or a closed chain) and ``rtol``.
+    """
+    cap = min(max_modes, chain.max_modes)
+    top, rhs_evals = min(4, cap), 0
+    while True:
+        C = chain.couplings(top)
+        n = len(C)                   # fewer than top once the chain closes
+        m = min(max(1, top // 2), n)
+        stack = np.zeros((2 if n > m else 1, n, n), dtype=complex)
+        stack[0, :m, :m] = C[:m, :m]
+        stack[-1] = C
+        times, states, evals = _integrate(cfg, params, stack, t_final, dt_out,
+                                          np.zeros((len(stack), n + 1), dtype=complex))
+        rhs_evals += evals
+        deviation = None if n == m else max(
+            _rel_dev(states[:, 0, 0], states[:, 1, 0]),
+            _rel_dev(states[:, 0, 1], states[:, 1, 1]))
+        converged = chain.invariant or (deviation is not None
+                                        and deviation <= CHAIN_TOL)
+        if converged or n >= cap:
+            break
+        top = min(4 * n, cap)
+    return _trajectory(times, states[:, -1], rhs_evals, {
+        "chain_m": n, "chain_deviation": deviation, "chain_tolerance": CHAIN_TOL,
+        "chain_invariant": chain.invariant, "chain_converged": converged,
+        "rtol": RTOL})
 
 
 def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
-                   a0=0.0 + 0.0j, b0=0.0 + 0.0j, rtol=1e-10):
+                   a0=0.0 + 0.0j, b0=0.0 + 0.0j, rtol=RTOL):
     """Integrate the reduced standard-optomechanics model (cavity + one mode);
     returns an OmTrajectory."""
     det = cfg.drive.delta_c - params.Delta_AC

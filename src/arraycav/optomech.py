@@ -18,9 +18,14 @@ k_sc = -2 sum_{nu != 0} Re[C_nu_nu] (the nu = 0 self term, kappa_2 = -2 Re[C_00]
 vanishes because the cubed Gaussian profile is still cavity-matched), and
 g_2 = -Im[C_00].  The trace over the complete mode basis never needs an
 explicit basis: completeness reduces every term to lattice convolutions, which
-is how the consistency checks are evaluated at any lattice size.  C over a
-thin basis of at most MAX_MODES modes and C_00 both come from one coupling
-operator K_c applied by FFT to real site fields.
+is how the consistency checks are evaluated at any lattice size.
+
+Time evolution needs C only on the modes the cavity reaches.  With b(0) = 0
+the multimode trajectory stays in the Krylov space of Im C started from V0,
+so ``MechanicalChain`` builds those modes as a Lanczos chain of the site
+operator behind Im C (the chain mapping of a harmonic bath).  C over the
+chain, over an explicit basis of at most MAX_MODES modes, and C_00 all come
+from one coupling operator K_c applied by FFT to real site fields.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import box_sum, open_convolve, open_convolve_real, padded_rfft
+from .cavity_dynamics import _Krylov
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (KernelMatrix, confined_nodes, lattice_radii,
                        projected_kernels)
@@ -38,8 +44,9 @@ from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
 
 
-# Largest explicit mechanical basis, and so the largest C and multimode model.
-# Every trace over all N modes takes the completeness route instead.
+# Largest explicit mechanical basis or chain, and so the largest C and
+# multimode model.  Every trace over all N modes takes the completeness route
+# instead.
 MAX_MODES = 512
 
 
@@ -129,6 +136,11 @@ def check_modes(n_modes: int, n_sites: int, source: str) -> int:
     return n_modes
 
 
+def _check_extent(lattice: LatticeSpec, w: float):
+    if lattice.extent < 4.0 * w:
+        raise ConfigError(f"lattice too small: extent {lattice.extent:g} < 4 w")
+
+
 def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
                      n_modes: int | None = None) -> np.ndarray:
     """Orthonormal mechanical basis, the real N x n_modes array whose columns
@@ -141,8 +153,7 @@ def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
     through a thin QR of an N x n_modes draw (default: all N, which
     ``check_modes`` allows up to MAX_MODES).
     """
-    if lattice.extent < 4.0 * w:
-        raise ConfigError(f"lattice too small: extent {lattice.extent:g} < 4 w")
+    _check_extent(lattice, w)
     n = lattice.n_sites
     m = check_modes(n if n_modes is None else n_modes, n, "n_modes")
     v0 = intensity_profile(lattice, w).ravel()
@@ -254,6 +265,74 @@ def coupling_matrix_C(cfg: FullConfig, basis: np.ndarray,
         raise ValueError("basis does not match the lattice")
     return _mode_couplings(cfg, dispersion, 2.0 * kernel.table.real,
                            kernel_d2.table, basis)
+
+
+class MechanicalChain:
+    """The mechanical modes the cavity reaches from rest, as a Lanczos chain,
+    and the coupling matrix C over them.
+
+    With b(0) = 0 the multimode trajectory stays in the Krylov space of Im C
+    started from the cavity-matched mode V0: the b equation is driven by V0
+    and by Im C x, and the a equation needs only x.C.x on that space.  In
+    site space Im C is the real symmetric
+    S = eta^2 gbar [sin^2 diag(V0) + diag(s) Im K_c diag(s)], s = sqrt(V0),
+    so the modes are the Lanczos chain of S from V0: the chain mapping of a
+    harmonic bath (Chin, Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109
+    (2010)).  Each step sends one field through K_c; ``_Krylov`` grows the
+    chain with full reorthogonalization and marks an invariant span.  C over
+    the chain needs no further K_c work: Im C is eta^2 gbar times the Lanczos
+    projection H, and Re C comes from the Re K_c fields of the same steps,
+    which the chain keeps (N reals per mode, half the chain's own storage).
+    """
+
+    def __init__(self, cfg: FullConfig, kernel: KernelMatrix,
+                 kernel_d2: KernelMatrix, dispersion: DispersionGrid):
+        _check_extent(cfg.lattice, cfg.cavity.w)
+        n = cfg.lattice.n_side
+        op = _coupling_operator(cfg, dispersion, 2.0 * kernel.table.real,
+                                kernel_d2.table)
+        v0 = intensity_profile(cfg.lattice, cfg.cavity.w).ravel()
+        self._s = s = np.sqrt(v0)
+        self._scale = cfg.trap.eta**2 * closed_form_params(cfg, dispersion.delta0).g_bar
+        self._re_kf = re_kf = []       # Re K_c (s o v_j), one row per mode
+        sin2 = np.sin(cfg.qz0) ** 2
+
+        def apply(v):
+            # S v without the factor eta^2 gbar, which leaves the span as is
+            f = s * v.real
+            kf = op(f.reshape(1, n, n)).reshape(2, -1)
+            re_kf.append(kf[0].copy())
+            return (s * (kf[1] + sin2 * f)).astype(complex)
+
+        self._krylov = _Krylov(apply, v0.astype(complex))
+
+    @property
+    def invariant(self) -> bool:
+        """Whether the chain has closed: its modes span the whole trajectory."""
+        return self._krylov.invariant
+
+    @property
+    def max_modes(self) -> int:
+        """The longest chain held (``_Krylov``'s memory limit)."""
+        return self._krylov.max_m
+
+    def modes(self, m: int) -> np.ndarray:
+        """The first m chain modes, fewer once the span is invariant or at
+        ``max_modes``, as the real N x m array of orthonormal columns; column 0
+        is V0."""
+        count = min(m, self._krylov.extend(m))     # extend may reallocate V
+        return self._krylov.V[:count].real.T
+
+    def couplings(self, m: int) -> np.ndarray:
+        """C over the first m chain modes (``coupling_matrix_C``'s formula),
+        from the chain's own steps: Im C = eta^2 gbar H, and
+        Re C = eta^2 gbar (s o V)^T Re K_c (s o V)."""
+        V = self.modes(m).T
+        m = len(V)
+        C = np.empty((m, m), dtype=complex)
+        C.real = (self._s * V) @ np.array(self._re_kf[:m]).T
+        C.imag = self._krylov.H[:m, :m].real
+        return self._scale * C
 
 
 # ---------------------------------------------------------------------------

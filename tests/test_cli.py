@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -133,22 +134,23 @@ def test_omparams_json_is_strict_at_g_zero(tmp_path):
     ["dynamics", "--t-final", "0"],
     ["dynamics", "--model", "multimode", "--seed", "-1", "--t-final", "10"],
     ["dynamics", "--t-final", "10", "--dt-out", "0"],
+    ["dynamics", "--t-final", "1e9", "--dt-out", "1e-9"],
     ["spectrum", "--dc-min", "-5", "--dc-max", "5", "--samples", "1"],
     ["spectrum", "--dc-min", "nan", "--dc-max", "5"],
     ["kernel", "--r-perp", "0.5"],
     ["kernel", "--r-perp", "0.5,x"],
     ["kernel", "--dz", "nan"]],
     ids=["modes-600", "t-final-negative", "t-final-0", "seed-negative",
-         "dt-out-0", "samples-1", "dc-min-nan", "r-perp-one-number",
+         "dt-out-0", "output-times-1e18", "samples-1", "dc-min-nan", "r-perp-one-number",
          "r-perp-not-a-number", "dz-nan"])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv):
-    # each option is checked before any lattice sum, kernel or basis is built
+    # each option is checked before any lattice sum, kernel or chain is built
     from arraycav import cli
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the options were checked")
 
-    for name in ("dispersion_grid", "dispersion_point", "mechanical_basis",
+    for name in ("dispersion_grid", "dispersion_point", "MechanicalChain",
                  "free_space_kernel"):
         monkeypatch.setattr(cli, name, no_work)
     path = tmp_path / "run.cfg"
@@ -300,8 +302,8 @@ def test_full_model_beyond_dense_limit_runs(tmp_path):
 
 
 def test_multimode_beyond_dense_limit_runs(tmp_path):
-    # N = 65^2 = 4225: the thin basis and the FFT couplings never form an
-    # N x N array
+    # N = 65^2 = 4225: the mechanical chain and the FFT couplings never form
+    # an N x N array
     path = tmp_path / "big.cfg"
     path.write_text(default_config_text(a=0.5, n_side=65, w=4.0))
     out = tmp_path / "mm.csv"
@@ -408,7 +410,7 @@ def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
 
 def test_dynamics_manifest_records_rhs_evals(cfg_file, tmp_path):
     from arraycav.lattice_sums import dispersion_grid
-    from arraycav.om_dynamics import evolve_reduced
+    from arraycav.om_dynamics import CHAIN_TOL, RTOL, evolve_reduced
     from arraycav.optomech import closed_form_params
     records = {}
     for model in ("reduced", "multimode", "full"):
@@ -421,6 +423,69 @@ def test_dynamics_manifest_records_rhs_evals(cfg_file, tmp_path):
     params = closed_form_params(cfg, dispersion_grid(0.4, 24).delta0)
     assert records["reduced"]["rhs_evals"] == \
         evolve_reduced(cfg, params, 5.0, 5.0 / 200).rhs_evals > 0
-    assert records["multimode"]["rhs_evals"] > 0
     assert "rhs_evals" not in records["full"]     # the full model has no RHS
     assert {r["model"] for r in records.values()} == set(records)
+    chain = records["multimode"]
+    # the first pair is (2, 4): at least 4 modes kept
+    assert chain["chain_m"] >= 4 and chain["rhs_evals"] > 0
+    assert chain["chain_deviation"] <= chain["chain_tolerance"] == CHAIN_TOL
+    assert chain["rtol"] == RTOL and chain["chain_invariant"] is False
+    assert chain["chain_converged"] is True
+    assert not {"chain_m", "rtol"} & (set(records["reduced"]) | set(records["full"]))
+
+
+def _mm_config(tmp_path, **kw):
+    path = tmp_path / "mm.cfg"
+    path.write_text(default_config_text(a=0.5, n_side=16, w=2.0, delta=100.0,
+                                        l_fsr=100.0, **kw))
+    return path
+
+
+def _run_multimode(path, out, *options):
+    return main(["dynamics", "--config", str(path), "--model", "multimode",
+                 "--t-final", "10", *options, "--out", str(out)])
+
+
+def test_multimode_ignores_seed(tmp_path):
+    # the chain has no random completion: --seed is accepted and unused
+    path = _mm_config(tmp_path, z0=0.125)
+    outs = [tmp_path / f"seed{seed}.csv" for seed in (0, 1)]
+    for seed, out in zip((0, 1), outs):
+        assert _run_multimode(path, out, "--seed", str(seed)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_multimode_at_field_node_keeps_b_at_rest(tmp_path, capsys):
+    # z0 = 0: g = 0, so b stays 0 and max|b_0| = 0 must not divide
+    path = _mm_config(tmp_path, z0=0.0)
+    out = tmp_path / "mm.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_multimode(path, out) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(rows[:, 3:5] == 0.0) and np.max(rows[:, 5]) > 0.0
+    manifest = json.loads((tmp_path / "mm.csv.manifest.json").read_text())
+    assert manifest["chain_m"] == 4          # the first pair (2, 4) agrees
+    assert 0.0 <= manifest["chain_deviation"] <= manifest["chain_tolerance"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("modes, deviation", [("1", None), ("2", "above")])
+def test_multimode_cap_before_agreement_warns(tmp_path, capsys, modes, deviation):
+    # a strong drive needs more chain modes than --modes allows: the result
+    # is written anyway, with the deviation reached and one warning line
+    path = _mm_config(tmp_path, z0=0.06, Omega=3.0, eta=0.3, omega_m=0.02,
+                      kappa_c=0.5)
+    out = tmp_path / "mm.csv"
+    assert _run_multimode(path, out, "--modes", modes) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (201, 6) and np.all(np.isfinite(rows))
+    manifest = json.loads((tmp_path / "mm.csv.manifest.json").read_text())
+    assert manifest["chain_m"] == int(modes) and manifest["chain_converged"] is False
+    if deviation is None:
+        assert manifest["chain_deviation"] is None
+    else:
+        assert manifest["chain_deviation"] > manifest["chain_tolerance"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"warning: the mechanical chain stops at m = {modes} ")

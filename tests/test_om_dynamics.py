@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
                                projected_kernel)
 from arraycav.lattice_sums import dispersion_grid
-from arraycav.om_dynamics import (energy_functional, evolve_multimode,
-                                  evolve_reduced, standard_model_report)
-from arraycav.optomech import (closed_form_params, coupling_matrix_C,
+from arraycav.om_dynamics import (CHAIN_TOL, energy_functional, evolve_chain,
+                                  evolve_multimode, evolve_reduced,
+                                  standard_model_report)
+from arraycav.optomech import (MechanicalChain, closed_form_params,
+                               coupling_matrix_C, intensity_profile,
                                mechanical_basis)
 
 from conftest import make_config
@@ -25,16 +29,18 @@ def build_setup(grid, eta=0.1, **kw):
                 eta=eta, l_fsr=100.0)
     args.update(kw)
     cfg = make_config(**args)
-    fs = free_space_kernel(cfg.lattice)
-    fs2 = free_space_kernel(cfg.lattice, derivative=2)
-    conf = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, K_CUT)
-    conf2 = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, K_CUT,
-                                     derivative=2)
     basis = mechanical_basis(cfg.lattice, 2.0, 0)
-    C = coupling_matrix_C(cfg, basis, projected_kernel(fs, conf),
-                          projected_kernel(fs2, conf2), grid)
+    C = coupling_matrix_C(cfg, basis, *kernels(cfg), grid)
     params = closed_form_params(cfg, grid.delta0)
     return cfg, params, C
+
+
+def kernels(cfg):
+    """The projected kernel pair (D, D'') at the test cutoff."""
+    return tuple(projected_kernel(free_space_kernel(cfg.lattice, derivative=d),
+                                  confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
+                                                           K_CUT, derivative=d))
+                 for d in (0, 2))
 
 
 class TestMultimode:
@@ -75,6 +81,60 @@ class TestMultimode:
         cfg, params, _ = build_setup(grid16)
         with pytest.raises(ValueError, match="512"):
             evolve_multimode(cfg, params, np.zeros((600, 600)), 1.0, 0.5)
+
+
+class TestChain:
+    def test_modes_orthonormal_and_im_c_tridiagonal(self, grid16):
+        # Lanczos on the real symmetric site operator behind Im C from V0
+        cfg, _, _ = build_setup(grid16)
+        chain = MechanicalChain(cfg, *kernels(cfg), grid16)
+        V = chain.modes(8)
+        assert V.shape == (256, 8) and not chain.invariant
+        assert np.max(np.abs(V.T @ V - np.eye(8))) < 1e-12
+        v0 = intensity_profile(cfg.lattice, 2.0).ravel()
+        assert np.max(np.abs(V[:, 0] - v0)) < 1e-15
+        im_c = chain.couplings(8).imag
+        off = np.abs(np.subtract.outer(np.arange(8), np.arange(8))) > 1
+        assert np.max(np.abs(im_c[off])) < 1e-12 * np.max(np.abs(im_c))
+        assert np.min(np.abs(np.diag(im_c, 1))) > 1e-3 * np.max(np.abs(im_c))
+
+    def test_couplings_match_explicit_formula(self, grid16):
+        # C from the chain's own steps (Im C = eta^2 gbar H, Re C from the
+        # kept Re K_c fields) is coupling_matrix_C over the chain modes
+        cfg, _, _ = build_setup(grid16)
+        chain = MechanicalChain(cfg, *kernels(cfg), grid16)
+        got = chain.couplings(8)
+        ref = coupling_matrix_C(cfg, chain.modes(8), *kernels(cfg), grid16)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(chain.couplings(4), got[:4, :4])
+
+    def test_memory_limit_is_not_agreement(self, grid16, monkeypatch):
+        # a chain held to 2 modes cannot double again: the last pair (1, 2)
+        # is reported, not a 2-against-2 run that agrees trivially
+        from arraycav import cavity_dynamics
+        monkeypatch.setattr(cavity_dynamics, "KRYLOV_MAX_BYTES", 16 * 256 * 3)
+        cfg, params, _ = build_setup(grid16, eta=0.3, z0=0.06, Omega=3.0)
+        chain = MechanicalChain(cfg, *kernels(cfg), grid16)
+        assert chain.max_modes == 2
+        got = evolve_chain(cfg, params, chain, 10.0, 0.05).diagnostics
+        assert got["chain_m"] == 2 and not got["chain_converged"]
+        assert got["chain_deviation"] > CHAIN_TOL
+
+    @settings(max_examples=4, deadline=None)
+    @given(z0=st.sampled_from([0.0, 0.06, 0.125, 0.2]),
+           Omega=st.floats(1.0, 3.0))
+    def test_chain_matches_complete_basis(self, grid16, z0, Omega):
+        # strong drive: the chain needs up to 16 of the 256 modes; from rest
+        # it reproduces the complete basis to the stop rule's tolerance
+        cfg, params, C = build_setup(grid16, eta=0.3, z0=z0, Omega=Omega)
+        chain = MechanicalChain(cfg, *kernels(cfg), grid16)
+        got = evolve_chain(cfg, params, chain, 50.0, 0.25)
+        ref = evolve_multimode(cfg, params, C, 50.0, 0.25)
+        assert got.diagnostics["chain_deviation"] <= CHAIN_TOL
+        for part in (lambda s: s.a, lambda s: s.b[0]):
+            x = np.array([part(s) for s in got])
+            y = np.array([part(s) for s in ref])
+            assert np.max(np.abs(x - y)) <= 1e-8 * np.max(np.abs(y))
 
 
 class TestReduced:
