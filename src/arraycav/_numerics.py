@@ -1,5 +1,5 @@
 """Shared numerical helpers: quadrature nodes, lattice FFT convolutions, matrix
-exponential, ODE driver."""
+exponential, adaptive RK45 integrator."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from .errors import ConvergenceError
 
 
 @lru_cache(maxsize=32)
@@ -16,6 +18,39 @@ def gauss_legendre(n):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+@lru_cache(maxsize=4)
+def polished_gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1] to round-off.
+
+    leggauss's weights err by up to ~1e-12 relative next to +-1, which an
+    integrand peaked at an end (the Ewald spatial integral) turns into 1e-14
+    errors.  Here its nodes take one Newton step on the three-term
+    recurrence, and the weights are 2 / ((1 - x^2) P_n'(x)^2) from the same
+    recurrence.  The confined tables keep ``gauss_legendre``'s rule.
+    """
+    x = gauss_legendre(n)[0]
+    for step in range(2):
+        p0, p1 = np.ones_like(x), x                  # P_{k-1}, P_k
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        if step == 0:
+            x = x - p1 / dp
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def horner(coeffs, x):
+    """sum_k coeffs[k] x^k over an array x, by Horner's rule in place."""
+    p = np.full(np.shape(x), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        p *= x
+        p += c
+    return p
 
 
 def gl_interval(lo, hi, n):
@@ -145,20 +180,125 @@ def output_times(t_final, dt_out):
     return np.linspace(0.0, t_final, output_count(t_final, dt_out))
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19
+# (1980)): nodes, stage matrix, 5th-order weights, error weights and the
+# quartic dense-output matrix, as in scipy.integrate.RK45
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10   # step-size controller
+_ERROR_EXPONENT = -1 / 5                            # -1 / (error order + 1)
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
 def integrate_linear(rhs, y0, t_final, dt_out, rtol=1e-9):
-    """Drive solve_ivp (RK45, absolute tolerance rtol / 100) with dense complex
-    state, sampling every dt_out.
+    """Integrate dy/dt = rhs(t, y) from t = 0 to t_final by adaptive RK45
+    (Dormand-Prince 5(4), absolute tolerance rtol / 100) with dense complex
+    state, sampling every dt_out (``output_times``).
+
+    A port of scipy.integrate.solve_ivp(method="RK45", t_eval=...) (scipy
+    1.17, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
+    2003-2024 SciPy Developers): the same initial-step rule (Hairer, Norsett
+    & Wanner, Solving ODE I, sec. II.4), RMS error norm, step factors, quartic
+    dense output and numpy expressions, so the steps, the samples and the
+    evaluation count equal solve_ivp's bit for bit.  A step that falls below
+    the float spacing of t (as a NaN right-hand side forces), or a NaN step,
+    raises ConvergenceError where solve_ivp reports failure or loops.
 
     Returns (times, states, rhs_evals) with states[i] the state at times[i]
-    and rhs_evals the solver's right-hand-side evaluation count; deterministic
-    for identical inputs and step controls.
+    and rhs_evals the right-hand-side evaluation count.
     """
-    from scipy.integrate import solve_ivp   # lazy: only om_dynamics integrates
-
-    y0 = np.asarray(y0, dtype=complex)
+    if not t_final > 0:
+        raise ValueError(f"t_final must be > 0, got {t_final!r}")
     t_eval = output_times(t_final, dt_out)
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", t_eval=t_eval,
-                    rtol=rtol, atol=rtol * 1e-2)
-    if not sol.success:
-        raise RuntimeError(f"integrator failed: {sol.message}")
-    return sol.t, sol.y.T.copy(), int(sol.nfev)
+    t_bound = float(t_final)
+    atol = rtol * 1e-2
+    nfev = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(t, y), dtype=complex)
+
+    y = np.asarray(y0, dtype=complex)
+    f = fun(0.0, y)
+    # initial step (scipy's select_initial_step, order 4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound)
+
+    K = np.empty((len(_DP_C) + 1, y.size), dtype=complex)
+    states = np.empty((len(t_eval), y.size), dtype=complex)
+    t, i_eval = 0.0, 0
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise ConvergenceError(
+                    f"RK45 step size {h_abs:.3g} below the spacing of t = {t:.6g}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            # one Dormand-Prince step; K[-1] holds the first stage of the next
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_DP_A[1:], _DP_C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        # samples in (t, t_new] from the step's quartic interpolant
+        i_new = np.searchsorted(t_eval, t_new, side="right")
+        if i_new > i_eval:
+            h = t_new - t
+            x = (t_eval[i_eval:i_new] - t) / h
+            p = np.cumprod(np.tile(x, (_DP_P.shape[1], 1)), axis=0)
+            sample = h * np.dot(K.T.dot(_DP_P), p)
+            sample += y[:, None]
+            states[i_eval:i_new] = sample.T
+            i_eval = i_new
+        t, y, f = t_new, y_new, f_new
+    return t_eval, states, nfev

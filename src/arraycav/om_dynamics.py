@@ -163,10 +163,8 @@ def evolve_chain(cfg: FullConfig, params: OmParams, chain: MechanicalChain,
         "rtol": RTOL})
 
 
-def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
-                   a0=0.0 + 0.0j, b0=0.0 + 0.0j, rtol=RTOL):
-    """Integrate the reduced standard-optomechanics model (cavity + one mode);
-    returns an OmTrajectory."""
+def _reduced_rhs(cfg: FullConfig, params: OmParams):
+    """Right-hand side of the reduced model; the state is (a, b)."""
     det = cfg.drive.delta_c - params.Delta_AC
     kappa = cfg.cavity.kappa_c + params.kappa_sc
     g, g2 = params.g, params.g2
@@ -182,8 +180,16 @@ def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
         db = -1j * om * b - 1j * g * n_ph - 2j * g2 * x * n_ph
         return np.array([da, db])
 
+    return rhs
+
+
+def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
+                   a0=0.0 + 0.0j, b0=0.0 + 0.0j, rtol=RTOL):
+    """Integrate the reduced standard-optomechanics model (cavity + one mode);
+    returns an OmTrajectory."""
     y0 = np.array([a0, b0], dtype=complex)
-    times, states, rhs_evals = integrate_linear(rhs, y0, t_final, dt_out, rtol=rtol)
+    times, states, rhs_evals = integrate_linear(_reduced_rhs(cfg, params), y0,
+                                                t_final, dt_out, rtol=rtol)
     return OmTrajectory((OmState(a=complex(y[0]), b=np.array([y[1]]), t=float(t))
                          for t, y in zip(times, states)), rhs_evals)
 

@@ -115,6 +115,33 @@ def _full_grid_table(lattice, k_cut_abs, derivative):
     return _quadrature(np.hypot(*_displacement_meshes(lattice)), k_cut_abs, derivative)
 
 
+class TestBesselJ0:
+    """The numpy J0 against mpmath at 30 digits and scipy.special.j0, the
+    oracles here only, over the phases the Chebyshev degree rule covers."""
+
+    FIRST_ZEROS = (2.404825557695773, 5.520078110286311, 8.653727912911013,
+                   11.791534439014281)
+
+    def test_to_round_off(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([[0.0, 1e-300, 1e-8, 4.0, np.nextafter(4.0, 0.0), 8.0,
+                              np.nextafter(8.0, 0.0), 5000.0], self.FIRST_ZEROS,
+                             np.linspace(0.0, 20.0, 801), rng.uniform(20.0, 5000.0, 400),
+                             np.geomspace(1e-4, 5000.0, 200)])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(0, mpmath.mpf(float(x)))) for x in xs])
+        got = confined.j0(xs)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        # scipy's own j0 carries the rounding of x - pi/4, 5e-15 at x ~ 5,000
+        assert np.max(np.abs(got - j0(xs))) <= 1e-14
+
+    def test_even_and_shaped(self):
+        xs = np.linspace(-30.0, 30.0, 60).reshape(3, 4, 5)
+        assert confined.j0(xs).shape == xs.shape
+        assert np.array_equal(confined.j0(xs), confined.j0(-xs))
+
+
 class TestConfinedTable:
     @settings(max_examples=15, deadline=None)
     @given(n_side=st.integers(2, 40), a=st.floats(0.2, 1.0),

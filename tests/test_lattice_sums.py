@@ -240,3 +240,83 @@ class TestDispersionGrid:
         inside = dispersion_point((Q * (1.0 - 1e-7), 0.0), 0.4).delta_k
         assert np.all(np.isfinite(grid.delta_k))
         assert grid.delta_k[2, 0] == pytest.approx(inside, abs=1e-5)
+
+    @pytest.mark.parametrize("a, n", [(0.4, 8), (0.25, 33), (0.95, 16)])
+    def test_mirror_symmetry_is_exact(self, a, n):
+        # Delta_k is symmetric under kx <-> ky; the grid is summed on one
+        # half and mirrored, so the symmetry holds bit for bit
+        d = dispersion_grid(a, n).delta_k
+        assert np.array_equal(d, d.T)
+
+
+class TestSpecialFunctions:
+    """The lattice sums' numpy erfc, erfi(x)/x and spatial-part integral
+    against mpmath at 30 digits and scipy.special, the oracles here only."""
+
+    @staticmethod
+    def reference(f, xs):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            return np.array([float(f(mpmath, mpmath.mpf(float(x)))) for x in xs])
+
+    def test_erfc_to_round_off(self):
+        from scipy.special import erfc
+        rng = np.random.default_rng(1)
+        xs = np.concatenate([np.linspace(0.0, 6.5, 651), rng.uniform(0.0, 6.5, 650),
+                             [1e-300, 1e-8, 3.0, 6.0, 6.5]])
+        got = lattice_sums._erfc(xs)
+        ref = self.reference(lambda mp, x: mp.erfc(x), xs)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+        # scipy's own erfc is good to ~4e-15 relative at x ~ 6
+        assert np.max(np.abs(got / erfc(xs) - 1.0)) <= 5e-15
+
+    def test_erfi_over_x_to_round_off(self):
+        from scipy.special import erfi
+        xs = np.concatenate([np.linspace(1e-6, np.sqrt(np.pi), 400), [np.sqrt(5.0)]])
+        got = lattice_sums._erfi_over_x(xs)
+        ref = self.reference(lambda mp, x: mp.erfi(x) / x, xs)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+        # scipy's own erfi is good to ~8e-15 relative at small x
+        assert np.max(np.abs(got * xs / erfi(xs) - 1.0)) <= 1e-14
+        assert lattice_sums._erfi_over_x(0.0) == 2.0 / np.sqrt(np.pi)
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 0.95])
+    def test_spatial_table_matches_complex_erfc(self, a):
+        # the closed form of the spatial summand, Re[e^{iqr} erfc(rE + iq/2E)]
+        # and its r-derivatives, on the table's own arguments
+        from scipy.special import erfc
+        E = lattice_sums._ewald_parameter(a)
+        table, _ = lattice_sums._spatial_table(a, E)
+        m = table.shape[0] - 1
+        d = np.arange(m + 1) * a
+        fold = np.where(d > 0, 2.0, 1.0)
+        got = table / np.outer(fold, fold)
+
+        # -(3/2) (g1 + (g1'' + g1'/r) / (2 q^2)) with 4 pi g1 = Re u / r, and
+        # the r-derivatives of Re u from u' = iq u - c
+        r = np.hypot(d[:, None], d[None, :])
+        r[0, 0] = a
+        u = np.exp(1j * Q * r) * erfc(r * E + 0.5j * Q / E)
+        c = 2.0 * E / np.sqrt(np.pi) * np.exp(Q * Q / (4.0 * E * E) - E * E * r * r)
+        U, U1, U2 = u.real, -Q * u.imag - c, -Q * Q * u.real + 2.0 * E * E * r * c
+        lap = U2 / r - U1 / r**2 + U / r**3
+        want = -1.5 * (U / r + lap / (2.0 * Q * Q)) / (4.0 * np.pi)
+        want[0, 0] = 0.0
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            Em, Qm = mpmath.mpf(E), mpmath.mpf(Q)
+            for i in range(m + 1):
+                for j in range(i + 1):
+                    if i == j == 0:
+                        continue
+                    rm = mpmath.sqrt(mpmath.mpf(d[i]) ** 2 + mpmath.mpf(d[j]) ** 2)
+                    um = mpmath.exp(1j * Qm * rm) * mpmath.erfc(rm * Em + 0.5j * Qm / Em)
+                    cm = 2 * Em / mpmath.sqrt(mpmath.pi) * mpmath.exp(
+                        Qm**2 / (4 * Em**2) - Em**2 * rm**2)
+                    U, U1 = um.real, -Qm * um.imag - cm
+                    U2 = -Qm**2 * um.real + 2 * Em**2 * rm * cm
+                    lap = U2 / rm - U1 / rm**2 + U / rm**3
+                    ref = float(-1.5 * (U / rm + lap / (2 * Qm**2)) / (4 * mpmath.pi))
+                    assert abs(got[i, j] - ref) <= 1e-15 * scale

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from arraycav._numerics import (box_sum, expm, integrate_linear, open_convolve,
-                                open_convolve_real, padded_rfft)
+                                open_convolve_real, output_times, padded_rfft)
 from arraycav.cavity_dynamics import _generator, _Krylov
 from arraycav.confined import projected_kernels
+from arraycav.errors import ConvergenceError
+from arraycav.lattice_sums import dispersion_grid
+from arraycav.om_dynamics import RTOL, _multimode_rhs, _reduced_rhs
+from arraycav.optomech import MechanicalChain, closed_form_params
 
 from conftest import make_config
 
@@ -95,3 +102,61 @@ def test_integrate_linear_counts_rhs_evaluations():
     times, states, rhs_evals = integrate_linear(rhs, [1.0], 2.0, 0.5)
     assert rhs_evals == len(calls) > 0
     assert np.allclose(states[:, 0], np.exp(-times), rtol=1e-8)
+
+
+def test_integrate_linear_failure_is_a_convergence_error():
+    # a NaN right-hand side shrinks the step below the spacing of t; the
+    # CLI reports a ConvergenceError as one line and exit 3
+    with pytest.raises(ConvergenceError, match="RK45 step size"):
+        integrate_linear(lambda _t, y: np.full_like(y, np.nan), [1.0, 0.5j], 1.0, 0.1)
+
+
+@pytest.fixture(scope="module")
+def chain_stack():
+    """The m = 2 and m = 4 mechanical-chain couplings side by side, as
+    evolve_chain integrates them, at n_side 16."""
+    cfg = make_config(a=0.5, n_side=16, w=2.0)
+    grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side)
+    chain = MechanicalChain(cfg, *projected_kernels(cfg.lattice, cfg.cavity.z0,
+                                                    cfg.cavity.k_cut_abs), grid)
+    C = chain.couplings(4)
+    stack = np.zeros((2,) + C.shape, dtype=complex)
+    stack[0, :2, :2] = C[:2, :2]
+    stack[1] = C
+    return grid, stack
+
+
+class TestRK45MatchesSolveIvp:
+    """integrate_linear repeats scipy's solve_ivp(method="RK45"), the oracle
+    here only, step for step: the same samples bit for bit and the same
+    right-hand-side count."""
+
+    @staticmethod
+    def check(rhs, y0, t_final, dt_out):
+        times, states, rhs_evals = integrate_linear(rhs, y0, t_final, dt_out, rtol=RTOL)
+        sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45",
+                        t_eval=output_times(t_final, dt_out), rtol=RTOL,
+                        atol=RTOL * 1e-2)
+        assert sol.success
+        assert np.array_equal(times, sol.t)
+        assert np.array_equal(states, sol.y.T)
+        assert rhs_evals == sol.nfev
+
+    @settings(max_examples=8, deadline=None)
+    @given(Omega=st.floats(0.002, 0.05), eta=st.floats(0.02, 0.3),
+           z0=st.floats(0.02, 0.23), t_final=st.floats(5.0, 120.0))
+    def test_reduced_model(self, std_grid, Omega, eta, z0, t_final):
+        cfg = make_config(Omega=Omega, eta=eta, z0=z0)
+        params = closed_form_params(cfg, std_grid.delta0)
+        self.check(_reduced_rhs(cfg, params), np.zeros(2, dtype=complex),
+                   t_final, t_final / 200.0)
+
+    @settings(max_examples=6, deadline=None)
+    @given(Omega=st.floats(0.002, 0.05), eta=st.floats(0.02, 0.3),
+           z0=st.floats(0.02, 0.23), t_final=st.floats(1.0, 15.0))
+    def test_stacked_chain(self, chain_stack, Omega, eta, z0, t_final):
+        grid, stack = chain_stack
+        cfg = make_config(a=0.5, n_side=16, w=2.0, Omega=Omega, eta=eta, z0=z0)
+        params = closed_form_params(cfg, grid.delta0)
+        y0 = np.zeros(stack.shape[0] * (stack.shape[1] + 1), dtype=complex)
+        self.check(_multimode_rhs(cfg, params, stack), y0, t_final, t_final / 200.0)

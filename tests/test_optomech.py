@@ -301,14 +301,14 @@ class TestConsistencyRoutes:
     def test_one_bessel_pass_per_call(self, small_setup, grid16, monkeypatch):
         # D_c and its d2z share one J0 pass, one evaluation per (Chebyshev
         # point, node) pair
-        import scipy.special
-        j0, shapes = scipy.special.j0, []
+        from arraycav import confined
+        j0, shapes = confined.j0, []
 
         def counting_j0(x):
             shapes.append(x.shape)
             return j0(x)
 
-        monkeypatch.setattr(scipy.special, "j0", counting_j0)
+        monkeypatch.setattr(confined, "j0", counting_j0)
         cfg, _, _, _, k_cut = small_setup
         diag = om_consistency(cfg, grid16, k_cut_abs=k_cut).diagnostics
         nodes, radii = diag["confined_nodes"], diag["distinct_radii"]
