@@ -7,29 +7,19 @@ digests, so any run can be reproduced byte-for-byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical/convergence error,
 4 consistency tolerance failure.
+
+Starting loads no numerics: each ``cmd_*`` imports the modules it runs when
+it is called, and ``main`` builds its parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import functools
 import sys
-from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import __version__
-from ._numerics import output_count
-from .config import check_k_cut, emit_config, parse_config, validate_regime
-from .confined import (confined_kernel_paraxial, free_space_kernel, projected_kernel,
-                       projected_kernels)
-from .cavity_dynamics import build_two_mode, evolve_full, spectrum_scan
-from .errors import ArrayCavError, ConfigError, ConvergenceError, RegimeError
-from .lattice_sums import dispersion_curve, dispersion_grid, dispersion_point
-from .om_dynamics import evolve_chain, evolve_reduced, standard_model_report
-from .optomech import (MAX_MODES, MechanicalChain, check_modes, closed_form_params,
-                       om_consistency)
+from .errors import MAX_MODES, ArrayCavError, ConfigError, ConvergenceError, RegimeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,6 +37,7 @@ def _fmt(x) -> str:
 
 
 def _sha256(path) -> str:
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -61,29 +52,18 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run byte-for-byte."""
-
-    command: str
-    argv: list
-    version: str
-    config: str                  # resolved canonical config snapshot
-    outputs: list                # [{path, sha256}]
-    extra: dict
-
-
 def _write_manifest(command, args, cfg_text, outputs, extra=None):
-    manifest = RunManifest(
-        command=command,
-        argv=[a for a in sys.argv[1:]],
-        version=__version__,
-        config=cfg_text,
-        outputs=[{"path": str(p), "sha256": _sha256(p)} for p in outputs],
-        extra=extra or {},
-    )
-    payload = asdict(manifest)
-    payload.update(payload.pop("extra"))
+    """Everything needed to reproduce a run byte-for-byte: ``config`` is the
+    resolved canonical config snapshot, ``extra`` the command's diagnostics."""
+    import json
+    payload = {
+        "command": command,
+        "argv": sys.argv[1:],
+        "version": __version__,
+        "config": cfg_text,
+        "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
+        **(extra or {}),
+    }
     path = str(outputs[0]) + ".manifest.json" if outputs else "run.manifest.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -99,6 +79,7 @@ def _require(ok, option, rule):
 
 
 def _load_config(path):
+    from .config import emit_config, parse_config
     try:
         with open(path) as fh:
             text = fh.read()
@@ -109,6 +90,7 @@ def _load_config(path):
 
 
 def cmd_validate(args):
+    from .config import validate_regime
     cfg, _text = _load_config(args.config)
     report = validate_regime(cfg)
     print(report.summary())
@@ -116,6 +98,8 @@ def cmd_validate(args):
 
 
 def cmd_dispersion(args):
+    import numpy as np
+    from .lattice_sums import dispersion_curve
     cfg, text = _load_config(args.config)
     path = [p.strip() for p in args.path.split(",") if p.strip()]
     pts = dispersion_curve(path, args.samples, cfg.lattice.a, strict=False)
@@ -128,6 +112,9 @@ def cmd_dispersion(args):
 
 
 def cmd_spectrum(args):
+    import numpy as np
+    from .cavity_dynamics import build_two_mode, spectrum_scan
+    from .lattice_sums import dispersion_point
     cfg, text = _load_config(args.config)
     for option, value in (("--dc-min", args.dc_min), ("--dc-max", args.dc_max)):
         _require(np.isfinite(value), option, "must be finite")
@@ -144,6 +131,12 @@ def cmd_spectrum(args):
 
 
 def cmd_omparams(args):
+    import json
+    import numpy as np
+    from .config import check_k_cut
+    from .lattice_sums import dispersion_grid
+    from .om_dynamics import standard_model_report
+    from .optomech import closed_form_params, om_consistency
     cfg, text = _load_config(args.config)
     k_cut_abs = None
     if args.k_cut_over_q is not None:
@@ -196,6 +189,14 @@ def cmd_omparams(args):
 
 
 def cmd_dynamics(args):
+    import numpy as np
+    from ._numerics import output_count
+    from .cavity_dynamics import evolve_full
+    from .confined import (confined_kernel_paraxial, free_space_kernel,
+                           projected_kernel, projected_kernels)
+    from .lattice_sums import dispersion_grid
+    from .om_dynamics import evolve_chain, evolve_reduced
+    from .optomech import MechanicalChain, check_modes, closed_form_params
     cfg, text = _load_config(args.config)
     for option, value in (("--t-final", args.t_final), ("--dt-out", args.dt_out)):
         _require(np.isfinite(value) and value > 0, option, "must be a finite time > 0")
@@ -240,6 +241,7 @@ def cmd_dynamics(args):
 
 
 def cmd_kernel(args):
+    import numpy as np
     from .greens import kernel_fs, kernel_fs_d2z, kernel_fs_momentum
     _load_config(args.config)
     try:
@@ -260,7 +262,8 @@ def cmd_kernel(args):
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arraycav",
         description="2D atom-array cavity QED: dispersion, spectra, "
@@ -322,8 +325,11 @@ def main(argv=None) -> int:
                    help="transverse displacement (lambda) or wavevector (q)")
     p.add_argument("--dz", type=float, default=0.0)
     p.set_defaults(func=cmd_kernel)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if getattr(args, "dt_out", None) is None and args.command == "dynamics":
         args.dt_out = args.t_final / 200.0
     try:

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the mode limit that
+``optomech.check_modes`` enforces.  It imports nothing, so the CLI can name
+the limit in its help without loading the numerics."""
+
+# Largest explicit mechanical basis or chain, and so the largest C and
+# multimode model.  Every trace over all N modes takes the completeness route
+# instead.
+MAX_MODES = 512
 
 
 class ArrayCavError(Exception):

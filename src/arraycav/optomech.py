@@ -39,15 +39,9 @@ from .cavity_dynamics import _Krylov
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (KernelMatrix, confined_nodes, lattice_radii,
                        projected_kernels)
-from .errors import ConfigError, RegimeError
+from .errors import MAX_MODES, ConfigError, RegimeError
 from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
-
-
-# Largest explicit mechanical basis or chain, and so the largest C and
-# multimode model.  Every trace over all N modes takes the completeness route
-# instead.
-MAX_MODES = 512
 
 
 @dataclass(frozen=True)

@@ -144,15 +144,17 @@ def test_omparams_json_is_strict_at_g_zero(tmp_path):
          "dt-out-0", "output-times-1e18", "samples-1", "dc-min-nan", "r-perp-one-number",
          "r-perp-not-a-number", "dz-nan"])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv):
-    # each option is checked before any lattice sum, kernel or chain is built
-    from arraycav import cli
+    # each option is checked before any lattice sum, kernel or chain is built;
+    # the commands import these when called, so patch their defining modules
+    from arraycav import confined, lattice_sums, optomech
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the options were checked")
 
-    for name in ("dispersion_grid", "dispersion_point", "MechanicalChain",
-                 "free_space_kernel"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((lattice_sums, "dispersion_grid"),
+                         (lattice_sums, "dispersion_point"),
+                         (optomech, "MechanicalChain"), (confined, "free_space_kernel")):
+        monkeypatch.setattr(module, name, no_work)
     path = tmp_path / "run.cfg"
     path.write_text(default_config_text())
     out = tmp_path / "out.csv"
@@ -259,6 +261,40 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for cmd in ("validate", "dispersion", "spectrum", "omparams", "dynamics"):
         assert cmd in out
+
+
+def test_dynamics_help_states_the_mode_cap(capsys):
+    # the help text reads the one definition of the cap without loading optomech
+    from arraycav import optomech
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(at most {optomech.MAX_MODES})" in out
+
+
+def test_reused_parser_carries_no_state(tmp_path, capsys):
+    # main builds its parser once per process: the per-call --dt-out default
+    # and the options of a refused call do not reach the next call
+    path = tmp_path / "run.cfg"
+    path.write_text(default_config_text())
+    out = tmp_path / "dyn.csv"
+
+    def dynamics(t_final, *extra):
+        return main(["dynamics", "--config", str(path), "--model", "reduced",
+                     "--t-final", t_final, *extra, "--out", str(out)])
+
+    for t_final in ("10", "30"):
+        assert dynamics(t_final) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (201, 6) and rows[-1, 0] == float(t_final)
+    written = out.read_bytes(), (tmp_path / "dyn.csv.manifest.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        dynamics("5", "--dt-out", "0.5", "--bogus")
+    assert exc.value.code == 2
+    assert dynamics("-1", "--dt-out", "0.5") == 2
+    assert dynamics("30") == 0
+    assert (out.read_bytes(), (tmp_path / "dyn.csv.manifest.json").read_bytes()) == written
 
 
 def test_dynamics_multimode_and_full(tmp_path):
@@ -375,6 +411,13 @@ README_COMMANDS = {
 }
 
 
+# modules a command loads only if it needs them: the kernel command evaluates
+# one closed form and needs no lattice sum, confined kernel or dynamics
+UNNEEDED = {"kernel": ["arraycav.lattice_sums", "arraycav.confined",
+                       "arraycav.cavity_dynamics", "arraycav.optomech",
+                       "arraycav.om_dynamics"]}
+
+
 @pytest.mark.parametrize("command", sorted(README_COMMANDS))
 def test_readme_command_loads_no_scipy(tmp_path, command):
     # scipy serves the tests as an oracle only: importing it would double a
@@ -383,12 +426,33 @@ def test_readme_command_loads_no_scipy(tmp_path, command):
     (tmp_path / "run.cfg").write_text(default_config_text())
     argv = README_COMMANDS[command]
     argv = argv[:1] + ["--config", "run.cfg"] + argv[1:]
+    unneeded = UNNEEDED.get(command, [])
     code = ("import os, sys; from arraycav.cli import main; "
             f"os.chdir({str(tmp_path)!r}); rc = main({argv!r}); "
-            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            f"or m in {unneeded!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1].split() == ["0"]
+
+
+CLI_START = ["arraycav", "arraycav.cli", "arraycav.errors"]
+
+
+@pytest.mark.parametrize("start, exit_code, loaded", [
+    ("from arraycav.cli import main; main(['--help'])", "0", CLI_START),
+    ("from arraycav.cli import main; main([])", "2", CLI_START),
+    ("import arraycav", None, ["arraycav"])], ids=["help", "no-subcommand", "import"])
+def test_start_loads_no_numpy(start, exit_code, loaded):
+    # the CLI's fixed cost: importing the package, asking for help and a usage
+    # error load no numpy and none of the package's numerics
+    code = ("import sys\ntry:\n    " + start + "\nexcept SystemExit as exc:\n"
+            "    print(exc.code)\nprint(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'arraycav')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[-1].split() == loaded
+    assert (out[-2] if exit_code else None) == exit_code
 
 
 @pytest.mark.parametrize("model", ["multimode", "full"])
