@@ -113,16 +113,6 @@ def open_convolve_real(table_rfft, field_rfft, n):
     return _open_window(np.fft.irfft2(table_rfft * field_rfft, s=padded_shape(n)), n)
 
 
-def box_sum(table):
-    """``open_convolve(table, ones)`` on an n x n lattice: the sum of the
-    (2n-1, 2n-1) table over the n x n window at each offset, read off a
-    summed-area table (Crow 1984) in O(n^2), no transform."""
-    n = (table.shape[-1] + 1) // 2
-    c = np.zeros((2 * n, 2 * n), dtype=table.dtype)
-    np.cumsum(np.cumsum(table, axis=0), axis=1, out=c[1:, 1:])
-    return c[n:, n:] - c[:n, n:] - c[n:, :n] + c[:n, :n]
-
-
 # Higham's scaling and squaring with the [13/13] Pade approximant: the largest
 # 1-norm it reaches to double precision and its numerator coefficients
 # b_0..b_13 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3),

@@ -53,12 +53,13 @@ def _write_csv(path, header, rows):
 
 
 def _write_manifest(command, args, cfg_text, outputs, extra=None):
-    """Everything needed to reproduce a run byte-for-byte: ``config`` is the
-    resolved canonical config snapshot, ``extra`` the command's diagnostics."""
+    """Everything needed to reproduce a run byte-for-byte: ``argv`` is what
+    ``main`` parsed, ``config`` the resolved canonical config snapshot,
+    ``extra`` the command's diagnostics."""
     import json
     payload = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "version": __version__,
         "config": cfg_text,
         "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
@@ -329,7 +330,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
+    args.argv = argv
     if getattr(args, "dt_out", None) is None and args.command == "dynamics":
         args.dt_out = args.t_final / 200.0
     try:

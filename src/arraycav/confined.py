@@ -188,10 +188,10 @@ def lattice_radii(lattice: LatticeSpec):
     return lattice.a * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[radii2]
 
 
-def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
-                   nodes: int | None = None, radii=None,
-                   diagnostics: dict | None = None):
-    """Displacement tables of the confined kernel and of its d2z over the lattice.
+def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
+                      diagnostics: dict | None = None):
+    """The confined kernel and its d2z at the radii ``rho`` (ascending, as
+    ``lattice_radii`` gives them).
 
     D_c(rho) = (3 gamma lambda / (16 pi)) Int_{u_min}^{q} (1 + u^2/q^2)
                J0(sqrt(q^2 - u^2) rho) du,          u_min = sqrt(q^2 - k_cut^2),
@@ -199,26 +199,23 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
     for circular polarization; the d2z variant carries an extra factor -u^2.
     Real-valued: only the propagating (radiative) channel is confined.
 
-    Returns ``(D_c, d2z D_c)``.  Both are entire functions of rho of
-    exponential type k_cut, so a Chebyshev interpolant of degree
-    K = ``chebyshev_degree`` on [0, rho_max] reproduces them to round-off.
-    One pass of J0 at the K + 1 first-kind Chebyshev points and the quadrature
-    nodes, contracted with both weight vectors, gives the values there.  The
+    Returns the (2, R) array of (D_c, d2z D_c) at the R radii.  Both are
+    entire functions of rho of exponential type k_cut, so a Chebyshev
+    interpolant of degree K = ``chebyshev_degree`` on [0, rho_max] reproduces
+    them to round-off.  One pass of J0 at the K + 1 first-kind Chebyshev
+    points and the ``nodes`` quadrature nodes (default ``confined_nodes``),
+    contracted with both weight vectors, gives the values there.  The
     Chebyshev coefficients of the same values (a (K + 1)^2 cosine matrix) must
     fall below 1e-13 of the largest over their last 8, else ConvergenceError.
-    The tables at the R distinct lattice radii follow by barycentric
-    interpolation in blocks of radii and are scattered over the
-    (2 n_side - 1)^2 displacements.  Time is (K + 1) nodes J0 evaluations plus
-    O(R K) arithmetic, memory O(R + K^2) plus one block: at n_side 256,
-    a = 0.25 and k_cut = 0.75, K = 94, and 18 k J0 evaluations replace the
-    4.2 M of a per-radius quadrature.  ``radii`` is the lattice's
-    ``lattice_radii``, if already formed.  ``diagnostics``, if a dict,
-    receives ``chebyshev_degree`` and ``chebyshev_tail`` (the larger relative
-    tail of the two tables).
+    The R radii are read off by barycentric interpolation in blocks.  Time is
+    (K + 1) nodes J0 evaluations plus O(R K) arithmetic, memory O(R + K^2)
+    plus one block: at n_side 256, a = 0.25 and k_cut = 0.75, K = 94, and
+    18 k J0 evaluations replace the 4.2 M of a per-radius quadrature.
+    ``diagnostics``, if a dict, receives ``chebyshev_degree`` and
+    ``chebyshev_tail`` (the larger relative tail of the two profiles).
     """
     if not 0.0 < k_cut_abs < Q:
         raise ValueError("k_cut must lie strictly between 0 and q")
-    rho, inverse = lattice_radii(lattice) if radii is None else radii
     rho_max = float(rho[-1])
     if nodes is None:
         nodes = confined_nodes(k_cut_abs, rho_max)
@@ -263,7 +260,24 @@ def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
         block = (c @ values) / np.sum(c, axis=1)[:, None]
         block[hit[0]] = values[hit[1]]
         out[:, s:s + rows] = block.T
-    return out[0][inverse], out[1][inverse]
+    return out
+
+
+def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
+                   nodes: int | None = None, radii=None,
+                   diagnostics: dict | None = None):
+    """Displacement tables of the confined kernel and of its d2z over the
+    lattice: ``confined_profiles`` at the lattice radii, scattered over the
+    (2 n_side - 1)^2 displacements.
+
+    Returns ``(D_c, d2z D_c)``.  ``radii`` is the lattice's ``lattice_radii``,
+    if already formed; ``nodes`` and ``diagnostics`` are as for
+    ``confined_profiles``.
+    """
+    rho, inverse = lattice_radii(lattice) if radii is None else radii
+    conf, conf_d2 = confined_profiles(rho, k_cut_abs, nodes=nodes,
+                                      diagnostics=diagnostics)
+    return conf[inverse], conf_d2[inverse]
 
 
 def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, *,
@@ -312,6 +326,12 @@ def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float,
     return _confined_kernel(lattice, z0, k_cut, derivative, table)
 
 
+def remove_confined(fs, confined):
+    """The projection rule on arrays of kernel values (tables or radial
+    profiles): Re D = Re D_fs - Re D_c, Im D = Im D_fs."""
+    return (fs.real - confined.real) + 1j * fs.imag
+
+
 def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
     """Non-confined kernel: radiative part of ``confined`` removed from ``fs``.
 
@@ -330,7 +350,7 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
         raise ValueError("kernel already projected against a different channel")
     if fs.kind not in base_kind:
         raise ValueError(f"cannot project kernel of kind {fs.kind!r}")
-    table = (fs.table.real - confined.table.real) + 1j * fs.table.imag
+    table = remove_confined(fs.table, confined.table)
     prov = dict(fs.provenance)
     prov.update({k: confined.provenance[k] for k in ("z0", "k_cut")})
     return KernelMatrix(table=table, kind=base_kind[fs.kind], provenance=prov)

@@ -17,15 +17,16 @@ carry the same physics; summing their diagonal reproduces k_sc as
 k_sc = -2 sum_{nu != 0} Re[C_nu_nu] (the nu = 0 self term, kappa_2 = -2 Re[C_00],
 vanishes because the cubed Gaussian profile is still cavity-matched), and
 g_2 = -Im[C_00].  The trace over the complete mode basis never needs an
-explicit basis: completeness reduces every term to lattice convolutions, which
-is how the consistency checks are evaluated at any lattice size.
+explicit basis: completeness reduces every term to lattice sums of radial
+kernel profiles against correlations of the profile, which is how the
+consistency checks are evaluated at any lattice size.
 
 Time evolution needs C only on the modes the cavity reaches.  With b(0) = 0
 the multimode trajectory stays in the Krylov space of Im C started from V0,
 so ``MechanicalChain`` builds those modes as a Lanczos chain of the site
 operator behind Im C (the chain mapping of a harmonic bath).  C over the
-chain, over an explicit basis of at most MAX_MODES modes, and C_00 all come
-from one coupling operator K_c applied by FFT to real site fields.
+chain and over an explicit basis of at most MAX_MODES modes come from one
+coupling operator K_c applied by FFT to real site fields.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import box_sum, open_convolve, open_convolve_real, padded_rfft
+from ._numerics import open_convolve, open_convolve_real, padded_rfft, padded_shape
 from .cavity_dynamics import _Krylov
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
-from .confined import (KernelMatrix, confined_nodes, lattice_radii,
-                       projected_kernels)
+from .confined import (KernelMatrix, confined_nodes, confined_profiles,
+                       lattice_radii, remove_confined)
 from .errors import MAX_MODES, ConfigError, RegimeError
-from .greens import GAMMA, Q
+from .greens import GAMMA, Q, kernel_fs_d2z_plane, kernel_fs_plane
 from .lattice_sums import DispersionGrid
 
 
@@ -161,7 +162,7 @@ def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# the coupling operator K_c, applied by FFT, behind C and C_00
+# the coupling operator K_c, applied by FFT, behind C and the chain
 
 _BLOCK = 32     # fields per FFT batch; peak memory ~ _BLOCK (2 n_side)^2 floats
 
@@ -357,24 +358,57 @@ class OmConsistency:
         return abs(self.kappa_2) / self.kappa_sc_closed
 
 
-def _trace_tables(cfg: FullConfig, k_cut_abs: float):
-    """Displacement tables of 2 Re[D] and D'' of the projected kernels, and the
-    work sizes of the table stage.
+def _trace_profiles(cfg: FullConfig, k_cut_abs: float):
+    """Radial profiles of Gamma2 = 2 Re[D] and of D'' of the projected
+    kernels over the distinct lattice radii, the radius index, and the work
+    sizes of the profile stage.
 
-    Every table is radial, so they share one radius index; the confined pair
-    shares one J0 pass at the Chebyshev points of its interpolant
-    (``projected_kernels``), whose degree and coefficient tail are recorded
-    next to the node count.
+    The confined pair shares one J0 pass at the Chebyshev points of its
+    interpolant (``confined_profiles``), whose degree and coefficient tail
+    are recorded next to the node count.
     """
-    lattice = cfg.lattice
-    radii = lattice_radii(lattice)
-    rho, inverse = radii
+    rho, inverse = lattice_radii(cfg.lattice)
     nodes = confined_nodes(k_cut_abs, float(rho[-1]))
     sizes = {"confined_nodes": nodes}
-    proj, proj_d2 = projected_kernels(lattice, cfg.cavity.z0, k_cut_abs,
-                                      nodes=nodes, radii=radii, diagnostics=sizes)
+    conf, conf_d2 = confined_profiles(rho, k_cut_abs, nodes=nodes, diagnostics=sizes)
     sizes.update(distinct_radii=int(rho.size), displacements=int(inverse.size))
-    return 2.0 * proj.table.real, proj_d2.table, sizes
+    g2_prof = 2.0 * remove_confined(kernel_fs_plane(rho, 0.0), conf).real
+    d2_prof = remove_confined(kernel_fs_d2z_plane(rho, 0.0), conf_d2)
+    return g2_prof, d2_prof, inverse.ravel(), sizes
+
+
+def _radial_contract(profile, inverse, corr, n):
+    """sum_d T(d) corr(d) for the radial table T = profile[inverse], with
+    ``corr`` a cyclic correlation on the padded grid: the profile against the
+    per-radius sums of corr's open-window offsets, the adjoint of the
+    scatter ``profile[inverse]``."""
+    offsets = np.arange(-(n - 1), n) % corr.shape[-1]
+    return profile @ np.bincount(inverse, weights=corr[offsets[:, None], offsets].ravel())
+
+
+def _window_sums(v0):
+    """W(d) = sum of v0 over the window shifted by d, that is over the sites
+    p with p and p - d both in the n x n window, for every offset d of the
+    (2n - 1, 2n - 1) displacement grid, from a summed-area table of v0."""
+    n = v0.shape[0]
+    c = np.zeros((n + 1, n + 1))
+    np.cumsum(np.cumsum(v0, axis=0), axis=1, out=c[1:, 1:])
+    d = np.arange(-(n - 1), n)
+    lo, hi = np.maximum(d, 0), np.minimum(n + d, n)
+    rows = c[hi] - c[lo]
+    w = rows[:, hi]
+    w -= rows[:, lo]
+    return w
+
+
+def _fold(table, n):
+    """A (2n - 1, 2n - 1) displacement table summed onto the n x n torus:
+    offset d lands on d mod n."""
+    rows = table[n - 1:].copy()
+    rows[1:] += table[:n - 1]
+    out = rows[:, n - 1:].copy()
+    out[:, 1:] += rows[:, :n - 1]
+    return out
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
@@ -382,40 +416,64 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     """Cross-route consistency of the second-order optomechanical quantities.
 
     Completeness sum_nu V^nu (V^nu)^T = 1 collapses every basis-summed term
-    to lattice convolutions of the projected-kernel tables, which costs
-    O(N log N) and is exactly what any orthonormal completion would give.
-    ``k_cut_abs`` overrides the confinement cutoff (default the config's).
+    to lattice sums, which is exactly what any orthonormal completion would
+    give.  Every term is a quadratic form in radial kernel profiles, so no
+    displacement table is transformed.  With f = s o V0, s = sqrt(V0):
+
+    - f . (T f) for a radial table T is sum_d T(d) A(d), A the
+      autocorrelation of f: one padded rfft2 of f and one irfft2 of |F|^2,
+      contracted with the Re D'' and Im D'' profiles per radius;
+    - f . P2 (Gamma2 f) = (P2 f) . (Gamma2 f) is Gamma2 contracted with the
+      cross-correlation of P2 f and f: one more padded rfft2 and irfft2;
+    - f . P1 f and f . f are n x n operations;
+    - sum_p V0_p Z_p = sum_d p2(d) Gamma2(d) W(d), W the ``_window_sums``
+      of V0; p2 is n-periodic, so Gamma2 W is folded onto the n x n torus.
+
+    O(N log N) time, O(N) memory.  ``k_cut_abs`` overrides the confinement
+    cutoff (default the config's).
     """
     if dispersion.a != cfg.lattice.a or dispersion.n_side != cfg.lattice.n_side:
         raise ValueError("dispersion grid does not match the lattice")
     lattice = cfg.lattice
-    n_side = lattice.n_side
+    n = lattice.n_side
     dmD, w1, w2 = _weights(cfg, dispersion)
     params = closed_form_params(cfg, dispersion.delta0)
     eta2_gbar = cfg.trap.eta**2 * params.g_bar
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
 
     k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
-    g2_tab, d2_tab, sizes = _trace_tables(cfg, k_cut_abs)
+    g2_prof, d2_prof, inverse, sizes = _trace_profiles(cfg, k_cut_abs)
     diagnostics = {"dispersion_residual": dispersion.residual, **sizes}
     v0 = intensity_profile(lattice, cfg.cavity.w)
-    center = n_side - 1
     # trace over the complete basis: sum_nu V^nu_n V^nu_m = delta_nm
     b1 = np.sum(v0)
-    b2 = np.sum(v0) * d2_tab[center, center] / (Q * Q * dmD)
+    b2 = np.sum(v0) * d2_prof[0] / (Q * Q * dmD)
     mean_w1 = float(np.mean(w1))
     # Z_n = (1/N) sum_kk' e^{i(k-k') r_n} gamma_kk' W2_k as a lattice
-    # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d), that
-    # is the box sum of their product over the n x n window at each site
-    p2_tab = np.fft.ifft2(w2)
-    dmod = np.arange(-(n_side - 1), n_side) % n_side
-    p2_big = p2_tab[np.ix_(dmod, dmod)]
-    h = p2_big * g2_tab[::-1, ::-1]
-    z = box_sum(h)
-    b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(v0 * z)
+    # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d); its
+    # V0-weighted sum, with Gamma2 W folded onto the n-periodic p2
+    weighted = _window_sums(v0)
+    weighted *= g2_prof[inverse].reshape(weighted.shape)
+    b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(np.fft.ifft2(w2) * _fold(weighted, n))
+    del weighted
     trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
-    c00 = complex(_mode_couplings(cfg, dispersion, g2_tab, d2_tab,
-                                  v0.reshape(-1, 1))[0, 0])
+
+    # C_00 as quadratic forms of f = s o V0: the autocorrelation of f meets
+    # Re D'' and Im D'', the cross-correlation of P2 f and f meets Gamma2
+    f = np.sqrt(v0) * v0
+    half = n // 2 + 1
+    p1f, p2f = np.fft.irfft2(np.stack([w1[:, :half], w2[:, :half]])
+                             * np.fft.rfft2(f), s=(n, n))
+    ff, fp = padded_rfft(f, n), padded_rfft(p2f, n)
+    fp *= ff.conj()
+    ff *= ff.conj()
+    d2_term = _radial_contract(d2_prof, inverse, np.fft.irfft2(ff, s=padded_shape(n)), n)
+    del ff
+    g2_term = _radial_contract(g2_prof, inverse, np.fft.irfft2(fp, s=padded_shape(n)), n)
+    scale = sin2 / (Q * Q * dmD)
+    c00_re = scale * d2_term.real - 0.5 * cos2 * g2_term
+    c00_im = scale * d2_term.imag - cos2 * np.sum(f * p1f) + sin2 * np.sum(f * f)
+    c00 = complex(eta2_gbar * complex(c00_re, c00_im))
 
     kappa_1 = -2.0 * trace_c.real
     kappa_2 = -2.0 * c00.real

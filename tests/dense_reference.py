@@ -1,5 +1,6 @@
 """Dense N x N reference formulas: lattice kernels, the full-model generator,
-the mechanical coupling matrix and a Hermite-Gauss confined-kernel oracle.
+the mechanical coupling matrix, the box-sum trace and a Hermite-Gauss
+confined-kernel oracle.
 
 These are the explicit-matrix definitions of the kernel K[n, m], of the
 generator A of the full N-atom system and of C: the Brillouin-grid
@@ -16,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_hermite
 
 from arraycav.cavity_dynamics import coupling_profile
+from arraycav.confined import projected_kernels
 from arraycav.greens import GAMMA, LAMBDA, Q
 from arraycav.optomech import closed_form_params, intensity_profile
 
@@ -84,6 +86,38 @@ def dense_C(cfg, V, kernel, kernel_d2, dispersion):
     c3 = V.T @ ((S * x3) @ V)
     return cfg.trap.eta**2 * params.g_bar * (1j * sin2 * c1 + sin2 * c2
                                              - 1j * cos2 * c3)
+
+
+def box_sum(table):
+    """``open_convolve(table, ones)`` on an n x n lattice: the sum of the
+    (2n-1, 2n-1) table over the n x n window at each offset, read off a
+    summed-area table (Crow 1984) in O(n^2), no transform."""
+    n = (table.shape[-1] + 1) // 2
+    c = np.zeros((2 * n, 2 * n), dtype=table.dtype)
+    np.cumsum(np.cumsum(table, axis=0), axis=1, out=c[1:, 1:])
+    return c[n:, n:] - c[:n, n:] - c[n:, :n] + c[:n, :n]
+
+
+def trace_C_box_sum(cfg, dispersion, k_cut_abs):
+    """sum_nu C_nu_nu over the complete basis from the projected-kernel
+    tables, with Z_p = sum_m p2(r_p - r_m) Gamma2(r_m - r_p) over the window
+    as the ``box_sum`` of the (2n-1, 2n-1) product table: the table route
+    that ``om_consistency`` replaces with a fold of radial profiles."""
+    lattice = cfg.lattice
+    n = lattice.n_side
+    dmD, w1, w2 = _weights(cfg, dispersion)
+    params = closed_form_params(cfg, dispersion.delta0)
+    sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
+    proj, proj_d2 = projected_kernels(lattice, cfg.cavity.z0, k_cut_abs)
+    g2_tab = 2.0 * proj.table.real
+    v0 = intensity_profile(lattice, cfg.cavity.w)
+    b1 = np.sum(v0)
+    b2 = np.sum(v0) * proj_d2.table[n - 1, n - 1] / (Q * Q * dmD)
+    dmod = np.arange(-(n - 1), n) % n
+    z = box_sum(np.fft.ifft2(w2)[np.ix_(dmod, dmod)] * g2_tab[::-1, ::-1])
+    b3 = np.sum(v0) * np.mean(w1) - 0.5j * np.sum(v0 * z)
+    return cfg.trap.eta**2 * params.g_bar * (1j * sin2 * b1 + sin2 * b2
+                                             - 1j * cos2 * b3)
 
 
 def _hg_axis(x, p, w):

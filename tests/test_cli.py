@@ -41,6 +41,17 @@ def test_config_error_exit_code(tmp_path):
                  str(tmp_path / "x.csv")]) == 2
 
 
+def test_in_process_manifest_records_the_parsed_argv(cfg_file, tmp_path, monkeypatch):
+    # an in-process caller's arguments, not the host process's
+    monkeypatch.setattr(sys, "argv", ["host", "--host-only"])
+    out = tmp_path / "disp.csv"
+    argv = ["dispersion", "--config", str(cfg_file), "--path", "G,X",
+            "--samples", "2", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "disp.csv.manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+
 def test_dispersion_csv_and_manifest(cfg_file, tmp_path):
     out = tmp_path / "disp.csv"
     rc = main(["dispersion", "--config", str(cfg_file), "--path", "G,X",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from arraycav._numerics import (box_sum, expm, integrate_linear, open_convolve,
+from arraycav._numerics import (expm, integrate_linear, open_convolve,
                                 open_convolve_real, output_times, padded_rfft)
 from arraycav.cavity_dynamics import _generator, _Krylov
 from arraycav.confined import projected_kernels
@@ -15,6 +15,7 @@ from arraycav.om_dynamics import RTOL, _multimode_rhs, _reduced_rhs
 from arraycav.optomech import MechanicalChain, closed_form_params
 
 from conftest import make_config
+from dense_reference import box_sum
 
 # 1-norms from well inside theta_13 (no squaring) to 8 squarings
 NORMS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3)
@@ -84,6 +85,7 @@ def test_real_open_convolution_matches_complex_path(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 128])
 def test_box_sum_matches_open_convolution_with_ones(n):
+    # the summed-area oracle of om_consistency's folded Z (dense_reference)
     rng = np.random.default_rng(n)
     table = rng.standard_normal((2 * n - 1, 2 * n - 1, 2)) @ np.array([1.0, 1j])
     got = box_sum(table)

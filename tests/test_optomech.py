@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
-                               projected_kernel)
+                               projected_kernel, projected_kernels)
 from arraycav.errors import ConfigError, RegimeError
 from arraycav.greens import Q
 from arraycav.lattice_sums import dispersion_grid
@@ -17,7 +17,7 @@ from arraycav.optomech import (closed_form_params, coupling_matrix_C,
                                mechanical_basis, om_consistency)
 
 from conftest import make_config
-from dense_reference import dense_C
+from dense_reference import dense_C, trace_C_box_sum
 
 # frozen reference values at q z0 = pi/4, eta = 0.1, c/l = 100, delta-Delta = 100,
 # w = 4, a = 0.5 (independent arithmetic on the closed forms)
@@ -321,6 +321,74 @@ class TestConsistencyRoutes:
         cfg, _, _, _, _ = small_setup
         with pytest.raises(ValueError, match="grid"):
             om_consistency(cfg, dispersion_grid(0.5, 8))
+
+
+class TestTraceEngine:
+    """om_consistency's quadratic forms on radial profiles against the table
+    routes: C_00 from K_c applied to the one-column basis V0, and the trace
+    with Z as the box sum of the (2n-1, 2n-1) product table."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_side=st.integers(2, 40), a=st.floats(0.2, 1.0, exclude_max=True),
+           z0=st.floats(0.0, 0.25), k_cut=st.floats(0.05, 0.95))
+    def test_C00_and_Z_match_the_table_routes(self, n_side, a, z0, k_cut):
+        grid = dispersion_grid(a, n_side)
+        cfg = make_config(a=a, n_side=n_side, w=2.0, z0=z0,
+                          delta=grid.delta0 + 200.0, eta=0.1, l_fsr=100.0,
+                          omega_m=0.01, kappa_c=0.5, Omega=0.01)
+        w = n_side * a / 4.0
+        cfg = dataclasses.replace(cfg, cavity=dataclasses.replace(cfg.cavity, w=w))
+        k_cut_abs = k_cut * Q
+        rep = om_consistency(cfg, grid, k_cut_abs=k_cut_abs)
+        v0 = intensity_profile(cfg.lattice, w)
+        c00 = coupling_matrix_C(cfg, v0.reshape(-1, 1),
+                                *projected_kernels(cfg.lattice, z0, k_cut_abs),
+                                grid)[0, 0]
+        # C_00's terms cancel (kappa_2 = -2 Re C_00 vanishes analytically, and
+        # Im C_00 ~ cos^2 - sin^2 at the profile scale), so its deviation is
+        # bounded by the operand scale eta^2 gbar sum f^2, f = sqrt(V0) V0
+        operand = cfg.trap.eta**2 * closed_form_params(cfg, grid.delta0).g_bar \
+            * np.sum(v0**3)
+        assert abs(rep.C00 - c00) <= 1e-13 * operand
+        assert abs(rep.kappa_2 + 2.0 * c00.real) <= 1e-13 * rep.kappa_sc_closed
+        trace = trace_C_box_sum(cfg, grid, k_cut_abs)
+        assert abs(rep.trace_C - trace) <= 1e-13 * abs(trace)
+
+    def test_no_table_transform(self, small_setup, grid16, monkeypatch):
+        # four padded real transforms (two forward, two inverse, one field
+        # each), the n x n pair of P1/P2 and one n x n ifft2 of the P2
+        # weights; no (2n-1, 2n-1) table is transformed
+        cfg, _, _, _, k_cut = small_setup
+        n = cfg.lattice.n_side
+        calls = []
+        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+            def counting(x, *args, _f=getattr(np.fft, name), _name=name, **kw):
+                x = np.asarray(x)
+                calls.append((_name, x.shape[-2:], int(np.prod(x.shape[:-2])),
+                              kw.get("s")))
+                return _f(x, *args, **kw)
+            monkeypatch.setattr(np.fft, name, counting)
+        om_consistency(cfg, grid16, k_cut_abs=k_cut)
+        assert all(shape != (2 * n - 1, 2 * n - 1) for _, shape, _, _ in calls)
+        padded = [(name, count) for name, _, count, s in calls if s not in (None, (n, n))]
+        assert sorted(padded) == [("irfft2", 1)] * 2 + [("rfft2", 1)] * 2
+        assert sorted((name, count) for name, _, count, s in calls
+                      if s in (None, (n, n))) == [("ifft2", 1), ("irfft2", 2), ("rfft2", 1)]
+
+    def test_memory_at_acceptance_scale(self):
+        # no displacement-table transform: the peak is a few padded-grid
+        # arrays and the radius index (the table route peaked at 37 MB)
+        import tracemalloc
+        grid = dispersion_grid(0.25, 256)
+        cfg = make_config(a=0.25, n_side=256, w=8.0, z0=0.1,
+                          delta=grid.delta0 + 100.0, kappa_c=0.5)
+        tracemalloc.start()
+        try:
+            om_consistency(cfg, grid, k_cut_abs=0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
 
 class TestGroundStateAverage:
