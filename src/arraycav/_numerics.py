@@ -11,32 +11,37 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError
 
 
+# Largest rule seeded by leggauss's eigenvalues, an O(n^3) solve
+_EIGEN_SEED_NODES = 128
+
+
 @lru_cache(maxsize=32)
 def gauss_legendre(n):
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    """Cached Gauss-Legendre nodes and weights on [-1, 1], to round-off.
 
-
-@lru_cache(maxsize=4)
-def polished_gauss_legendre(n):
-    """Gauss-Legendre nodes and weights on [-1, 1] to round-off.
-
-    leggauss's weights err by up to ~1e-12 relative next to +-1, which an
-    integrand peaked at an end (the Ewald spatial integral) turns into 1e-14
-    errors.  Here its nodes take one Newton step on the three-term
-    recurrence, and the weights are 2 / ((1 - x^2) P_n'(x)^2) from the same
-    recurrence.  The confined tables keep ``gauss_legendre``'s rule.
+    Newton steps on the three-term recurrence polish the nodes, and the
+    weights are 2 / ((1 - x^2) P_n'(x)^2) from the same recurrence.  Up to
+    _EIGEN_SEED_NODES the seed is numpy's ``leggauss`` (one step); beyond,
+    Tricomi's asymptotic guesses cos(pi (4k - 1) / (4n + 2)) (1 - (1 - 1/n)
+    / (8 n^2)) (three steps), so a rule of n nodes costs O(n^2): 15,096
+    nodes take ~3 s.  leggauss's own weights err by up to ~1e-12 relative
+    next to +-1: an integrand peaked at an end (the Ewald spatial integral)
+    turns that into 1e-14 errors, and at 1,536 nodes its rule integrates
+    cos(w x) only to ~2e-13, this one to ~2e-15.
     """
-    x = gauss_legendre(n)[0]
-    for step in range(2):
+    if n <= _EIGEN_SEED_NODES:
+        x, steps = leggauss(n)[0], 1
+    else:
+        k = np.arange(n, 0, -1)
+        x = (1.0 - (1.0 - 1.0 / n) / (8.0 * n * n)) \
+            * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+        steps = 3
+    for step in range(steps + 1):
         p0, p1 = np.ones_like(x), x                  # P_{k-1}, P_k
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-        if step == 0:
+        if step < steps:
             x = x - p1 / dp
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x.setflags(write=False)

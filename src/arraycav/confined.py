@@ -15,10 +15,11 @@ The confined kernel at coincident planes is a radial Bessel integral over the
 disc; substituting u = k_z removes the light-line singularity and makes the
 integrand polynomial-smooth, so Gauss-Legendre quadrature converges to machine
 precision.  As a function of the radius the kernel is band-limited by k_cut,
-so the quadrature runs only at the Chebyshev points of an interpolant on
-[0, rho_max] (Trefethen, Approximation Theory and Approximation Practice,
-ch. 8), and the lattice radii are read off in barycentric form (Berrut &
-Trefethen, SIAM Rev. 46, 501 (2004)).
+so [0, rho_max] is cut into equal panels and the quadrature runs only at the
+Chebyshev points of a low-degree interpolant on each (Trefethen,
+Approximation Theory and Approximation Practice, ch. 8); each panel's
+lattice radii are read off its Chebyshev coefficients by Clenshaw's
+recurrence.
 """
 
 from __future__ import annotations
@@ -92,20 +93,33 @@ def confined_nodes(k_cut_abs, rho_max):
     return max(192, int(0.75 * phase) + 96)
 
 
-def chebyshev_degree(k_cut_abs, rho_max):
-    """Degree K of the Chebyshev interpolant of the confined tables on
-    [0, rho_max].
+# J0 evaluations (with their share of the quadrature contraction) per
+# Clenshaw step of one radius: the exchange rate of the panel rule's cost
+_J0_COST = 16.0
 
-    The tables have exponential type k_cut, so on an interval of half-width
-    rho_max / 2 their Chebyshev coefficients fall like J_k(z), z = k_cut
-    rho_max / 2: they reach round-off a transition width ~ z^(1/3) past
-    k = z.  K = ceil(z) + max(60, ceil(12 z^(1/3))).  A margin of 60 suffices
-    up to phases k_cut rho_max ~ 330 (40 does not); from phase ~ 600 on, a
-    fixed 60 leaves a coefficient tail above 1e-13, so the margin follows the
-    transition width there.
+
+def chebyshev_panels(k_cut_abs, rho_max, radii, nodes):
+    """Panel count P and degree K of the piecewise Chebyshev interpolant of
+    the confined profiles on [0, rho_max].
+
+    The profiles have exponential type k_cut, so on a panel of half-width h/2
+    their Chebyshev coefficients fall like J_k(z), z = k_cut h / 2: they
+    reach round-off a transition width ~ z^(1/3) past k = z, and
+    K = ceil(z + 12 z^(1/3)) + 8 puts the last 8 below 3e-15 of the largest
+    (checked for z up to 400 and k_cut up to 0.999 q).  More panels mean a
+    lower degree, so fewer Clenshaw steps for each of the ``radii`` radii,
+    but more J0 evaluations, P (K + 1) at each of the ``nodes`` quadrature
+    nodes.  P is the count from 1 to ceil(k_cut rho_max / 2) that minimizes
+    that work, one J0 evaluation counted as _J0_COST Clenshaw steps.  Small
+    phases take one panel.
     """
     z = 0.5 * k_cut_abs * rho_max
-    return math.ceil(z) + max(60, math.ceil(12.0 * z ** (1.0 / 3.0)))
+    panels = np.arange(1, max(1, math.ceil(z)) + 1)
+    zp = z / panels
+    degree = np.ceil(zp + 12.0 * np.cbrt(zp)) + 8
+    cost = _J0_COST * nodes * panels * (degree + 1) + radii * degree
+    best = int(np.argmin(cost))
+    return int(panels[best]), int(degree[best])
 
 
 # J0 as monomials in a mapped variable, from Chebyshev interpolants of mpmath
@@ -162,12 +176,24 @@ def j0(x):
     return out
 
 
-# Largest Chebyshev coefficient of the last _TAIL_COEFFS, relative to the
-# largest, that the interpolant accepts
+# Largest Chebyshev coefficient of a panel's last _TAIL_COEFFS, relative to
+# the profile's largest over all panels, that the interpolant accepts
 _TAIL_COEFFS, _TAIL_TOL = 8, 1e-13
 
-# J0 values or interpolation weights formed per block: 2 MB of float64 at a time
+# J0 values formed per block: 2 MB of float64 at a time; radii per block of
+# the Clenshaw readout, whose three work arrays then stay in cache
 _BLOCK = 1 << 18
+_READOUT_BLOCK = 1 << 13
+
+
+def _radius_index(lattice: LatticeSpec, radii2):
+    """The distinct radii a sqrt(m) of the integer squared radii ``radii2``,
+    ascending, and each entry's position among them: the m are marked in a
+    presence mask over 0..2 (n_side - 1)^2, whose running count is the
+    index.  O(n_side^2) time and memory, no sort."""
+    present = np.zeros(2 * (lattice.n_side - 1) ** 2 + 1, dtype=bool)
+    present[radii2] = True
+    return lattice.a * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[radii2]
 
 
 def lattice_radii(lattice: LatticeSpec):
@@ -177,15 +203,65 @@ def lattice_radii(lattice: LatticeSpec):
     ascending, and the (2 n_side - 1, 2 n_side - 1) integer array such that
     ``profile[inverse]`` is the displacement table of a radial profile
     evaluated on ``rho``.  R is 21,860 at n_side 256, against 261,121
-    displacements.  The squared radii i^2 + j^2 <= 2 (n_side - 1)^2 are marked
-    in a presence mask whose running count is the index: O(n_side^2) time and
-    memory, no sort.
+    displacements.
     """
     sq = np.arange(-(lattice.n_side - 1), lattice.n_side) ** 2
-    radii2 = sq[:, None] + sq[None, :]
-    present = np.zeros(2 * sq[0] + 1, dtype=bool)
-    present[radii2] = True
-    return lattice.a * np.sqrt(np.flatnonzero(present)), (np.cumsum(present) - 1)[radii2]
+    return _radius_index(lattice, sq[:, None] + sq[None, :])
+
+
+def octant_radii(lattice: LatticeSpec):
+    """The radial index over one octant of the displacements, for sums of
+    D4-symmetric fields.
+
+    Returns ``(rho, (i, j), index, multiplicity)``: the same R radii as
+    ``lattice_radii``, the offsets 0 <= j <= i < n_side (n_side (n_side + 1)
+    / 2 of them, an eighth of the (2 n_side - 1)^2 displacements), the
+    position of each offset's radius in ``rho``, and the size of its orbit
+    under the eight symmetries of the square: 1 at the origin, 4 on the axis
+    and the diagonal, 8 elsewhere.  A sum over all displacements of a field
+    invariant under those symmetries is the sum over the octant weighted by
+    ``multiplicity``.
+    """
+    i, j = np.tril_indices(lattice.n_side)
+    rho, index = _radius_index(lattice, i * i + j * j)
+    multiplicity = np.where(j == 0, 4.0, 8.0)
+    multiplicity[i == j] = 4.0
+    multiplicity[0] = 1.0
+    return rho, (i, j), index, multiplicity
+
+
+def confined_rule(k_cut_abs: float, nodes: int):
+    """The Gauss-Legendre rule of the confined Bessel integrals: the radial
+    wavenumbers k = sqrt(q^2 - u^2) at the ``nodes`` nodes in u, and the
+    (nodes, 2) weights of D_c and of its d2z, so that the profiles at rho
+    are J0(rho k) @ weights.
+
+    The rule runs over s = q - u in [0, k_cut^2 / (q + u_min)], and
+    k = sqrt(s (2q - s)): neither the interval, q - u_min, nor k near u = q
+    is formed by cancellation, which would cost a relative ~1e-16 q^2 /
+    k_cut^2 (1.4e-14 of d2z D_c(0) at k_cut = q / 8).
+    """
+    span = k_cut_abs * k_cut_abs / (Q + math.sqrt(Q * Q - k_cut_abs * k_cut_abs))
+    s, ws = gl_interval(0.0, span, nodes)
+    u = Q - s
+    weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * ws
+    return np.sqrt(s * (2.0 * Q - s)), np.stack([weight, -weight * u * u], axis=1)
+
+
+def _clenshaw(coeffs, t, out):
+    """out[i] = sum_k coeffs[k, i] T_k(t) for the (K + 1, 2) Chebyshev
+    coefficients of two profiles at the points t, into the (2, len(t)) out:
+    Clenshaw's recurrence in place, three multiply-adds per step."""
+    tt = 2.0 * t
+    b1, b2 = np.zeros_like(out), np.zeros_like(out)
+    for c in coeffs[:0:-1, :, None]:
+        np.multiply(tt, b1, out=out)
+        np.subtract(out, b2, out=b2)
+        b2 += c
+        b1, b2 = b2, b1
+    np.multiply(t, b1, out=out)
+    out -= b2
+    out += coeffs[0, :, None]
 
 
 def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
@@ -200,66 +276,71 @@ def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
     Real-valued: only the propagating (radiative) channel is confined.
 
     Returns the (2, R) array of (D_c, d2z D_c) at the R radii.  Both are
-    entire functions of rho of exponential type k_cut, so a Chebyshev
-    interpolant of degree K = ``chebyshev_degree`` on [0, rho_max] reproduces
-    them to round-off.  One pass of J0 at the K + 1 first-kind Chebyshev
-    points and the ``nodes`` quadrature nodes (default ``confined_nodes``),
-    contracted with both weight vectors, gives the values there.  The
-    Chebyshev coefficients of the same values (a (K + 1)^2 cosine matrix) must
-    fall below 1e-13 of the largest over their last 8, else ConvergenceError.
-    The R radii are read off by barycentric interpolation in blocks.  Time is
-    (K + 1) nodes J0 evaluations plus O(R K) arithmetic, memory O(R + K^2)
-    plus one block: at n_side 256, a = 0.25 and k_cut = 0.75, K = 94, and
-    18 k J0 evaluations replace the 4.2 M of a per-radius quadrature.
-    ``diagnostics``, if a dict, receives ``chebyshev_degree`` and
-    ``chebyshev_tail`` (the larger relative tail of the two profiles).
+    entire functions of rho of exponential type k_cut, so [0, rho_max] is
+    cut into P equal panels, each with a degree-K interpolant at its K + 1
+    first-kind Chebyshev points (P and K from ``chebyshev_panels``).  One
+    pass of J0 at the P (K + 1) points and the ``nodes`` quadrature nodes
+    (default ``confined_nodes``), contracted with both weight vectors of
+    ``confined_rule``, gives the values there; a (K + 1)^2 cosine matrix
+    turns each panel's values into Chebyshev coefficients.  On every panel
+    the last 8 must fall below 1e-13 of the profile's largest coefficient,
+    else ConvergenceError names the panel.  Each panel's radii, contiguous
+    in the sorted ``rho``, are read out by Clenshaw's recurrence in blocks.
+    The Chebyshev points and each radius's local coordinate are rounded to
+    ~eps of the panel width, which the profiles' slope k_cut turns into an
+    error of ~0.1 eps z of their maximum, z = k_cut h / 2 the panel
+    half-phase (at most 0.13 eps z against an mpmath quadrature over 40
+    random cases with z up to 950).  Time is P (K + 1) nodes J0 evaluations
+    plus O(R K) arithmetic, memory O(R + P K) plus one block: at n_side 256,
+    a = 0.25 and k_cut = 0.75, P = 4 and K = 41 (z = 8.5), and 32 k J0
+    evaluations replace the 4.2 M of a per-radius quadrature.
+    ``diagnostics``, if a dict, receives ``chebyshev_panels``,
+    ``chebyshev_degree`` and ``chebyshev_tail`` (the largest relative tail
+    over the panels and both profiles).
     """
     if not 0.0 < k_cut_abs < Q:
         raise ValueError("k_cut must lie strictly between 0 and q")
     rho_max = float(rho[-1])
     if nodes is None:
         nodes = confined_nodes(k_cut_abs, rho_max)
-    degree = chebyshev_degree(k_cut_abs, rho_max)
-    umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
-    u, wu = gl_interval(umin, Q, nodes)
-    weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * wu
-    weights = np.stack([weight, -weight * u * u], axis=1)
-    kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
+    panels, degree = chebyshev_panels(k_cut_abs, rho_max, rho.size, nodes)
+    kk, weights = confined_rule(k_cut_abs, nodes)
     k = np.arange(degree + 1)
-    theta = (k + 0.5) * (np.pi / (degree + 1))
-    x = np.cos(theta)
-    points = 0.5 * rho_max * (1.0 + x)
-    values = np.empty((degree + 1, 2))
+    width = rho_max / panels
+    points = ((np.arange(panels)[:, None]
+               + 0.5 * (1.0 + np.cos((k + 0.5) * (np.pi / (degree + 1))))) * width).ravel()
+    values = np.empty((points.size, 2))
     rows = max(1, _BLOCK // nodes)
-    for s in range(0, degree + 1, rows):
+    for s in range(0, points.size, rows):
         values[s:s + rows] = j0(np.outer(points[s:s + rows], kk)) @ weights
     # c_k = (2 / (K + 1)) sum_j values_j cos(k theta_j), with k theta_j
     # reduced exactly (in integers) to [0, 2 pi): cos of the unreduced
     # product leaves a tail floor of ~1e-14 at K = 94 and ~1e-13 at K = 900
     turns = np.outer(k, 2 * k + 1) % (4 * (degree + 1))
-    coeffs = np.cos(turns * (np.pi / (2 * (degree + 1)))) @ values * (2.0 / (degree + 1))
-    coeffs[0] *= 0.5
-    tail = float(np.max(np.max(np.abs(coeffs[-_TAIL_COEFFS:]), axis=0)
-                        / np.max(np.abs(coeffs), axis=0)))
+    cosines = np.cos(turns * (np.pi / (2 * (degree + 1)))) * (2.0 / (degree + 1))
+    cosines[0] *= 0.5
+    coeffs = cosines @ values.reshape(panels, degree + 1, 2)
+    tails = np.max(np.max(np.abs(coeffs[:, -_TAIL_COEFFS:]), axis=1)
+                   / np.max(np.abs(coeffs), axis=(0, 1)), axis=1)
+    worst = int(np.argmax(tails))
     if diagnostics is not None:
-        diagnostics.update(chebyshev_degree=degree, chebyshev_tail=tail)
-    if not tail < _TAIL_TOL:
+        diagnostics.update(chebyshev_panels=panels, chebyshev_degree=degree,
+                           chebyshev_tail=float(tails[worst]))
+    if not tails[worst] < _TAIL_TOL:
         raise ConvergenceError(
-            f"confined-kernel Chebyshev tail {tail:.2g} not below {_TAIL_TOL:g} "
-            f"at degree {degree}")
-    # barycentric formula at first-kind points (Berrut & Trefethen 2004)
-    bary = np.where(k % 2, -1.0, 1.0) * np.sin(theta)
-    t = rho * (2.0 / rho_max if rho_max > 0 else 0.0) - 1.0
+            f"confined-kernel Chebyshev tail {tails[worst]:.2g} not below "
+            f"{_TAIL_TOL:g} on panel {worst + 1} of {panels} (rho in "
+            f"[{worst * width:.6g}, {(worst + 1) * width:.6g}]) at degree {degree}")
+    # panel p holds the radii in [p h, (p + 1) h), h = width, at local
+    # coordinate t = (rho - (p + 1/2) h) (2 / h) in [-1, 1]
+    bounds = np.searchsorted(rho, width * np.arange(panels + 1))
+    bounds[-1] = rho.size
+    scale = 2.0 / width if width > 0 else 0.0
     out = np.empty((2, rho.size))
-    rows = max(1, _BLOCK // (degree + 1))
-    for s in range(0, rho.size, rows):
-        diff = t[s:s + rows, None] - x
-        hit = np.nonzero(diff == 0.0)
-        diff[hit] = 1.0
-        c = bary / diff
-        block = (c @ values) / np.sum(c, axis=1)[:, None]
-        block[hit[0]] = values[hit[1]]
-        out[:, s:s + rows] = block.T
+    for p in range(panels):
+        for s in range(bounds[p], bounds[p + 1], _READOUT_BLOCK):
+            e = min(s + _READOUT_BLOCK, bounds[p + 1])
+            _clenshaw(coeffs[p], (rho[s:e] - (p + 0.5) * width) * scale, out[:, s:e])
     return out
 
 

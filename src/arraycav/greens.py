@@ -53,13 +53,20 @@ def _poly_even(coeffs, x2):
     return out
 
 
-def _da(x):
-    """Identity-part kernel D_A(x); closed form with series fallback."""
+def _closed_form_points(x):
+    """What every closed-form profile below reads: x as floats, the mask of
+    its series points (x < _X_SMALL), x with those points set to 1, and
+    e^{ix} there.  A caller of two profiles forms the exponential once."""
     x = np.asarray(x, dtype=float)
     small = x < _X_SMALL
-    out = np.empty(x.shape, dtype=complex)
     xs = np.where(small, 1.0, x)
-    e = np.exp(1j * xs)
+    return x, small, xs, np.exp(1j * xs)
+
+
+def _da(points):
+    """Identity-part kernel D_A(x); closed form with series fallback."""
+    x, small, xs, e = points
+    out = np.empty(x.shape, dtype=complex)
     out[...] = -0.75j * e * (1.0 / xs + 1j / xs**2 - 1.0 / xs**3)
     if np.any(small):
         x2 = x[small] ** 2
@@ -70,13 +77,10 @@ def _da(x):
     return out
 
 
-def _db(x):
+def _db(points):
     """Dyad-part kernel D_B(x)."""
-    x = np.asarray(x, dtype=float)
-    small = x < _X_SMALL
+    x, small, xs, e = points
     out = np.empty(x.shape, dtype=complex)
-    xs = np.where(small, 1.0, x)
-    e = np.exp(1j * xs)
     out[...] = -0.75j * e * (-1.0 / xs - 3j / xs**2 + 3.0 / xs**3)
     if np.any(small):
         x2 = x[small] ** 2
@@ -87,13 +91,11 @@ def _db(x):
     return out
 
 
-def _p1(x):
+def _p1(points):
     """d^2_z identity-part profile, units q^2: (3/(4x^5))(x^3+2ix^2-3x-3i)e^{ix}."""
-    x = np.asarray(x, dtype=float)
-    small = x < _X_SMALL
+    x, small, xs, e = points
     out = np.empty(x.shape, dtype=complex)
-    xs = np.where(small, 1.0, x)
-    out[...] = 0.75 * (xs**3 + 2j * xs**2 - 3.0 * xs - 3j) * np.exp(1j * xs) / xs**5
+    out[...] = 0.75 * (xs**3 + 2j * xs**2 - 3.0 * xs - 3j) * e / xs**5
     if np.any(small):
         x2 = x[small] ** 2
         re = _poly_even(_P1_RE, x2)
@@ -103,13 +105,11 @@ def _p1(x):
     return out
 
 
-def _p2(x):
+def _p2(points):
     """d^2_z dyad-part profile, units q^2: (3/(4x^5))(-x^3-6ix^2+15x+15i)e^{ix}."""
-    x = np.asarray(x, dtype=float)
-    small = x < _X_SMALL
+    x, small, xs, e = points
     out = np.empty(x.shape, dtype=complex)
-    xs = np.where(small, 1.0, x)
-    out[...] = 0.75 * (-xs**3 - 6j * xs**2 + 15.0 * xs + 15j) * np.exp(1j * xs) / xs**5
+    out[...] = 0.75 * (-xs**3 - 6j * xs**2 + 15.0 * xs + 15j) * e / xs**5
     if np.any(small):
         x2 = x[small] ** 2
         re = _poly_even(_P2_RE, x2)
@@ -151,8 +151,8 @@ def kernel_fs(r_perp, dz=0.0, e_d=None):
     # |e_d^dag . rhat|^2; e_d has no z-component so only r_perp enters
     proj = np.conj(e_d[0]) * rp[0] + np.conj(e_d[1]) * rp[1]
     t = float(abs(proj) ** 2) / r**2
-    x = np.asarray(Q * r)
-    return complex(_da(x) + t * _db(x))
+    points = _closed_form_points(Q * r)
+    return complex(_da(points) + t * _db(points))
 
 
 def kernel_fs_d2z(r_perp, e_d=None):
@@ -170,8 +170,8 @@ def kernel_fs_d2z(r_perp, e_d=None):
         return -Q * Q * GAMMA / 5.0 + 0.0j
     proj = np.conj(e_d[0]) * rp[0] + np.conj(e_d[1]) * rp[1]
     t = float(abs(proj) ** 2) / rho**2
-    x = np.asarray(Q * rho)
-    return complex(Q * Q * (_p1(x) + t * _p2(x)))
+    points = _closed_form_points(Q * rho)
+    return complex(Q * Q * (_p1(points) + t * _p2(points)))
 
 
 def kernel_fs_momentum(k_perp, dz=0.0, e_d=None):
@@ -206,8 +206,8 @@ def kernel_fs_plane(dx, dy):
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     rho = np.hypot(dx, dy)
-    x = np.where(rho > 0, Q * rho, 1.0)
-    out = _da(x) + 0.5 * _db(x)
+    points = _closed_form_points(np.where(rho > 0, Q * rho, 1.0))
+    out = _da(points) + 0.5 * _db(points)
     return np.where(rho > 0, out, 0.5 * GAMMA + 0.0j)
 
 
@@ -216,6 +216,6 @@ def kernel_fs_d2z_plane(dx, dy):
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     rho = np.hypot(dx, dy)
-    x = np.where(rho > 0, Q * rho, 1.0)
-    out = Q * Q * (_p1(x) + 0.5 * _p2(x))
+    points = _closed_form_points(np.where(rho > 0, Q * rho, 1.0))
+    out = Q * Q * (_p1(points) + 0.5 * _p2(points))
     return np.where(rho > 0, out, -Q * Q * GAMMA / 5.0 + 0.0j)

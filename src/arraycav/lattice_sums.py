@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import horner, polished_gauss_legendre
+from ._numerics import gauss_legendre, horner
 from .errors import ConfigError, GrazingError
 from .greens import GAMMA, LAMBDA, Q
 
@@ -132,7 +132,7 @@ def _spatial_table(a, E):
     d2 = (np.arange(m + 1) * a) ** 2
     r2E2 = (d2[:, None] + d2[None, :]) * (E * E)
     b2 = Q * Q / (4.0 * E * E)
-    x, w = polished_gauss_legendre(_SPATIAL_NODES)
+    x, w = gauss_legendre(_SPATIAL_NODES)
     t = 0.5 * (1.0 + x)
     y = 1.0 / (t * t)
     c = 0.5 * (1.0 - x) * (1.0 + t)                       # 1 - t^2
@@ -160,12 +160,13 @@ def _self_shift(E):
     return (Q * b * _erfi_over_x(b) - c * (1.0 - E * E / (Q * Q))) / (4.0 * np.pi)
 
 
-def _spectral_sum(kx, ky, a, E):
+def _spectral_sum(kx, ky, a, E, decay=True):
     """Spectral part of Delta_k over flat arrays of folded wavevectors.
 
     Returns (delta, gamma_plus, grazing, residual): the spectral part,
     Gamma_k + gamma in units gamma / (gamma lambda), the grazing mask and the
-    largest term of the outermost shell.  The orders of ~_BLOCK / (2M + 1)^2
+    largest term of the outermost shell; without ``decay`` the two decay
+    entries are None and not computed.  The orders of ~_BLOCK / (2M + 1)^2
     wavevectors are summed at a time; erfc runs only on evanescent orders
     below _TAIL, beyond which erfc < 2e-17.
     """
@@ -175,8 +176,8 @@ def _spectral_sum(kx, ky, a, E):
     edge = np.abs(np.arange(-M, M + 1)) == M
     shell = (edge[:, None] | edge[None, :]).ravel()
     delta = np.empty(kx.size)
-    gamma_plus = np.empty(kx.size)
-    grazing = np.empty(kx.size, dtype=bool)
+    gamma_plus = np.empty(kx.size) if decay else None
+    grazing = np.empty(kx.size, dtype=bool) if decay else None
     residual = 0.0
     rows = max(1, _BLOCK // shell.size)
     for s in range(0, kx.size, rows):
@@ -198,23 +199,25 @@ def _spectral_sum(kx, ky, a, E):
         phi[evan] = -_erfc(xe) / xe
         term = 3.0 / (8.0 * a * a * E) * w * phi
         delta[s:s + rows] = term.sum(axis=1)
-        # the decay as a running sum over the orders, mx before my: a
-        # sequential sum, so gamma_k does not depend on the blocking
-        radiated = np.divide(1.5 / (a * a) * w, kz, out=np.zeros(p2.shape),
-                             where=prop)
-        gamma_plus[s:s + rows] = np.cumsum(radiated, axis=1)[:, -1]
-        grazing[s:s + rows] = near.any(axis=1)
         residual = max(residual, float(np.abs(term[:, shell]).max()))
+        if decay:
+            # the decay as a running sum over the orders, mx before my: a
+            # sequential sum, so gamma_k does not depend on the blocking
+            radiated = np.divide(1.5 / (a * a) * w, kz, out=np.zeros(p2.shape),
+                                 where=prop)
+            gamma_plus[s:s + rows] = np.cumsum(radiated, axis=1)[:, -1]
+            grazing[s:s + rows] = near.any(axis=1)
     return delta, gamma_plus, grazing, residual
 
 
-def _lattice_sum(kx, ky, a):
+def _lattice_sum(kx, ky, a, decay=True):
     """Gamma_k, Delta_k (units gamma) over broadcastable wavevector arrays.
 
     Returns (gamma_k, delta_k, residual).  gamma_k is NaN where a diffraction
-    order grazes the light line (|k_z|^2 < GRAZING_TOL q^2); delta_k there is
-    the finite limit from inside the light cone.  ``residual`` is the largest
-    term of the outermost kept spatial and spectral shells, units gamma.
+    order grazes the light line (|k_z|^2 < GRAZING_TOL q^2), and None without
+    ``decay``; delta_k there is the finite limit from inside the light cone.
+    ``residual`` is the largest term of the outermost kept spatial and
+    spectral shells, units gamma.
     """
     kx, ky = np.broadcast_arrays(np.asarray(kx, dtype=float),
                                  np.asarray(ky, dtype=float))
@@ -229,10 +232,13 @@ def _lattice_sum(kx, ky, a):
     # have |k + Q| >= (2 M + 1) pi / a, so Gamma_Q >= 2 _TAIL E
     g = 2.0 * np.pi / a
     spectral, gamma_plus, grazing, tail = _spectral_sum(
-        kx - g * np.round(kx / g), ky - g * np.round(ky / g), a, E)
+        kx - g * np.round(kx / g), ky - g * np.round(ky / g), a, E, decay)
     delta += spectral
+    residual = max(residual, tail)
+    if not decay:
+        return None, delta.reshape(shape), residual
     gamma_k = np.where(grazing, np.nan, GAMMA * LAMBDA * gamma_plus - GAMMA)
-    return gamma_k.reshape(shape), delta.reshape(shape), max(residual, tail)
+    return gamma_k.reshape(shape), delta.reshape(shape), residual
 
 
 def dispersion_point(k_perp, a) -> DispersionPoint:
@@ -349,12 +355,12 @@ def dispersion_grid(a, n_side) -> DispersionGrid:
     light cone.  Delta_k is even in kx and in ky and symmetric under
     kx <-> ky, so the sum runs over the non-negative frequencies with
     kx <= ky and is mirrored onto the fftfreq layout, which is then exactly
-    symmetric under both.
+    symmetric under both.  Gamma_k is not formed.
     """
     m = np.arange(n_side)
     k = 2.0 * np.pi * m[: n_side // 2 + 1] / (n_side * a)
     i, j = np.triu_indices(k.size)
-    _, upper, residual = _lattice_sum(k[i], k[j], a)
+    _, upper, residual = _lattice_sum(k[i], k[j], a, decay=False)
     half = np.empty((k.size, k.size))
     half[i, j] = upper
     half[j, i] = upper

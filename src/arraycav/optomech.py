@@ -39,7 +39,7 @@ from ._numerics import open_convolve, open_convolve_real, padded_rfft, padded_sh
 from .cavity_dynamics import _Krylov
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (KernelMatrix, confined_nodes, confined_profiles,
-                       lattice_radii, remove_confined)
+                       octant_radii, remove_confined)
 from .errors import MAX_MODES, ConfigError, RegimeError
 from .greens import GAMMA, Q, kernel_fs_d2z_plane, kernel_fs_plane
 from .lattice_sums import DispersionGrid
@@ -346,9 +346,9 @@ class OmConsistency:
     C00: complex
     trace_C: complex
     # stage work sizes and convergence: the Ewald shell residual (units gamma),
-    # the confined quadrature's node count, its Chebyshev degree and relative
-    # coefficient tail, and the distinct-radius and displacement counts of
-    # the kernel tables
+    # the confined quadrature's node count, its Chebyshev panel count, degree
+    # and relative coefficient tail, the distinct-radius count and the
+    # octant offsets every lattice sum runs over
     diagnostics: dict = field(default_factory=dict)
 
     def kappa_rel_dev(self) -> float:
@@ -360,55 +360,42 @@ class OmConsistency:
 
 def _trace_profiles(cfg: FullConfig, k_cut_abs: float):
     """Radial profiles of Gamma2 = 2 Re[D] and of D'' of the projected
-    kernels over the distinct lattice radii, the radius index, and the work
-    sizes of the profile stage.
+    kernels over the distinct lattice radii, the octant radius index, and
+    the work sizes of the profile stage.
 
     The confined pair shares one J0 pass at the Chebyshev points of its
-    interpolant (``confined_profiles``), whose degree and coefficient tail
+    panels (``confined_profiles``), whose count, degree and coefficient tail
     are recorded next to the node count.
     """
-    rho, inverse = lattice_radii(cfg.lattice)
+    rho, offsets, index, multiplicity = octant_radii(cfg.lattice)
     nodes = confined_nodes(k_cut_abs, float(rho[-1]))
     sizes = {"confined_nodes": nodes}
     conf, conf_d2 = confined_profiles(rho, k_cut_abs, nodes=nodes, diagnostics=sizes)
-    sizes.update(distinct_radii=int(rho.size), displacements=int(inverse.size))
+    sizes.update(distinct_radii=int(rho.size), octant_offsets=int(index.size))
     g2_prof = 2.0 * remove_confined(kernel_fs_plane(rho, 0.0), conf).real
     d2_prof = remove_confined(kernel_fs_d2z_plane(rho, 0.0), conf_d2)
-    return g2_prof, d2_prof, inverse.ravel(), sizes
+    return g2_prof, d2_prof, (offsets, index, multiplicity), sizes
 
 
-def _radial_contract(profile, inverse, corr, n):
-    """sum_d T(d) corr(d) for the radial table T = profile[inverse], with
-    ``corr`` a cyclic correlation on the padded grid: the profile against the
-    per-radius sums of corr's open-window offsets, the adjoint of the
-    scatter ``profile[inverse]``."""
-    offsets = np.arange(-(n - 1), n) % corr.shape[-1]
-    return profile @ np.bincount(inverse, weights=corr[offsets[:, None], offsets].ravel())
+def _radial_contract(profile, octant, corr):
+    """sum_d T(d) corr(d) over the displacements d of the open window, for
+    the radial table T of ``profile`` and a D4-symmetric cyclic correlation
+    ``corr`` on the padded grid: the profile against the per-radius sums of
+    corr over the octant offsets, each weighted by its orbit size."""
+    (i, j), index, multiplicity = octant
+    return profile @ np.bincount(index, weights=multiplicity * corr[i, j])
 
 
-def _window_sums(v0):
+def _octant_window_sums(v0, offsets):
     """W(d) = sum of v0 over the window shifted by d, that is over the sites
-    p with p and p - d both in the n x n window, for every offset d of the
-    (2n - 1, 2n - 1) displacement grid, from a summed-area table of v0."""
+    p with p and p - d both in the n x n window, at the octant offsets d =
+    (i, j), i, j >= 0: rows i..n-1 and columns j..n-1 of a summed-area
+    table of v0."""
     n = v0.shape[0]
     c = np.zeros((n + 1, n + 1))
     np.cumsum(np.cumsum(v0, axis=0), axis=1, out=c[1:, 1:])
-    d = np.arange(-(n - 1), n)
-    lo, hi = np.maximum(d, 0), np.minimum(n + d, n)
-    rows = c[hi] - c[lo]
-    w = rows[:, hi]
-    w -= rows[:, lo]
-    return w
-
-
-def _fold(table, n):
-    """A (2n - 1, 2n - 1) displacement table summed onto the n x n torus:
-    offset d lands on d mod n."""
-    rows = table[n - 1:].copy()
-    rows[1:] += table[:n - 1]
-    out = rows[:, n - 1:].copy()
-    out[:, 1:] += rows[:, :n - 1]
-    return out
+    i, j = offsets
+    return c[n, n] - c[i, n] - c[n, j] + c[i, j]
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
@@ -426,9 +413,15 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     - f . P2 (Gamma2 f) = (P2 f) . (Gamma2 f) is Gamma2 contracted with the
       cross-correlation of P2 f and f: one more padded rfft2 and irfft2;
     - f . P1 f and f . f are n x n operations;
-    - sum_p V0_p Z_p = sum_d p2(d) Gamma2(d) W(d), W the ``_window_sums``
-      of V0; p2 is n-periodic, so Gamma2 W is folded onto the n x n torus.
+    - sum_p V0_p Z_p = sum_d p2(d) Gamma2(d) W(d), W the window sums of V0
+      (``_octant_window_sums``) and p2 the n-periodic ``ifft2`` of the P2
+      weights.
 
+    Every field contracted over the displacements (the correlations, W, p2
+    and the radial tables) is invariant under the eight symmetries of the
+    square, because V0 and the Brillouin-grid weights are.  So each lattice
+    sum runs over the octant 0 <= j <= i < n with orbit multiplicities
+    (``confined.octant_radii``), an eighth of the (2n - 1)^2 displacements.
     O(N log N) time, O(N) memory.  ``k_cut_abs`` overrides the confinement
     cutoff (default the config's).
     """
@@ -442,7 +435,7 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
 
     k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
-    g2_prof, d2_prof, inverse, sizes = _trace_profiles(cfg, k_cut_abs)
+    g2_prof, d2_prof, octant, sizes = _trace_profiles(cfg, k_cut_abs)
     diagnostics = {"dispersion_residual": dispersion.residual, **sizes}
     v0 = intensity_profile(lattice, cfg.cavity.w)
     # trace over the complete basis: sum_nu V^nu_n V^nu_m = delta_nm
@@ -451,11 +444,13 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     mean_w1 = float(np.mean(w1))
     # Z_n = (1/N) sum_kk' e^{i(k-k') r_n} gamma_kk' W2_k as a lattice
     # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d); its
-    # V0-weighted sum, with Gamma2 W folded onto the n-periodic p2
-    weighted = _window_sums(v0)
-    weighted *= g2_prof[inverse].reshape(weighted.shape)
-    b3 = np.sum(v0) * mean_w1 - 0.5j * np.sum(np.fft.ifft2(w2) * _fold(weighted, n))
-    del weighted
+    # V0-weighted sum over the octant offsets, which lie inside one period
+    # of p2
+    (i, j), index, multiplicity = octant
+    weighted = _octant_window_sums(v0, (i, j))
+    weighted *= multiplicity
+    weighted *= g2_prof[index]
+    b3 = np.sum(v0) * mean_w1 - 0.5j * (np.fft.ifft2(w2)[i, j] @ weighted)
     trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
 
     # C_00 as quadratic forms of f = s o V0: the autocorrelation of f meets
@@ -467,9 +462,9 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     ff, fp = padded_rfft(f, n), padded_rfft(p2f, n)
     fp *= ff.conj()
     ff *= ff.conj()
-    d2_term = _radial_contract(d2_prof, inverse, np.fft.irfft2(ff, s=padded_shape(n)), n)
+    d2_term = _radial_contract(d2_prof, octant, np.fft.irfft2(ff, s=padded_shape(n)))
     del ff
-    g2_term = _radial_contract(g2_prof, inverse, np.fft.irfft2(fp, s=padded_shape(n)), n)
+    g2_term = _radial_contract(g2_prof, octant, np.fft.irfft2(fp, s=padded_shape(n)))
     scale = sin2 / (Q * Q * dmD)
     c00_re = scale * d2_term.real - 0.5 * cos2 * g2_term
     c00_im = scale * d2_term.imag - cos2 * np.sum(f * p1f) + sin2 * np.sum(f * f)

@@ -1,6 +1,6 @@
 """Dense N x N reference formulas: lattice kernels, the full-model generator,
-the mechanical coupling matrix, the box-sum trace and a Hermite-Gauss
-confined-kernel oracle.
+the mechanical coupling matrix, the box-sum trace, the trace engine over every
+displacement and a Hermite-Gauss confined-kernel oracle.
 
 These are the explicit-matrix definitions of the kernel K[n, m], of the
 generator A of the full N-atom system and of C: the Brillouin-grid
@@ -16,9 +16,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_hermite
 
+from arraycav._numerics import padded_rfft, padded_shape
 from arraycav.cavity_dynamics import coupling_profile
-from arraycav.confined import projected_kernels
-from arraycav.greens import GAMMA, LAMBDA, Q
+from arraycav.confined import (confined_profiles, lattice_radii,
+                               projected_kernels, remove_confined)
+from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane,
+                             kernel_fs_plane)
 from arraycav.optomech import closed_form_params, intensity_profile
 
 
@@ -118,6 +121,73 @@ def trace_C_box_sum(cfg, dispersion, k_cut_abs):
     b3 = np.sum(v0) * np.mean(w1) - 0.5j * np.sum(v0 * z)
     return cfg.trap.eta**2 * params.g_bar * (1j * sin2 * b1 + sin2 * b2
                                              - 1j * cos2 * b3)
+
+
+def _radial_contract(profile, inverse, corr, n):
+    """sum_d T(d) corr(d) for the radial table T = profile[inverse], with
+    ``corr`` a cyclic correlation on the padded grid, over every displacement
+    of the open window: the adjoint of the scatter ``profile[inverse]``."""
+    offsets = np.arange(-(n - 1), n) % corr.shape[-1]
+    return profile @ np.bincount(inverse, weights=corr[offsets[:, None], offsets].ravel())
+
+
+def _window_sums(v0):
+    """W(d) = sum of v0 over the window shifted by d, for every offset d of
+    the (2n - 1, 2n - 1) displacement grid, from a summed-area table of v0."""
+    n = v0.shape[0]
+    c = np.zeros((n + 1, n + 1))
+    np.cumsum(np.cumsum(v0, axis=0), axis=1, out=c[1:, 1:])
+    d = np.arange(-(n - 1), n)
+    lo, hi = np.maximum(d, 0), np.minimum(n + d, n)
+    rows = c[hi] - c[lo]
+    w = rows[:, hi]
+    w -= rows[:, lo]
+    return w
+
+
+def _fold(table, n):
+    """A (2n - 1, 2n - 1) displacement table summed onto the n x n torus:
+    offset d lands on d mod n."""
+    rows = table[n - 1:].copy()
+    rows[1:] += table[:n - 1]
+    out = rows[:, n - 1:].copy()
+    out[:, 1:] += rows[:, :n - 1]
+    return out
+
+
+def trace_terms_full_index(cfg, dispersion, k_cut_abs):
+    """(sum_nu C_nu_nu, C_00) as ``om_consistency`` forms them, but with every
+    lattice sum over all (2n - 1)^2 displacements of the ``lattice_radii``
+    index: no octant and no symmetry assumed.  The Z term folds Gamma2 W onto
+    the n-periodic p2."""
+    lattice = cfg.lattice
+    n = lattice.n_side
+    dmD, w1, w2 = _weights(cfg, dispersion)
+    eta2_gbar = cfg.trap.eta**2 * closed_form_params(cfg, dispersion.delta0).g_bar
+    sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
+    rho, inverse = lattice_radii(lattice)
+    inverse = inverse.ravel()
+    conf, conf_d2 = confined_profiles(rho, k_cut_abs)
+    g2_prof = 2.0 * remove_confined(kernel_fs_plane(rho, 0.0), conf).real
+    d2_prof = remove_confined(kernel_fs_d2z_plane(rho, 0.0), conf_d2)
+    v0 = intensity_profile(lattice, cfg.cavity.w)
+    weighted = _window_sums(v0) * g2_prof[inverse].reshape(2 * n - 1, 2 * n - 1)
+    b3 = np.sum(v0) * np.mean(w1) - 0.5j * np.sum(np.fft.ifft2(w2) * _fold(weighted, n))
+    b2 = np.sum(v0) * d2_prof[0] / (Q * Q * dmD)
+    trace_c = eta2_gbar * (1j * sin2 * np.sum(v0) + sin2 * b2 - 1j * cos2 * b3)
+    f = np.sqrt(v0) * v0
+    half = n // 2 + 1
+    p1f, p2f = np.fft.irfft2(np.stack([w1[:, :half], w2[:, :half]])
+                             * np.fft.rfft2(f), s=(n, n))
+    ff, fp = padded_rfft(f, n), padded_rfft(p2f, n)
+    d2_term = _radial_contract(d2_prof, inverse,
+                               np.fft.irfft2(ff * ff.conj(), s=padded_shape(n)), n)
+    g2_term = _radial_contract(g2_prof, inverse,
+                               np.fft.irfft2(fp * ff.conj(), s=padded_shape(n)), n)
+    scale = sin2 / (Q * Q * dmD)
+    c00 = complex(scale * d2_term.real - 0.5 * cos2 * g2_term,
+                  scale * d2_term.imag - cos2 * np.sum(f * p1f) + sin2 * np.sum(f * f))
+    return complex(trace_c), complex(eta2_gbar * c00)
 
 
 def _hg_axis(x, p, w):

@@ -196,8 +196,9 @@ def test_omparams_manifest_records_diagnostics(cfg_file, tmp_path):
           "--out", str(out)])
     manifest = json.loads((tmp_path / "om.json.manifest.json").read_text())
     diag = manifest["diagnostics"]
-    assert diag["displacements"] == (2 * 24 - 1) ** 2
-    assert 24 < diag["distinct_radii"] < diag["displacements"]
+    assert diag["octant_offsets"] == 24 * 25 // 2
+    assert 24 < diag["distinct_radii"] < diag["octant_offsets"]
+    assert diag["chebyshev_panels"] >= 1 and diag["chebyshev_degree"] >= 8
     assert diag["confined_nodes"] >= 192
     assert 0.0 < diag["dispersion_residual"] < 1e-11
     assert manifest["outputs"][0]["sha256"]
@@ -469,9 +470,9 @@ def test_start_loads_no_numpy(start, exit_code, loaded):
 @pytest.mark.parametrize("model", ["multimode", "full"])
 def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
     # both projected kernels come from one confined J0 pass: one evaluation
-    # per (Chebyshev point, quadrature node) pair
+    # per (Chebyshev point of a panel, quadrature node) pair
     from arraycav import confined
-    from arraycav.confined import chebyshev_degree, confined_nodes, lattice_radii
+    from arraycav.confined import chebyshev_panels, confined_nodes, lattice_radii
     j0, shapes = confined.j0, []
 
     def counting_j0(x):
@@ -487,8 +488,9 @@ def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
     cfg = make_config(a=0.5, n_side=16, w=2.0, z0=0.125, delta=100.0)
     rho, _ = lattice_radii(cfg.lattice)
     k_cut = cfg.cavity.k_cut_abs
-    assert shapes == [(chebyshev_degree(k_cut, rho[-1]) + 1,
-                       confined_nodes(k_cut, rho[-1]))]
+    nodes = confined_nodes(k_cut, rho[-1])
+    panels, degree = chebyshev_panels(k_cut, rho[-1], rho.size, nodes)
+    assert shapes == [(panels * (degree + 1), nodes)]
 
 
 def test_dynamics_manifest_records_rhs_evals(cfg_file, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from arraycav import confined
-from arraycav._numerics import gl_interval
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (KernelMatrix, ModeProfile, cavity_profile,
-                               chebyshev_degree, confined_kernel_paraxial,
-                               confined_nodes, confined_table,
-                               free_space_kernel, lattice_radii,
-                               mode_decay_rate, projected_kernel,
-                               projected_kernels)
+                               chebyshev_panels, confined_kernel_paraxial,
+                               confined_nodes, confined_profiles,
+                               confined_rule, confined_table, free_space_kernel,
+                               lattice_radii, mode_decay_rate, octant_radii,
+                               projected_kernel, projected_kernels)
 from arraycav.errors import ConfigError, ConvergenceError
-from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs, kernel_fs_d2z,
+from arraycav.greens import (GAMMA, Q, kernel_fs, kernel_fs_d2z,
                              kernel_fs_d2z_plane, kernel_fs_plane)
 
 from dense_reference import confined_kernel_hg, dense
@@ -99,20 +99,71 @@ def _displacement_meshes(lattice):
 
 
 def _quadrature(rho, k_cut_abs, derivative):
-    """Reference: the Bessel quadrature evaluated at each radius."""
-    nodes = confined_nodes(k_cut_abs, float(rho.max()))
-    umin = math.sqrt(Q * Q - k_cut_abs * k_cut_abs)
-    u, wu = gl_interval(umin, Q, nodes)
-    weight = (3.0 * GAMMA * LAMBDA / (16.0 * np.pi)) * (1.0 + u * u / (Q * Q)) * wu
-    if derivative == 2:
-        weight = -weight * u * u
-    kk = np.sqrt(np.maximum(Q * Q - u * u, 0.0))
-    return (j0(np.outer(rho.ravel(), kk)) @ weight).reshape(rho.shape)
+    """Reference: the Bessel quadrature (``confined_rule``) evaluated at each
+    radius with scipy's J0, no interpolant."""
+    kk, weights = confined_rule(k_cut_abs, confined_nodes(k_cut_abs, float(rho.max())))
+    return (j0(np.outer(rho.ravel(), kk)) @ weights[:, derivative // 2]).reshape(rho.shape)
 
 
 def _full_grid_table(lattice, k_cut_abs, derivative):
     """Reference: the Bessel quadrature evaluated at every displacement."""
     return _quadrature(np.hypot(*_displacement_meshes(lattice)), k_cut_abs, derivative)
+
+
+@lru_cache(maxsize=1)
+def _mp_gauss_legendre():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        # 48 nodes on [-1, 1]
+        return mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(5, mpmath.mp.prec)
+
+
+def _mp_confined(rho, k_cut_abs):
+    """Reference: (D_c, d2z D_c) at one radius in mpmath (20 digits), with
+    no Bessel function and no u quadrature.
+
+    For circular polarization D_c is the disc integral
+    (3 / (32 pi^2)) Int_{|k| <= k_cut} F(k) cos(k_x rho) d^2k, with
+    F = 1/u + u/q^2 for D_c and F = -u - u^3/q^2 for its d2z, u = k_z =
+    sqrt(q^2 - k^2).  The k_y integral of 1/u, u and u^3 over the chord
+    |k_y| <= Y = sqrt(k_cut^2 - k_x^2) is elementary (A^2 = q^2 - k_x^2,
+    B = sqrt(A^2 - Y^2) = u_min, s = arcsin(Y / A)):
+
+        2 s,    Y B + A^2 s,    (Y / 4)(5 A^2 - 2 Y^2) B + (3 A^4 / 4) s.
+
+    k_x = k_cut sin(phi) removes the square-root end point, and the phi
+    integral over [0, pi/2] runs on 48-node Gauss-Legendre panels of phase
+    k_cut rho below 40.  s = pi/2 - arcsin(B / A) varies on the scale
+    cos(phi) ~ u_min / k_cut next to phi = pi/2, which shrinks as k_cut nears
+    q, so the panels there are graded geometrically down to that scale.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    nodes = _mp_gauss_legendre()
+    with mpmath.workdps(20):
+        q, kc, r = mpmath.mpf(Q), mpmath.mpf(k_cut_abs), mpmath.mpf(float(rho))
+        q2, b = q * q, mpmath.sqrt(q * q - kc * kc)
+        chunks = int(k_cut_abs * rho / 40.0) + 1
+        edges = {mpmath.pi / 2 * c / chunks for c in range(chunks + 1)}
+        graded = b / kc
+        while graded < mpmath.pi / (2 * chunks):
+            edges.add(mpmath.pi / 2 - graded)
+            graded *= 2
+        edges = sorted(edges)
+        sum0 = sum2 = mpmath.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            for x, w in nodes:
+                phi = mid + x * half
+                kx, y = kc * mpmath.sin(phi), kc * mpmath.cos(phi)
+                a2 = q2 - kx * kx
+                s = mpmath.asin(y / mpmath.sqrt(a2))
+                iu = y * b + a2 * s
+                iu3 = y / 4 * (5 * a2 - 2 * y * y) * b + 3 * a2 * a2 / 4 * s
+                f = w * half * y * mpmath.cos(kx * r)
+                sum0 += f * (2 * s + iu / q2)
+                sum2 -= f * (iu + iu3 / q2)
+        scale = 3 / (16 * mpmath.pi**2)
+        return float(scale * sum0), float(scale * sum2)
 
 
 class TestBesselJ0:
@@ -158,12 +209,14 @@ class TestConfinedTable:
             np.testing.assert_array_equal(table, table.T)               # x <-> y
 
     def test_acceptance_scale_matches_per_radius_quadrature(self):
-        # the acceptance scale: R = 21,860 radii, Chebyshev degree 94
+        # the acceptance scale: R = 21,860 radii on 4 panels of degree 41
         lat = LatticeSpec(a=0.25, n_side=256)
         rho, inverse = lattice_radii(lat)
         diagnostics = {}
         tables = confined_table(lat, 0.75, diagnostics=diagnostics)
-        assert diagnostics["chebyshev_degree"] == chebyshev_degree(0.75, rho[-1]) == 94
+        assert (diagnostics["chebyshev_panels"], diagnostics["chebyshev_degree"]) \
+            == chebyshev_panels(0.75, rho[-1], rho.size, confined_nodes(0.75, rho[-1])) \
+            == (4, 41)
         assert diagnostics["chebyshev_tail"] < 2e-15     # round-off, not truncation
         for derivative, table in zip((0, 2), tables):
             ref = _quadrature(rho, 0.75, derivative)
@@ -171,14 +224,18 @@ class TestConfinedTable:
 
     @pytest.mark.parametrize("a, n_side", [(0.9, 96), (0.95, 136)])
     def test_large_phase_matches_per_radius_quadrature(self, a, n_side, monkeypatch):
-        # phases k_cut rho_max ~ 730 and 1,080, where a fixed margin of 60
-        # over k_cut rho_max / 2 leaves a coefficient tail above 1e-13
+        # phases k_cut rho_max ~ 730 and 1,080, on 2 panels of half-phase
+        # ~180 and ~270, where a margin of 20 over the half-phase leaves a
+        # coefficient tail above 1e-13
         lat, k_cut = LatticeSpec(a=a, n_side=n_side), 0.95 * Q
         rho, inverse = lattice_radii(lat)
-        tables = confined_table(lat, k_cut)
+        diagnostics = {}
+        tables = confined_table(lat, k_cut, diagnostics=diagnostics)
+        panels = diagnostics["chebyshev_panels"]
+        assert panels == 2
+        short = math.ceil(0.25 * k_cut * rho[-1]) + 20
         with monkeypatch.context() as patch:
-            patch.setattr(confined, "chebyshev_degree",
-                          lambda k, r: math.ceil(0.5 * k * r) + 60)
+            patch.setattr(confined, "chebyshev_panels", lambda *args: (panels, short))
             with pytest.raises(ConvergenceError, match="Chebyshev tail"):
                 confined_table(lat, k_cut)
         first = np.unique(inverse, return_index=True)[1]    # a displacement per radius
@@ -188,43 +245,65 @@ class TestConfinedTable:
             got = table.ravel()[first[sample]]
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_degree_too_low_is_refused(self, monkeypatch):
-        # the worst phase of the hypothesis range, k_cut rho_max ~ 330: a
-        # degree 20 short of the rule returns no table
-        lat = LatticeSpec(a=1.0, n_side=40)
-        degree = chebyshev_degree(0.95 * Q, lattice_radii(lat)[0][-1])
-        monkeypatch.setattr(confined, "chebyshev_degree", lambda k, r: degree - 20)
+    @staticmethod
+    def _refuse(monkeypatch, rho, k_cut, short, failing):
+        # a degree below the rule returns no profile; the error names the
+        # panel whose tail fails, with its radius range
+        panels, degree = chebyshev_panels(k_cut, rho[-1], rho.size,
+                                          confined_nodes(k_cut, rho[-1]))
+        assert short < degree
+        monkeypatch.setattr(confined, "chebyshev_panels", lambda *args: (panels, short))
         diagnostics = {}
-        with pytest.raises(ConvergenceError, match="Chebyshev tail"):
-            confined_table(lat, 0.95 * Q, diagnostics=diagnostics)
-        assert diagnostics["chebyshev_degree"] == degree - 20
+        with pytest.raises(ConvergenceError, match=f"Chebyshev tail .* on {failing} "
+                           r"\(rho in \[[0-9.]+, [0-9.]+\]\) at degree"):
+            confined_profiles(rho, k_cut, diagnostics=diagnostics)
+        assert diagnostics["chebyshev_degree"] == short
+        assert diagnostics["chebyshev_panels"] == panels
         assert diagnostics["chebyshev_tail"] >= 1e-13
 
-    def test_radius_on_a_chebyshev_point_takes_its_value(self):
-        # radii that land exactly on interpolation points, where the
-        # barycentric formula divides by zero
-        rho_max = 8.0
-        degree = chebyshev_degree(2.0, rho_max)
+    def test_degree_too_low_is_refused(self, monkeypatch):
+        # the worst phase of the hypothesis range, k_cut rho_max ~ 330, on one
+        # panel: a margin of 20 over its half-phase (degree 185 against the
+        # rule's 239) returns no table
+        lat = LatticeSpec(a=1.0, n_side=40)
+        self._refuse(monkeypatch, lattice_radii(lat)[0], 0.95 * Q, 185, "panel 1 of 1")
+        with pytest.raises(ConvergenceError, match="Chebyshev tail"):
+            confined_table(lat, 0.95 * Q)
+
+    def test_refusal_names_the_failing_panel(self, monkeypatch):
+        # the acceptance scale on its 4 panels at degree 33 instead of 41:
+        # the third panel's tail fails first
+        rho, _ = lattice_radii(LatticeSpec(a=0.25, n_side=256))
+        self._refuse(monkeypatch, rho, 0.75, 33, "panel 3 of 4")
+
+    def test_radius_on_a_panel_edge_takes_its_value(self):
+        # radii exactly on the panel edges, which both neighbouring
+        # interpolants reach at t = -1 or 1, and on the Chebyshev points
+        rho_max, k_cut = 60.0, 0.75
+        nodes = confined_nodes(k_cut, rho_max)
+        grid = np.linspace(0.0, rho_max, 10000)
+        panels, degree = chebyshev_panels(k_cut, rho_max, grid.size, nodes)
+        assert panels == 3
+        width = rho_max / panels
         x = np.cos((np.arange(degree + 1) + 0.5) * (np.pi / (degree + 1)))
-        rho = np.unique(np.concatenate([[0.0, rho_max], 0.5 * rho_max * (1.0 + x)]))
-        on_point = np.isin(rho * (2.0 / rho_max) - 1.0, x)
-        assert on_point.sum() > 10
-        inverse = np.arange(rho.size).reshape(1, -1)
+        rho = np.unique(np.concatenate([grid, width * np.arange(panels + 1),
+                                        width * (0.5 + 0.5 * x)]))
+        assert np.isin(width * np.arange(panels + 1), rho).all()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")      # no division by zero on the way
-            tables = confined_table(LatticeSpec(a=0.5, n_side=2), 2.0,
-                                    radii=(rho, inverse))
-        for derivative, table in zip((0, 2), tables):
-            ref = _quadrature(rho, 2.0, derivative)
-            assert np.max(np.abs(table[0] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            warnings.simplefilter("error")
+            diagnostics = {}
+            got = confined_profiles(rho, k_cut, diagnostics=diagnostics)
+        assert diagnostics["chebyshev_panels"] == panels
+        for derivative, profile in zip((0, 2), got):
+            ref = _quadrature(rho, k_cut, derivative)
+            assert np.max(np.abs(profile - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("a, k_cut, n_side", [
         (0.25, 0.75, 128), (0.25, 0.75, 256), (0.9, 0.95 * Q, 64)])
     def test_node_count_is_converged(self, a, k_cut, n_side):
         # doubling the Gauss-Legendre nodes moves neither table by 1e-13 of
         # its maximum (2.8e-14 at the acceptance scale; 9.4e-14 for the d2z
-        # table at phase k_cut rho_max = 479).  Phases far above ~1,000 are
-        # left out: there leggauss itself drifts by ~1e-13 at large n
+        # table at phase k_cut rho_max = 479)
         lat = LatticeSpec(a=a, n_side=n_side)
         rho, _ = lattice_radii(lat)
         nodes = confined_nodes(k_cut, float(rho[-1]))
@@ -250,6 +329,62 @@ class TestConfinedTable:
         for got, want in zip(confined_table(lat, 2.0, radii=radii),
                              confined_table(lat, 2.0)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestPanelProfiles:
+    """The panel profiles against an mpmath quadrature of the disc integral
+    (``_mp_confined``), which shares neither J0, nor the Gauss-Legendre
+    rule, nor the u integral with them."""
+
+    @staticmethod
+    def _check(rho, k_cut, sample, rounding=0.0):
+        # ``rounding`` times eps z, z the panel half-phase, is added to the
+        # 1e-14 of each profile's maximum: the readout's rounding model
+        # (``confined_profiles``)
+        diagnostics = {}
+        got = confined_profiles(rho, k_cut, diagnostics=diagnostics)
+        z = 0.5 * k_cut * rho[-1] / diagnostics["chebyshev_panels"]
+        tol = (1e-14 + rounding * np.finfo(float).eps * z) * np.max(np.abs(got), axis=1)
+        for i in sample:
+            ref = _mp_confined(rho[i], k_cut)
+            assert np.all(np.abs(got[:, i] - ref) <= tol), (i, rho[i])
+        return diagnostics
+
+    @settings(max_examples=6, deadline=None)
+    @given(k_cut=st.floats(0.01, 0.999), phase=st.floats(1.0, 2000.0),
+           radii=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_mpmath_at_sample_radii(self, k_cut, phase, radii, seed):
+        k_cut *= Q
+        rng = np.random.default_rng(seed)
+        rho = np.sort(np.r_[0.0, rng.uniform(0.0, phase / k_cut, radii - 2),
+                            phase / k_cut])
+        # radii up to phase 300, where the reference stays cheap; few radii
+        # make one wide panel, whose rounding the tolerance allows for
+        near = np.flatnonzero(k_cut * rho <= 300.0)
+        self._check(rho, k_cut, np.unique(np.r_[0, rng.choice(near, 3)]), rounding=0.25)
+
+    def test_phase_20000(self):
+        # 1,000 radii at k_cut = 0.95 q out to phase 20,000: one panel of
+        # degree 10,267 on 15,096 quadrature nodes; the largest radius too
+        k_cut = 0.95 * Q
+        rho = np.linspace(0.0, 20000.0 / k_cut, 1000)
+        diagnostics = self._check(rho, k_cut, [0, 3, 50, rho.size - 1])
+        assert diagnostics["chebyshev_degree"] * diagnostics["chebyshev_panels"] > 10000
+        assert diagnostics["chebyshev_tail"] < 1e-14
+
+
+def test_octant_index_matches_the_full_index():
+    # the octant's radii are the lattice's, each octant offset keeps its
+    # radius, and the orbit sizes count every displacement once
+    for n_side in (1, 2, 7, 16, 31):
+        lat = LatticeSpec(a=0.3, n_side=n_side)
+        rho, inverse = lattice_radii(lat)
+        octant_rho, (i, j), index, multiplicity = octant_radii(lat)
+        np.testing.assert_array_equal(octant_rho, rho)
+        assert index.size == n_side * (n_side + 1) // 2
+        np.testing.assert_array_equal(index, inverse[i + n_side - 1, j + n_side - 1])
+        assert multiplicity.sum() == (2 * n_side - 1) ** 2
+        assert np.all(j <= i)
 
 
 @settings(max_examples=40, deadline=None)

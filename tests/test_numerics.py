@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from arraycav._numerics import (expm, integrate_linear, open_convolve,
-                                open_convolve_real, output_times, padded_rfft)
+from arraycav._numerics import (expm, gauss_legendre, integrate_linear,
+                                open_convolve, open_convolve_real, output_times,
+                                padded_rfft)
 from arraycav.cavity_dynamics import _generator, _Krylov
 from arraycav.confined import projected_kernels
 from arraycav.errors import ConvergenceError
@@ -23,6 +24,37 @@ NORMS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3)
 
 def _rel_dev(x, ref):
     return np.linalg.norm(x - ref, 1) / np.linalg.norm(ref, 1)
+
+
+class TestGaussLegendre:
+    """The one Gauss-Legendre rule against mpmath at 30 digits, on both
+    seeds: leggauss up to 128 nodes, Tricomi's guesses beyond."""
+
+    @pytest.mark.parametrize("degree", [6, 7])
+    def test_nodes_and_weights(self, degree):
+        # mpmath's rule of degree m has 3 2^(m - 1) nodes: 96 and 192
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(
+                degree, mpmath.mp.prec)
+        ref = np.array(sorted((float(x), float(w)) for x, w in ref))
+        x, w = gauss_legendre(len(ref))
+        assert np.max(np.abs(x - ref[:, 0])) <= 2.3e-16
+        assert np.max(np.abs(w - ref[:, 1])) <= 2e-16
+        # relative: the end weights carry the conditioning of their nodes
+        assert np.max(np.abs(w / ref[:, 1] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 192, 1536])
+    def test_integrates_cosines_to_round_off(self, n):
+        # numpy's leggauss reaches only ~2e-13 at 1,536 nodes
+        mpmath = pytest.importorskip("mpmath")
+        x, w = gauss_legendre(n)
+        assert gauss_legendre(n) is gauss_legendre(n)          # cached
+        assert not x.flags.writeable and not w.flags.writeable
+        for omega in (0.0, 1.0, n / 4, n / 2, 3 * n / 4):
+            with mpmath.workdps(30):
+                exact = float(2 * mpmath.sin(omega) / omega) if omega else 2.0
+            assert abs(w @ np.cos(omega * x) - exact) <= 4e-15
 
 
 class TestExpm:

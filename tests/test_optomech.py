@@ -17,7 +17,7 @@ from arraycav.optomech import (closed_form_params, coupling_matrix_C,
                                mechanical_basis, om_consistency)
 
 from conftest import make_config
-from dense_reference import dense_C, trace_C_box_sum
+from dense_reference import dense_C, trace_C_box_sum, trace_terms_full_index
 
 # frozen reference values at q z0 = pi/4, eta = 0.1, c/l = 100, delta-Delta = 100,
 # w = 4, a = 0.5 (independent arithmetic on the closed forms)
@@ -300,7 +300,7 @@ class TestConsistencyRoutes:
 
     def test_one_bessel_pass_per_call(self, small_setup, grid16, monkeypatch):
         # D_c and its d2z share one J0 pass, one evaluation per (Chebyshev
-        # point, node) pair
+        # point of a panel, node) pair
         from arraycav import confined
         j0, shapes = confined.j0, []
 
@@ -312,9 +312,11 @@ class TestConsistencyRoutes:
         cfg, _, _, _, k_cut = small_setup
         diag = om_consistency(cfg, grid16, k_cut_abs=k_cut).diagnostics
         nodes, radii = diag["confined_nodes"], diag["distinct_radii"]
-        assert shapes == [(diag["chebyshev_degree"] + 1, nodes)]
+        assert shapes == [(diag["chebyshev_panels"] * (diag["chebyshev_degree"] + 1),
+                           nodes)]
         assert diag["chebyshev_tail"] < 1e-13
-        assert diag["displacements"] == (2 * 16 - 1) ** 2 > radii
+        # the lattice sums run over the octant 0 <= j <= i < 16
+        assert diag["octant_offsets"] == 16 * 17 // 2 >= radii
         assert diag["dispersion_residual"] == grid16.residual
 
     def test_mismatched_grid_rejected(self, small_setup):
@@ -326,7 +328,25 @@ class TestConsistencyRoutes:
 class TestTraceEngine:
     """om_consistency's quadratic forms on radial profiles against the table
     routes: C_00 from K_c applied to the one-column basis V0, and the trace
-    with Z as the box sum of the (2n-1, 2n-1) product table."""
+    with Z as the box sum of the (2n-1, 2n-1) product table; and its octant
+    sums against the same forms over every displacement."""
+
+    @pytest.mark.parametrize("n_side", [16, 31, 32, 45, 64])
+    def test_octant_matches_the_full_index(self, n_side):
+        # the settled rule: C_00's real part (kappa_2) absolutely against
+        # kappa_sc_closed, its imaginary part (the g2 residue) against
+        # g2_closed, the trace relative, all to 1e-13
+        a = 0.5
+        grid = dispersion_grid(a, n_side)
+        w = n_side * a / 4.0
+        cfg = make_config(a=a, n_side=n_side, w=w, z0=0.07,
+                          delta=grid.delta0 + 100.0, eta=0.1, l_fsr=100.0,
+                          omega_m=0.01, kappa_c=0.5, Omega=0.01)
+        rep = om_consistency(cfg, grid, k_cut_abs=4.0 / w)
+        trace, c00 = trace_terms_full_index(cfg, grid, 4.0 / w)
+        assert abs(rep.trace_C - trace) <= 1e-13 * abs(trace)
+        assert abs(rep.kappa_2 + 2.0 * c00.real) <= 1e-13 * rep.kappa_sc_closed
+        assert abs(rep.g2_trace + c00.imag) <= 1e-13 * rep.g2_closed
 
     @settings(max_examples=25, deadline=None)
     @given(n_side=st.integers(2, 40), a=st.floats(0.2, 1.0, exclude_max=True),
