@@ -29,11 +29,9 @@ _SUBMODULE = {
                      "build_two_mode", "evolve_full", "spectrum_scan",
                      "steady_state_full", "steady_state_two_mode"), "cavity_dynamics"),
     **dict.fromkeys(("MechanicalChain", "OmParams", "closed_form_params",
-                     "coupling_matrix_C", "intensity_profile",
-                     "k_sc_ground_state_average", "mechanical_basis",
-                     "om_consistency"), "optomech"),
-    **dict.fromkeys(("OmState", "OmTrajectory", "evolve_chain", "evolve_multimode",
-                     "evolve_reduced", "standard_model_report"), "om_dynamics"),
+                     "intensity_profile", "om_consistency"), "optomech"),
+    **dict.fromkeys(("OmState", "OmTrajectory", "evolve_chain", "evolve_reduced",
+                     "standard_model_report"), "om_dynamics"),
 }
 
 __all__ = list(_SUBMODULE)

@@ -411,8 +411,3 @@ def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
     Z, _a, _s2, _err, _ = _converge(krylov, coefficients)
     y = Z[0] @ krylov.V[:Z.shape[1]]
     return SystemState(a=complex(y[0]), sigma=y[1:], t=np.inf)
-
-
-def bare_cavity_amplitude(cfg: FullConfig) -> complex:
-    """Empty-cavity Lorentzian steady state -i Omega / (kappa_c/2 - i delta_c)."""
-    return -1j * cfg.drive.Omega / (cfg.cavity.kappa_c / 2.0 - 1j * cfg.drive.delta_c)

@@ -197,7 +197,7 @@ def cmd_dynamics(args):
                            projected_kernel, projected_kernels)
     from .lattice_sums import dispersion_grid
     from .om_dynamics import evolve_chain, evolve_reduced
-    from .optomech import MechanicalChain, check_modes, closed_form_params
+    from .optomech import MechanicalChain, closed_form_params
     cfg, text = _load_config(args.config)
     for option, value in (("--t-final", args.t_final), ("--dt-out", args.dt_out)):
         _require(np.isfinite(value) and value > 0, option, "must be a finite time > 0")
@@ -206,8 +206,8 @@ def cmd_dynamics(args):
     except ValueError as exc:
         raise ConfigError(f"--dt-out: {exc}") from None
     if args.model == "multimode":
-        n_sites = cfg.lattice.n_sites
-        max_modes = check_modes(min(args.modes, n_sites), n_sites, "--modes")
+        _require(1 <= args.modes <= MAX_MODES, "--modes",
+                 f"the mechanical chain takes 1 to {MAX_MODES} modes, got {args.modes}")
         _require(args.seed >= 0, "--seed", f"must be >= 0, got {args.seed}")
     channel = (cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
     if args.model == "full":
@@ -225,13 +225,13 @@ def cmd_dynamics(args):
         else:
             chain = MechanicalChain(cfg, *projected_kernels(*channel), grid)
             states = evolve_chain(cfg, params, chain, args.t_final, args.dt_out,
-                                  max_modes)
+                                  args.modes)
             report = states.diagnostics
             if not report["chain_converged"]:
                 deviation = report["chain_deviation"]
                 found = "not measured" if deviation is None else f"{deviation:.2g}"
                 print(f"warning: the mechanical chain stops at m = {report['chain_m']} "
-                      f"modes (--modes {max_modes}) before agreement to "
+                      f"modes (--modes {args.modes}) before agreement to "
                       f"{report['chain_tolerance']:g} (deviation {found})", file=sys.stderr)
         rows = [(s.t, s.a.real, s.a.imag, s.b[0].real, s.b[0].imag,
                  abs(s.a) ** 2) for s in states]

@@ -1,10 +1,10 @@
-"""Exception types shared across the package, and the mode limit that
-``optomech.check_modes`` enforces.  It imports nothing, so the CLI can name
-the limit in its help without loading the numerics."""
+"""Exception types shared across the package, and the mechanical chain's mode
+limit, which ``dynamics --modes`` and ``om_dynamics.evolve_chain`` obey.  It
+imports nothing, so the CLI can check and name the limit without loading the
+numerics."""
 
-# Largest explicit mechanical basis or chain, and so the largest C and
-# multimode model.  Every trace over all N modes takes the completeness route
-# instead.
+# Longest mechanical chain, and so the largest C and multimode model.  Every
+# trace over all N modes takes the completeness route instead.
 MAX_MODES = 512
 
 

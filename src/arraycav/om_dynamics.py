@@ -22,9 +22,9 @@ functional
 (Im_s the symmetrized imaginary part), conserved when kappa = Omega = 0 and
 the non-conservative Re[C] is dropped.
 
-From rest (b = 0) the multimode model needs only the modes of the mechanical
-chain (``optomech.MechanicalChain``); ``evolve_chain`` lengthens the chain
-until two lengths give the same trajectory.
+The multimode model runs from rest (b = 0), where it needs only the modes of
+the mechanical chain (``optomech.MechanicalChain``): ``evolve_chain``
+lengthens the chain until two lengths give the same trajectory.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 from ._numerics import integrate_linear
 from .cavity_dynamics import _rel_dev
 from .config import FullConfig, NoiseContract
-from .optomech import MAX_MODES, MechanicalChain, OmParams
+from .errors import MAX_MODES
+from .optomech import MechanicalChain, OmParams
 
 RTOL = 1e-10         # RK45 relative tolerance of both models
 CHAIN_TOL = 1e-8     # agreement of the m- and 2m-mode chain trajectories,
@@ -101,24 +102,6 @@ def _integrate(cfg: FullConfig, params: OmParams, stack, t_final, dt_out, y0,
 def _trajectory(times, states, rhs_evals, diagnostics=None):
     return OmTrajectory((OmState(a=complex(y[0]), b=y[1:].copy(), t=float(t))
                          for t, y in zip(times, states)), rhs_evals, diagnostics)
-
-
-def evolve_multimode(cfg: FullConfig, params: OmParams, C, t_final, dt_out,
-                     a0=0.0 + 0.0j, b0=None, rtol=RTOL):
-    """Integrate the multimode mean-field model over the modes of C; returns
-    an OmTrajectory."""
-    C = np.asarray(C, dtype=complex)
-    n_modes = C.shape[0]
-    if n_modes > MAX_MODES:
-        raise ValueError("multimode integration limited to MAX_MODES = "
-                         f"{MAX_MODES} modes")
-    y0 = np.zeros((1, n_modes + 1), dtype=complex)
-    y0[0, 0] = a0
-    if b0 is not None:
-        y0[0, 1:] = np.asarray(b0, dtype=complex)
-    times, states, rhs_evals = _integrate(cfg, params, C[None], t_final, dt_out,
-                                          y0, rtol)
-    return _trajectory(times, states[:, 0], rhs_evals)
 
 
 def evolve_chain(cfg: FullConfig, params: OmParams, chain: MechanicalChain,
@@ -188,26 +171,8 @@ def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
     """Integrate the reduced standard-optomechanics model (cavity + one mode);
     returns an OmTrajectory."""
     y0 = np.array([a0, b0], dtype=complex)
-    times, states, rhs_evals = integrate_linear(_reduced_rhs(cfg, params), y0,
-                                                t_final, dt_out, rtol=rtol)
-    return OmTrajectory((OmState(a=complex(y[0]), b=np.array([y[1]]), t=float(t))
-                         for t, y in zip(times, states)), rhs_evals)
-
-
-def energy_functional(state: OmState, cfg: FullConfig, params: OmParams, C):
-    """Hamiltonian functional of the conservative multimode subsystem: only
-    the symmetrized Im[C] enters, so C may be the full coupling matrix."""
-    a = state.a
-    b = state.b
-    x = 2.0 * b.real
-    n_ph = abs(a) ** 2
-    im_s = 0.5 * (np.asarray(C).imag + np.asarray(C).imag.T)
-    return float(
-        -(cfg.drive.delta_c - params.Delta_AC) * n_ph
-        + cfg.trap.omega_m * np.sum(np.abs(b) ** 2)
-        + params.g * x[0] * n_ph
-        - (x @ im_s @ x) * n_ph
-    )
+    return _trajectory(*integrate_linear(_reduced_rhs(cfg, params), y0, t_final,
+                                         dt_out, rtol=rtol))
 
 
 def standard_model_report(params: OmParams, cfg: FullConfig) -> dict:

@@ -24,9 +24,9 @@ consistency checks are evaluated at any lattice size.
 Time evolution needs C only on the modes the cavity reaches.  With b(0) = 0
 the multimode trajectory stays in the Krylov space of Im C started from V0,
 so ``MechanicalChain`` builds those modes as a Lanczos chain of the site
-operator behind Im C (the chain mapping of a harmonic bath).  C over the
-chain and over an explicit basis of at most MAX_MODES modes come from one
-coupling operator K_c applied by FFT to real site fields.
+operator behind Im C (the chain mapping of a harmonic bath), and C over the
+chain from the same steps of one coupling operator K_c, applied by FFT to
+real site fields.  The chain is the only multimode route.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import open_convolve, open_convolve_real, padded_rfft, padded_shape
+from ._numerics import open_convolve_real, padded_rfft, padded_shape
 from .cavity_dynamics import _Krylov
 from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
 from .confined import (KernelMatrix, confined_nodes, confined_profiles,
                        octant_radii, remove_confined)
-from .errors import MAX_MODES, ConfigError, RegimeError
+from .errors import ConfigError, RegimeError
 from .greens import GAMMA, Q, kernel_fs_d2z_plane, kernel_fs_plane
 from .lattice_sums import DispersionGrid
 
@@ -120,52 +120,8 @@ def intensity_profile(lattice: LatticeSpec, w: float):
     return v0 / np.linalg.norm(v0)
 
 
-def check_modes(n_modes: int, n_sites: int, source: str) -> int:
-    """The explicit mode count if it lies in [1, min(N, MAX_MODES)], else a
-    ConfigError naming ``source``."""
-    if not 1 <= n_modes <= n_sites:
-        raise ConfigError(f"{source} = {n_modes} outside [1, N = {n_sites}]")
-    if n_modes > MAX_MODES:
-        raise ConfigError(f"{source}: explicit basis of {n_modes} modes refused "
-                          f"(limit MAX_MODES = {MAX_MODES}); use the trace route")
-    return n_modes
-
-
-def _check_extent(lattice: LatticeSpec, w: float):
-    if lattice.extent < 4.0 * w:
-        raise ConfigError(f"lattice too small: extent {lattice.extent:g} < 4 w")
-
-
-def mechanical_basis(lattice: LatticeSpec, w: float, completion_seed: int = 0,
-                     n_modes: int | None = None) -> np.ndarray:
-    """Orthonormal mechanical basis, the real N x n_modes array whose columns
-    are modes, with column 0 the cavity-weighted profile.
-
-    The remaining columns are a deterministic pseudo-random orthogonal
-    completion; every reported collective quantity is completion-independent
-    (trace identities), which the seed makes testable.  Column j depends only
-    on the draws of columns 0..j, so ``n_modes`` keeps the first columns
-    through a thin QR of an N x n_modes draw (default: all N, which
-    ``check_modes`` allows up to MAX_MODES).
-    """
-    _check_extent(lattice, w)
-    n = lattice.n_sites
-    m = check_modes(n if n_modes is None else n_modes, n, "n_modes")
-    v0 = intensity_profile(lattice, w).ravel()
-    rng = np.random.default_rng(completion_seed)
-    draw = rng.standard_normal((n, m))
-    draw[:, 0] = v0
-    qmat, r = np.linalg.qr(draw)
-    qmat = qmat * np.sign(np.diag(r))
-    # QR preserves the first column direction; sign fix makes it +V0
-    return qmat
-
-
 # ---------------------------------------------------------------------------
 # the coupling operator K_c, applied by FFT, behind C and the chain
-
-_BLOCK = 32     # fields per FFT batch; peak memory ~ _BLOCK (2 n_side)^2 floats
-
 
 def _weights(cfg: FullConfig, dispersion: DispersionGrid):
     dmD = cfg.drive.delta - dispersion.delta0
@@ -178,7 +134,7 @@ def _weights(cfg: FullConfig, dispersion: DispersionGrid):
 
 def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
                        g2_tab: np.ndarray, d2_tab: np.ndarray):
-    """K_c on a stack of real (n, n) site fields:
+    """K_c on a real (n, n) site field f:
 
         K_c f = sin^2(q z0) D'' f / (q^2 (delta-Delta))
                 - i cos^2(q z0) (P1 f - (i/2) P2 Gamma2 f),
@@ -189,12 +145,11 @@ def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
     and (delta-Delta)/(delta-Delta_k)^2 (a printed 'delta - Delta_k^2' read
     as the only dimensionally consistent form).
 
-    Every caller passes real fields, so the operator returns the real pair
-    (Re K_c f, Im K_c f) stacked on a leading axis of length 2:
+    f is real, so the operator returns the real pair (Re K_c f, Im K_c f):
     Re = sin^2 Re[D''] f / (q^2 (delta-Delta)) - (cos^2/2) P2 Gamma2 f and
     Im = sin^2 Im[D''] f / (q^2 (delta-Delta)) - cos^2 P1 f.  The three tables
-    are transformed once, by padded rfft2; a block of fields then costs one
-    padded rfft2, three padded irfft2 and one n x n rfft2/irfft2 pair.
+    are transformed once, by padded rfft2; a field then costs one padded
+    rfft2, three padded irfft2 and one n x n rfft2/irfft2 pair.
     """
     n = cfg.lattice.n_side
     dmD, w1, w2 = _weights(cfg, dispersion)
@@ -206,60 +161,16 @@ def _coupling_operator(cfg: FullConfig, dispersion: DispersionGrid,
     # Delta_k is even in k, so w1 and w2 are real and even and map the
     # Hermitian spectrum of a real field to a Hermitian spectrum
     half = n // 2 + 1
-    brillouin = np.stack([-cos2 * w1[:, :half], -0.5 * cos2 * w2[:, :half]])[:, None]
+    brillouin = np.stack([-cos2 * w1[:, :half], -0.5 * cos2 * w2[:, :half]])
 
     def apply(f):
         ff = padded_rfft(f, n)
-        out = np.empty((2,) + f.shape)
-        out[0] = open_convolve_real(tables[1], ff, n)
-        out[1] = open_convolve_real(tables[2], ff, n)
         g = open_convolve_real(tables[0], ff, n)
         p1f, p2g = np.fft.irfft2(brillouin * np.fft.rfft2(np.stack([f, g])), s=(n, n))
-        out[0] += p2g
-        out[1] += p1f
-        return out
+        return (open_convolve_real(tables[1], ff, n) + p2g,
+                open_convolve_real(tables[2], ff, n) + p1f)
 
     return apply
-
-
-def _mode_couplings(cfg: FullConfig, dispersion: DispersionGrid,
-                    g2_tab: np.ndarray, d2_tab: np.ndarray, V: np.ndarray):
-    """C = eta^2 gbar [i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V)], s = sqrt(V0),
-    over the N x m mode columns V, in blocks of _BLOCK modes.  Each block is
-    one real GEMM of (s o V)^T against its real and imaginary parts."""
-    params = closed_form_params(cfg, dispersion.delta0)
-    sin2 = np.sin(cfg.qz0) ** 2
-    sv = np.sqrt(intensity_profile(cfg.lattice, cfg.cavity.w)).reshape(-1, 1) * V
-    op = _coupling_operator(cfg, dispersion, g2_tab, d2_tab)
-    n, m = cfg.lattice.n_side, V.shape[1]
-    C = np.empty((m, m), dtype=complex)
-    for j in range(0, m, _BLOCK):
-        f = sv[:, j:j + _BLOCK].T
-        b = len(f)
-        kf = op(f.reshape(b, n, n)).reshape(2, b, -1)   # (Re, Im) K_c f
-        kf[1] += sin2 * f
-        x = sv.T @ kf.reshape(2 * b, -1).T
-        C.real[:, j:j + b] = x[:, :b]
-        C.imag[:, j:j + b] = x[:, b:]
-    return cfg.trap.eta**2 * params.g_bar * C
-
-
-def coupling_matrix_C(cfg: FullConfig, basis: np.ndarray,
-                      kernel: KernelMatrix, kernel_d2: KernelMatrix,
-                      dispersion: DispersionGrid):
-    """Inter-mode coupling matrix C_{nu nu'} over the columns of an explicit
-    mechanical basis, the real N x n_modes array of ``mechanical_basis``
-    (truncate it with ``n_modes``; the weakly coupled high modes act as an
-    inert reservoir in time evolution).
-
-    C = eta^2 gbar [ i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V) ],
-    s = sqrt(V0), with the coupling operator K_c applied by FFT to blocks of
-    modes: O(n_modes N log N) time, no N x N array.  Scales exactly as eta^2.
-    """
-    if basis.shape[0] != cfg.lattice.n_sites:
-        raise ValueError("basis does not match the lattice")
-    return _mode_couplings(cfg, dispersion, 2.0 * kernel.table.real,
-                           kernel_d2.table, basis)
 
 
 class MechanicalChain:
@@ -282,7 +193,8 @@ class MechanicalChain:
 
     def __init__(self, cfg: FullConfig, kernel: KernelMatrix,
                  kernel_d2: KernelMatrix, dispersion: DispersionGrid):
-        _check_extent(cfg.lattice, cfg.cavity.w)
+        if cfg.lattice.extent < 4.0 * cfg.cavity.w:
+            raise ConfigError(f"lattice too small: extent {cfg.lattice.extent:g} < 4 w")
         n = cfg.lattice.n_side
         op = _coupling_operator(cfg, dispersion, 2.0 * kernel.table.real,
                                 kernel_d2.table)
@@ -295,9 +207,9 @@ class MechanicalChain:
         def apply(v):
             # S v without the factor eta^2 gbar, which leaves the span as is
             f = s * v.real
-            kf = op(f.reshape(1, n, n)).reshape(2, -1)
-            re_kf.append(kf[0].copy())
-            return (s * (kf[1] + sin2 * f)).astype(complex)
+            re_kf_v, im_kf_v = op(f.reshape(n, n))
+            re_kf.append(re_kf_v.ravel())
+            return (s * (im_kf_v.ravel() + sin2 * f)).astype(complex)
 
         self._krylov = _Krylov(apply, v0.astype(complex))
 
@@ -319,9 +231,9 @@ class MechanicalChain:
         return self._krylov.V[:count].real.T
 
     def couplings(self, m: int) -> np.ndarray:
-        """C over the first m chain modes (``coupling_matrix_C``'s formula),
-        from the chain's own steps: Im C = eta^2 gbar H, and
-        Re C = eta^2 gbar (s o V)^T Re K_c (s o V)."""
+        """C = eta^2 gbar [i sin^2 V^T diag(V0) V + (s o V)^T K_c (s o V)] over
+        the first m chain modes V, from the chain's own steps:
+        Im C = eta^2 gbar H, and Re C = eta^2 gbar (s o V)^T Re K_c (s o V)."""
         V = self.modes(m).T
         m = len(V)
         C = np.empty((m, m), dtype=complex)
@@ -488,40 +400,3 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
         trace_C=trace_c,
         diagnostics=diagnostics,
     )
-
-
-def k_sc_ground_state_average(cfg: FullConfig, kernel_d2: KernelMatrix,
-                              dispersion: DispersionGrid):
-    """Mechanical-ground-state average of the motion-induced damping operator.
-
-    Evaluates the three contributions with <z_n z_m> = delta_nm x0^2: the
-    single-site derivative term with the free-space value Re[D''_nn] =
-    -q^2 gamma/5, the profile-weighted derivative sum from the projected
-    kernel (vanishingly small, returned for inspection), and the residual
-    single-atom scattering term with gamma_nn = gamma.  ``kernel_d2`` is the
-    projected d2z kernel; its table is contracted by FFT, at any lattice
-    size.  Returns (complex average, terms dict); the real part is kappa_sc,
-    the imaginary part the unretained second-order shift.
-    """
-    lattice = cfg.lattice
-    dmD, w1, _w2 = _weights(cfg, dispersion)
-    params = closed_form_params(cfg, dispersion.delta0)
-    eta2_gbar = cfg.trap.eta**2 * params.g_bar
-    qz0 = cfg.qz0
-    sin2, cos2 = np.sin(qz0) ** 2, np.cos(qz0) ** 2
-    v0 = intensity_profile(lattice, cfg.cavity.w)
-    s = np.sqrt(v0)
-    if kernel_d2.kind != "projected_d2z":
-        raise ValueError("kernel_d2 must be the projected d2z kernel")
-    quad = complex(np.sum(s * open_convolve(kernel_d2.table, s)))
-    sum_v0 = float(np.sum(v0))
-    term_zero_point = -2j * sin2 * eta2_gbar * sum_v0
-    term_diag = 2.0 * sin2 * eta2_gbar * sum_v0 * (Q * Q * GAMMA / 5.0) / (Q * Q * dmD)
-    term_mid = 2.0 * sin2 * eta2_gbar * quad / (Q * Q * dmD)
-    term_w1 = 2j * cos2 * eta2_gbar * sum_v0 * float(np.mean(w1))
-    term_gamma = cos2 * eta2_gbar * sum_v0 * GAMMA / dmD
-    total = term_zero_point + term_diag + term_mid + term_w1 + term_gamma
-    terms = {"zero_point": term_zero_point, "diagonal": term_diag,
-             "profile_derivative": term_mid, "paraxial_shift": term_w1,
-             "single_atom": term_gamma}
-    return total, terms

@@ -1,6 +1,7 @@
 """Dense N x N reference formulas: lattice kernels, the full-model generator,
 the mechanical coupling matrix, the box-sum trace, the trace engine over every
-displacement and a Hermite-Gauss confined-kernel oracle.
+displacement and a Hermite-Gauss confined-kernel oracle; and the
+complete-basis multimode route the mechanical chain is tested against.
 
 These are the explicit-matrix definitions of the kernel K[n, m], of the
 generator A of the full N-atom system and of C: the Brillouin-grid
@@ -8,6 +9,13 @@ convolutions are built from the phase matrix F[n, k] = exp(i k . r_n) and the
 kernels are materialized from their displacement tables by ``dense``.
 O(N^3); small lattices only.  The library applies the same operators by FFT
 (and the generator on a Krylov chain); the tests compare the two.
+
+The complete-basis route is a seeded orthonormal mechanical basis
+(``mechanical_basis``), C over it from ``dense_C``, the multimode model over
+those modes from any start (``evolve_multimode``) and its conserved
+Hamiltonian (``energy_functional``).  ``k_sc_ground_state_average`` is an
+independent route to kappa_sc, and ``bare_cavity_amplitude`` the empty-cavity
+steady state.
 """
 
 import math
@@ -16,12 +24,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_hermite
 
-from arraycav._numerics import padded_rfft, padded_shape
+from arraycav._numerics import open_convolve, padded_rfft, padded_shape
 from arraycav.cavity_dynamics import coupling_profile
 from arraycav.confined import (confined_profiles, lattice_radii,
                                projected_kernels, remove_confined)
 from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane,
                              kernel_fs_plane)
+from arraycav.om_dynamics import RTOL, _integrate, _trajectory
 from arraycav.optomech import closed_form_params, intensity_profile
 
 
@@ -89,6 +98,79 @@ def dense_C(cfg, V, kernel, kernel_d2, dispersion):
     c3 = V.T @ ((S * x3) @ V)
     return cfg.trap.eta**2 * params.g_bar * (1j * sin2 * c1 + sin2 * c2
                                              - 1j * cos2 * c3)
+
+
+def mechanical_basis(lattice, w, completion_seed=0, n_modes=None):
+    """Orthonormal mechanical basis, the real N x n_modes array (default all
+    N) whose columns are modes: column 0 the cavity-weighted profile V0, the
+    rest a seeded pseudo-random orthogonal completion.  Column j depends only
+    on the draws of columns 0..j, so a thin basis is the full one's first
+    columns; every collective quantity is completion-independent."""
+    v0 = intensity_profile(lattice, w).ravel()
+    rng = np.random.default_rng(completion_seed)
+    draw = rng.standard_normal((v0.size, n_modes or v0.size))
+    draw[:, 0] = v0
+    qmat, r = np.linalg.qr(draw)
+    return qmat * np.sign(np.diag(r))     # column 0 is +V0
+
+
+def evolve_multimode(cfg, params, C, t_final, dt_out, a0=0.0 + 0.0j, b0=None,
+                     rtol=RTOL):
+    """The multimode mean-field model over the modes of C from (a0, b0), on
+    the integrator of ``om_dynamics.evolve_chain``; returns an OmTrajectory."""
+    C = np.asarray(C, dtype=complex)
+    y0 = np.zeros((1, len(C) + 1), dtype=complex)
+    y0[0, 0] = a0
+    if b0 is not None:
+        y0[0, 1:] = b0
+    times, states, rhs_evals = _integrate(cfg, params, C[None], t_final, dt_out,
+                                          y0, rtol)
+    return _trajectory(times, states[:, 0], rhs_evals)
+
+
+def energy_functional(state, cfg, params, C):
+    """Hamiltonian functional of the conservative multimode subsystem: only
+    the symmetrized Im[C] enters, so C may be the full coupling matrix."""
+    x = 2.0 * state.b.real
+    n_ph = abs(state.a) ** 2
+    im_s = 0.5 * (np.asarray(C).imag + np.asarray(C).imag.T)
+    return float(-(cfg.drive.delta_c - params.Delta_AC) * n_ph
+                 + cfg.trap.omega_m * np.sum(np.abs(state.b) ** 2)
+                 + params.g * x[0] * n_ph - (x @ im_s @ x) * n_ph)
+
+
+def k_sc_ground_state_average(cfg, kernel_d2, dispersion):
+    """Mechanical-ground-state average of the motion-induced damping operator.
+
+    Evaluates the three contributions with <z_n z_m> = delta_nm x0^2: the
+    single-site derivative term with the free-space value Re[D''_nn] =
+    -q^2 gamma/5, the profile-weighted derivative sum from the projected
+    kernel (vanishingly small, returned for inspection), and the residual
+    single-atom scattering term with gamma_nn = gamma.  ``kernel_d2`` is the
+    projected d2z kernel.  Returns (complex average, terms dict); the real
+    part is kappa_sc, the imaginary part the unretained second-order shift.
+    """
+    if kernel_d2.kind != "projected_d2z":
+        raise ValueError("kernel_d2 must be the projected d2z kernel")
+    dmD, w1, _w2 = _weights(cfg, dispersion)
+    eta2_gbar = cfg.trap.eta**2 * closed_form_params(cfg, dispersion.delta0).g_bar
+    sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
+    v0 = intensity_profile(cfg.lattice, cfg.cavity.w)
+    s = np.sqrt(v0)
+    quad = complex(np.sum(s * open_convolve(kernel_d2.table, s)))
+    sum_v0 = float(np.sum(v0))
+    terms = {"zero_point": -2j * sin2 * eta2_gbar * sum_v0,
+             "diagonal": 2.0 * sin2 * eta2_gbar * sum_v0 * (Q * Q * GAMMA / 5.0)
+             / (Q * Q * dmD),
+             "profile_derivative": 2.0 * sin2 * eta2_gbar * quad / (Q * Q * dmD),
+             "paraxial_shift": 2j * cos2 * eta2_gbar * sum_v0 * float(np.mean(w1)),
+             "single_atom": cos2 * eta2_gbar * sum_v0 * GAMMA / dmD}
+    return sum(terms.values()), terms
+
+
+def bare_cavity_amplitude(cfg):
+    """Empty-cavity Lorentzian steady state -i Omega / (kappa_c/2 - i delta_c)."""
+    return -1j * cfg.drive.Omega / (cfg.cavity.kappa_c / 2.0 - 1j * cfg.drive.delta_c)
 
 
 def box_sum(table):

@@ -10,22 +10,20 @@ import numpy as np
 import pytest
 
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
-from arraycav.cavity_dynamics import (bare_cavity_amplitude, evolve_full,
-                                      steady_state_full, steady_state_two_mode,
-                                      TwoModeModel)
+from arraycav.cavity_dynamics import (evolve_full, steady_state_full,
+                                      steady_state_two_mode, TwoModeModel)
 from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
                                free_space_kernel, mode_decay_rate,
                                projected_kernel)
 from arraycav.greens import GAMMA, Q, kernel_fs_d2z
 from arraycav.lattice_sums import dispersion_grid, dispersion_point
-from arraycav.om_dynamics import (energy_functional, evolve_multimode,
-                                  evolve_reduced)
-from arraycav.optomech import (closed_form_params, coupling_matrix_C,
-                               intensity_profile, mechanical_basis,
+from arraycav.om_dynamics import evolve_reduced
+from arraycav.optomech import (closed_form_params, intensity_profile,
                                om_consistency)
 
 from conftest import make_config
-from dense_reference import full_system
+from dense_reference import (bare_cavity_amplitude, dense_C, energy_functional,
+                             evolve_multimode, full_system, mechanical_basis)
 from lattice_reference import damped_lattice_sum
 
 
@@ -249,8 +247,7 @@ def test_criterion_9_reduction_fidelity():
         proj2 = projected_kernel(
             free_space_kernel(cfg.lattice, derivative=2),
             confined_kernel_paraxial(cfg.lattice, 0.125, 3.0, derivative=2))
-        basis = mechanical_basis(cfg.lattice, 2.0, 0)
-        C = coupling_matrix_C(cfg, basis, proj, proj2, grid)
+        C = dense_C(cfg, mechanical_basis(cfg.lattice, 2.0, 0), proj, proj2, grid)
         return cfg, closed_form_params(cfg, grid.delta0), C
 
     devs = {}

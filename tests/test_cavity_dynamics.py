@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from arraycav.cavity_dynamics import (TwoModeModel, bare_cavity_amplitude,
-                                      build_two_mode, coupling_profile,
-                                      evolve_full, spectrum_scan,
-                                      steady_state_full, steady_state_two_mode)
+from arraycav.cavity_dynamics import (TwoModeModel, build_two_mode,
+                                      coupling_profile, evolve_full,
+                                      spectrum_scan, steady_state_full,
+                                      steady_state_two_mode)
 from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
                                free_space_kernel, projected_kernel)
 from arraycav.errors import RegimeError
@@ -15,7 +15,7 @@ from arraycav.lattice_sums import DispersionPoint, dispersion_point
 from arraycav.optomech import closed_form_params
 
 from conftest import make_config
-from dense_reference import full_system
+from dense_reference import bare_cavity_amplitude, full_system
 
 DELTA0 = 0.4003319962564511       # cooperative shift at k = 0, a = 0.5 (frozen)
 GPLUSG = 3.0 / np.pi

@@ -139,22 +139,28 @@ def test_omparams_json_is_strict_at_g_zero(tmp_path):
     assert data["ratios"]["kappa_sc_over_g"] is None
 
 
-@pytest.mark.parametrize("argv", [
-    ["dynamics", "--model", "multimode", "--modes", "600", "--t-final", "10"],
-    ["dynamics", "--t-final", "-1"],
-    ["dynamics", "--t-final", "0"],
-    ["dynamics", "--model", "multimode", "--seed", "-1", "--t-final", "10"],
-    ["dynamics", "--t-final", "10", "--dt-out", "0"],
-    ["dynamics", "--t-final", "1e9", "--dt-out", "1e-9"],
-    ["spectrum", "--dc-min", "-5", "--dc-max", "5", "--samples", "1"],
-    ["spectrum", "--dc-min", "nan", "--dc-max", "5"],
-    ["kernel", "--r-perp", "0.5"],
-    ["kernel", "--r-perp", "0.5,x"],
-    ["kernel", "--dz", "nan"]],
-    ids=["modes-600", "t-final-negative", "t-final-0", "seed-negative",
-         "dt-out-0", "output-times-1e18", "samples-1", "dc-min-nan", "r-perp-one-number",
-         "r-perp-not-a-number", "dz-nan"])
-def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv):
+MULTIMODE = ["dynamics", "--model", "multimode", "--t-final", "10"]
+
+
+@pytest.mark.parametrize("argv, lattice", [
+    (MULTIMODE + ["--modes", "600"], {}),
+    (MULTIMODE + ["--modes", "600"], dict(n_side=16, w=2.0)),   # at any N
+    (MULTIMODE + ["--modes", "0"], {}),
+    (["dynamics", "--t-final", "-1"], {}),
+    (["dynamics", "--t-final", "0"], {}),
+    (MULTIMODE + ["--seed", "-1"], {}),
+    (["dynamics", "--t-final", "10", "--dt-out", "0"], {}),
+    (["dynamics", "--t-final", "1e9", "--dt-out", "1e-9"], {}),
+    (["spectrum", "--dc-min", "-5", "--dc-max", "5", "--samples", "1"], {}),
+    (["spectrum", "--dc-min", "nan", "--dc-max", "5"], {}),
+    (["kernel", "--r-perp", "0.5"], {}),
+    (["kernel", "--r-perp", "0.5,x"], {}),
+    (["kernel", "--dz", "nan"], {})],
+    ids=["modes-600", "modes-600-n16", "modes-0", "t-final-negative", "t-final-0",
+         "seed-negative", "dt-out-0", "output-times-1e18", "samples-1", "dc-min-nan",
+         "r-perp-one-number", "r-perp-not-a-number", "dz-nan"])
+def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv,
+                                             lattice):
     # each option is checked before any lattice sum, kernel or chain is built;
     # the commands import these when called, so patch their defining modules
     from arraycav import confined, lattice_sums, optomech
@@ -167,12 +173,14 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv
                          (optomech, "MechanicalChain"), (confined, "free_space_kernel")):
         monkeypatch.setattr(module, name, no_work)
     path = tmp_path / "run.cfg"
-    path.write_text(default_config_text())
+    path.write_text(default_config_text(**lattice))
     out = tmp_path / "out.csv"
     tail = [] if argv[0] == "kernel" else ["--out", str(out)]
     assert main([argv[0], "--config", str(path), *argv[1:], *tail]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: --")
+    if "--modes" in argv:
+        assert "--modes" in err and "chain" in err
     assert not out.exists()
 
 
@@ -277,12 +285,12 @@ def test_help_lists_subcommands(capsys):
 
 def test_dynamics_help_states_the_mode_cap(capsys):
     # the help text reads the one definition of the cap without loading optomech
-    from arraycav import optomech
+    from arraycav import errors
     with pytest.raises(SystemExit) as exc:
         main(["dynamics", "--help"])
     assert exc.value.code == 0
     out = " ".join(capsys.readouterr().out.split())
-    assert f"(at most {optomech.MAX_MODES})" in out
+    assert f"(at most {errors.MAX_MODES})" in out
 
 
 def test_reused_parser_carries_no_state(tmp_path, capsys):

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
                                projected_kernel)
 from arraycav.lattice_sums import dispersion_grid
-from arraycav.om_dynamics import (CHAIN_TOL, energy_functional, evolve_chain,
-                                  evolve_multimode, evolve_reduced,
+from arraycav.om_dynamics import (CHAIN_TOL, evolve_chain, evolve_reduced,
                                   standard_model_report)
 from arraycav.optomech import (MechanicalChain, closed_form_params,
-                               coupling_matrix_C, intensity_profile,
-                               mechanical_basis)
+                               intensity_profile)
 
 from conftest import make_config
+from dense_reference import (dense_C, energy_functional, evolve_multimode,
+                             mechanical_basis)
 
 K_CUT = 3.0      # absolute cutoff for the w = 2 test lattice
 
@@ -29,8 +29,7 @@ def build_setup(grid, eta=0.1, **kw):
                 eta=eta, l_fsr=100.0)
     args.update(kw)
     cfg = make_config(**args)
-    basis = mechanical_basis(cfg.lattice, 2.0, 0)
-    C = coupling_matrix_C(cfg, basis, *kernels(cfg), grid)
+    C = dense_C(cfg, mechanical_basis(cfg.lattice, 2.0, 0), *kernels(cfg), grid)
     params = closed_form_params(cfg, grid.delta0)
     return cfg, params, C
 
@@ -77,11 +76,6 @@ class TestMultimode:
         assert len(energies) >= 1000
         assert drift < 1e-8
 
-    def test_mode_count_guard(self, grid16):
-        cfg, params, _ = build_setup(grid16)
-        with pytest.raises(ValueError, match="512"):
-            evolve_multimode(cfg, params, np.zeros((600, 600)), 1.0, 0.5)
-
 
 class TestChain:
     def test_modes_orthonormal_and_im_c_tridiagonal(self, grid16):
@@ -100,11 +94,11 @@ class TestChain:
 
     def test_couplings_match_explicit_formula(self, grid16):
         # C from the chain's own steps (Im C = eta^2 gbar H, Re C from the
-        # kept Re K_c fields) is coupling_matrix_C over the chain modes
+        # kept Re K_c fields) is the dense formula over the chain modes
         cfg, _, _ = build_setup(grid16)
         chain = MechanicalChain(cfg, *kernels(cfg), grid16)
         got = chain.couplings(8)
-        ref = coupling_matrix_C(cfg, chain.modes(8), *kernels(cfg), grid16)
+        ref = dense_C(cfg, chain.modes(8), *kernels(cfg), grid16)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(chain.couplings(4), got[:4, :4])
 

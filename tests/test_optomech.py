@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from hypothesis import strategies as st
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
                                projected_kernel, projected_kernels)
-from arraycav.errors import ConfigError, RegimeError
+from arraycav.errors import RegimeError
 from arraycav.greens import Q
 from arraycav.lattice_sums import dispersion_grid
 from arraycav.om_dynamics import standard_model_report
-from arraycav.optomech import (closed_form_params, coupling_matrix_C,
-                               intensity_profile, k_sc_ground_state_average,
-                               mechanical_basis, om_consistency)
+from arraycav.optomech import (MechanicalChain, closed_form_params,
+                               intensity_profile, om_consistency)
 
 from conftest import make_config
-from dense_reference import dense_C, trace_C_box_sum, trace_terms_full_index
+from dense_reference import (dense_C, k_sc_ground_state_average, mechanical_basis,
+                             trace_C_box_sum, trace_terms_full_index)
 
 # frozen reference values at q z0 = pi/4, eta = 0.1, c/l = 100, delta-Delta = 100,
 # w = 4, a = 0.5 (independent arithmetic on the closed forms)
@@ -33,7 +34,8 @@ def grid16():
 
 @pytest.fixture(scope="module")
 def small_setup(grid16):
-    """w = 2 lattice with projected kernels and a mechanical basis (N = 256)."""
+    """w = 2 lattice with projected kernels and a seeded complete mechanical
+    basis (N = 256)."""
     cfg = make_config(a=0.5, n_side=16, w=2.0, z0=0.125,
                       delta=grid16.delta0 + 100.0, omega_m=0.01, kappa_c=0.5,
                       Omega=0.01, eta=0.1, l_fsr=100.0)
@@ -164,72 +166,57 @@ class TestMechanicalBasis:
         assert np.sum(v0**3) == pytest.approx(
             4.0 * 0.25 / (3.0 * np.sqrt(np.pi) * 8.0), rel=0.01)
 
-    def test_size_guard(self):
-        with pytest.raises(ConfigError, match="trace route"):
-            mechanical_basis(LatticeSpec(a=0.5, n_side=128), 8.0, 0)
-
-    def test_thin_basis_beyond_dense_limit(self):
-        # N = 16,384: only the N x n_modes draw is factorized
-        b = mechanical_basis(LatticeSpec(a=0.5, n_side=128), 8.0, 0, n_modes=16)
-        assert b.shape == (16384, 16)
-        assert np.max(np.abs(b.T @ b - np.eye(16))) < 1e-12
-
-    @pytest.mark.parametrize("n_modes", [0, 65])
-    def test_mode_count_out_of_range(self, n_modes):
-        with pytest.raises(ConfigError, match="n_modes"):
-            mechanical_basis(LatticeSpec(a=0.5, n_side=8), 1.0, 0, n_modes=n_modes)
-
 
 class TestCouplingMatrices:
     def test_C_eta_squared(self, small_setup, grid16):
-        cfg, proj, proj2, basis, _ = small_setup
+        # the chain's modes do not depend on eta; C over them scales as eta^2
+        cfg, proj, proj2, _, _ = small_setup
         other = make_config(a=0.5, n_side=16, w=2.0, z0=0.125,
                             delta=cfg.drive.delta, eta=0.2, l_fsr=100.0,
                             omega_m=0.01, kappa_c=0.5, Omega=0.01)
-        c1 = coupling_matrix_C(cfg, basis, proj, proj2, grid16)
-        c2 = coupling_matrix_C(other, basis, proj, proj2, grid16)
+        c1 = MechanicalChain(cfg, proj, proj2, grid16).couplings(16)
+        c2 = MechanicalChain(other, proj, proj2, grid16).couplings(16)
+        assert c1.shape == (16, 16)
         assert np.max(np.abs(c2 / c1 - 4.0)) < 1e-12
 
     def test_C_trace_completion_independent(self, small_setup, grid16):
         cfg, proj, proj2, basis, _ = small_setup
         other = mechanical_basis(cfg.lattice, 2.0, completion_seed=99)
-        c1 = coupling_matrix_C(cfg, basis, proj, proj2, grid16)
-        c2 = coupling_matrix_C(cfg, other, proj, proj2, grid16)
+        c1 = dense_C(cfg, basis, proj, proj2, grid16)
+        c2 = dense_C(cfg, other, proj, proj2, grid16)
         t1, t2 = np.trace(c1), np.trace(c2)
         assert abs(t1 - t2) / abs(t1) < 1e-10
         assert c1[0, 0] == pytest.approx(c2[0, 0], rel=1e-10)
 
-
     @pytest.mark.parametrize("n_modes", [32, 96, 256])
     def test_table_transforms_formed_once(self, small_setup, grid16,
                                           monkeypatch, n_modes):
-        # the three tables take one rfft2 call per C build, however many
-        # blocks; a block of real fields takes one padded rfft2, three padded
-        # irfft2 and one n x n rfft2/irfft2 pair; no complex transform runs
+        # the three tables take one padded rfft2 per chain, however long; a
+        # chain step takes one padded rfft2, three padded irfft2 and one
+        # n x n rfft2/irfft2 pair; no complex transform runs
         cfg, proj, proj2, _, _ = small_setup
-        basis = mechanical_basis(cfg.lattice, 2.0, completion_seed=3,
-                                 n_modes=n_modes)
-        calls = {name: 0 for name in ("rfft2", "irfft2", "fft2", "ifft2")}
-        for name in calls:
-            def counting(*args, _f=getattr(np.fft, name), _name=name, **kw):
-                calls[_name] += 1
-                return _f(*args, **kw)
+        n = cfg.lattice.n_side
+        calls = Counter()       # (transform, padded)
+        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+            def counting(x, *args, _f=getattr(np.fft, name), _name=name, **kw):
+                calls[_name, kw.get("s") not in (None, (n, n))] += 1
+                return _f(x, *args, **kw)
             monkeypatch.setattr(np.fft, name, counting)
-        coupling_matrix_C(cfg, basis, proj, proj2, grid16)
-        blocks = -(-n_modes // 32)
-        assert calls == {"rfft2": 1 + 2 * blocks, "irfft2": 4 * blocks,
-                         "fft2": 0, "ifft2": 0}
+        steps = len(MechanicalChain(cfg, proj, proj2, grid16).couplings(n_modes))
+        assert 1 < steps <= n_modes
+        assert calls == {("rfft2", True): 1 + steps, ("irfft2", True): 3 * steps,
+                         ("rfft2", False): steps, ("irfft2", False): steps}
+
 
 class TestDenseReference:
     """The FFT coupling operator against the explicit N x N formulas."""
 
     @settings(max_examples=12, deadline=None)
     @given(n_side=st.integers(4, 12), a=st.floats(0.2, 1.0, exclude_max=True),
-           z0=st.floats(0.0, 0.25), seed=st.integers(0, 2**16),
-           thin=st.floats(0.05, 1.0))
-    def test_C_M_and_C00_match(self, n_side, a, z0, seed, thin):
-        # C over the full and a thin basis, and the trace route's C_00,
-        # against the dense formula: K_c on the s o V fields production uses
+           z0=st.floats(0.0, 0.25), thin=st.floats(0.05, 1.0))
+    def test_C_M_and_C00_match(self, n_side, a, z0, thin):
+        # C over the first m chain modes, and the trace route's C_00, against
+        # the dense formula over the same modes
         grid = dispersion_grid(a, n_side)
         cfg = make_config(a=a, n_side=n_side, w=2.0, z0=z0,
                           delta=grid.delta0 + 200.0, eta=0.1, l_fsr=100.0,
@@ -243,16 +230,12 @@ class TestDenseReference:
                                 confined_kernel_paraxial(lat, z0, k_cut))
         proj2 = projected_kernel(free_space_kernel(lat, 2),
                                  confined_kernel_paraxial(lat, z0, k_cut, 2))
-        explicit = {}
-        for n_modes in (None, max(1, int(thin * lat.n_sites))):
-            basis = mechanical_basis(lat, w, seed, n_modes=n_modes)
-            C = coupling_matrix_C(cfg, basis, proj, proj2, grid)
-            ref = dense_C(cfg, basis, proj, proj2, grid)
-            assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
-            explicit[n_modes] = C
-        full = explicit[None]
+        chain = MechanicalChain(cfg, proj, proj2, grid)
+        C = chain.couplings(max(1, int(thin * lat.n_sites)))
+        ref = dense_C(cfg, chain.modes(len(C)), proj, proj2, grid)
+        assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
         c00 = om_consistency(cfg, grid, k_cut_abs=k_cut).C00
-        assert abs(c00 - full[0, 0]) <= 1e-12 * np.max(np.abs(full))
+        assert abs(c00 - C[0, 0]) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestConsistencyRoutes:
@@ -260,7 +243,7 @@ class TestConsistencyRoutes:
         # the traces read off an explicit C over the full basis against the
         # completeness route
         cfg, proj, proj2, basis, k_cut = small_setup
-        C = coupling_matrix_C(cfg, basis, proj, proj2, grid16)
+        C = dense_C(cfg, basis, proj, proj2, grid16)
         trace_c, c00 = complex(np.trace(C)), complex(C[0, 0])
         rc = om_consistency(cfg, grid16, k_cut_abs=k_cut)
         assert -2.0 * (trace_c.real - c00.real) == \
@@ -327,7 +310,7 @@ class TestConsistencyRoutes:
 
 class TestTraceEngine:
     """om_consistency's quadratic forms on radial profiles against the table
-    routes: C_00 from K_c applied to the one-column basis V0, and the trace
+    routes: C_00 from K_c applied to V0 (the chain's first step), and the trace
     with Z as the box sum of the (2n-1, 2n-1) product table; and its octant
     sums against the same forms over every displacement."""
 
@@ -361,9 +344,8 @@ class TestTraceEngine:
         k_cut_abs = k_cut * Q
         rep = om_consistency(cfg, grid, k_cut_abs=k_cut_abs)
         v0 = intensity_profile(cfg.lattice, w)
-        c00 = coupling_matrix_C(cfg, v0.reshape(-1, 1),
-                                *projected_kernels(cfg.lattice, z0, k_cut_abs),
-                                grid)[0, 0]
+        c00 = MechanicalChain(cfg, *projected_kernels(cfg.lattice, z0, k_cut_abs),
+                              grid).couplings(1)[0, 0]
         # C_00's terms cancel (kappa_2 = -2 Re C_00 vanishes analytically, and
         # Im C_00 ~ cos^2 - sin^2 at the profile scale), so its deviation is
         # bounded by the operand scale eta^2 gbar sum f^2, f = sqrt(V0) V0
