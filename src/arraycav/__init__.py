@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _SUBMODULE = {
     **dict.fromkeys(("CavitySpec", "DriveSpec", "FullConfig", "LatticeSpec",
-                     "NoiseContract", "PhysicalConfig", "TrapSpec",
-                     "default_config_text", "emit_config", "gamma_plus_Gamma0",
-                     "parse_config", "validate_regime"), "config"),
+                     "PhysicalConfig", "TrapSpec", "default_config_text",
+                     "emit_config", "gamma_plus_Gamma0", "parse_config",
+                     "validate_regime"), "config"),
     **dict.fromkeys(("kernel_fs", "kernel_fs_d2z", "kernel_fs_momentum"), "greens"),
     **dict.fromkeys(("DispersionGrid", "DispersionPoint", "dispersion_curve",
                      "dispersion_grid", "dispersion_point"), "lattice_sums"),

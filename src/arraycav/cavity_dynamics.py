@@ -15,8 +15,11 @@ undamped oscillator coupled to the cavity with strength
     g_eff = 2 sin(q z0) sqrt(sum_n g_n^2),   sum_n g_n^2 = (gamma+Gamma)(c/l)/4,
 
 whose adiabatic limit reproduces the dispersive atom-induced cavity shift
-sin^2(q z0) (c/l)(gamma+Gamma)/(delta-Delta) exactly.  At delta = Delta the
-driven steady state is the dark state a = 0, s = -Omega/g_eff.
+sin^2(q z0) (c/l)(gamma+Gamma)/(delta-Delta) exactly.  Its driven steady state
+is one closed form over an array of cavity detunings (``_two_mode``), which
+``spectrum_scan`` evaluates over its samples and ``steady_state_two_mode`` at
+one delta_c.  At delta = Delta it is the dark state a = 0, s = -Omega/g_eff.
+Each result checks its amplitudes once, where it is formed.
 
 The full model is solved matrix-free.  The drive acts on the cavity alone, so
 the driven solution lies in the Krylov space of the generator from the cavity
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import expm, open_convolve, output_times, padded_fft
-from .config import FullConfig, gamma_plus_Gamma0
+from .config import FullConfig, cavity_dipole_coupling, gamma_plus_Gamma0
 from .confined import KernelMatrix
 from .errors import ConvergenceError, RegimeError
 from .greens import GAMMA, Q
@@ -54,13 +57,16 @@ class SystemState:
     sigma: object            # complex scalar (two-mode) or complex array (full)
     t: float
 
-    def __post_init__(self):
-        smax = float(np.max(np.abs(self.sigma))) if np.size(self.sigma) else 0.0
-        if not (np.isfinite(self.a) and np.isfinite(smax)):
-            raise ValueError("non-finite amplitudes")
-        if smax > SATURATION_WARN:
-            warnings.warn(f"|sigma| = {smax:.3g} strains the non-saturated "
-                          "(linear) dipole model", stacklevel=2)
+
+def _check_amplitudes(a, sigma_peak):
+    """One result's amplitudes ``a`` and largest |<s_n>| ``sigma_peak`` (a bound
+    serves below SATURATION_WARN) must be finite; a peak beyond it warns once,
+    at the caller of the public function that formed the result."""
+    if not (np.all(np.isfinite(a)) and np.isfinite(sigma_peak)):
+        raise ValueError("non-finite amplitudes")
+    if sigma_peak > SATURATION_WARN:
+        warnings.warn(f"|sigma| = {sigma_peak:.3g} strains the non-saturated "
+                      "(linear) dipole model", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,8 @@ class TwoModeModel:
 def build_two_mode(cfg: FullConfig, dispersion: DispersionPoint) -> TwoModeModel:
     """Two-oscillator model from a config and the k = 0 dispersion point.
 
-    g_eff is built from the profile-summed coupling sum_n g_n^2 =
-    (gamma+Gamma)(c/l)/4, the route that reproduces the adiabatic cavity shift;
+    g_eff = 2 |sin q z0| sqrt(sum_n g_n^2) with the profile-summed coupling
+    sum_n g_n^2 = (gamma+Gamma)(c/l)/4 (``config.cavity_dipole_coupling``);
     dispersion.delta_k supplies the collective shift Delta.
     """
     if cfg.cavity.w < 2.0:
@@ -92,32 +98,45 @@ def build_two_mode(cfg: FullConfig, dispersion: DispersionPoint) -> TwoModeModel
     gamma_coop = gamma_plus_Gamma0(cfg.lattice.a)
     if abs(GAMMA + dispersion.gamma_k - gamma_coop) > 1e-4 * gamma_coop:
         raise ValueError("dispersion point inconsistent with the lattice constant")
-    g_eff = abs(2.0 * np.sin(cfg.qz0)) * np.sqrt(gamma_coop * cfg.cavity.l_fsr / 4.0)
-    return TwoModeModel(g_eff=float(g_eff), delta_c=cfg.drive.delta_c,
+    return TwoModeModel(g_eff=cavity_dipole_coupling(cfg), delta_c=cfg.drive.delta_c,
                         delta_minus_Delta=cfg.drive.delta - dispersion.delta_k,
                         kappa_c=cfg.cavity.kappa_c, Omega=cfg.drive.Omega)
 
 
-def steady_state_two_mode(model: TwoModeModel) -> SystemState:
-    """Driven steady state of the two-oscillator model.
+def _two_mode(model: TwoModeModel, delta_c):
+    """Steady state (a, sigma) of the two-oscillator model at each cavity
+    detuning of the array ``delta_c``, the other parameters from ``model``:
+
+        a = -i Omega / (kappa_c/2 - i (delta_c - g_eff^2/(delta - Delta))),
+        sigma = g_eff a / (delta - Delta).
 
     delta = Delta pins the cavity to the dark state a = 0, s = -Omega/g_eff
-    (the undamped dipole absorbs the drive); with g_eff = 0 as well there is no
-    steady state.
+    (the undamped dipole absorbs the drive).  There is no steady state with
+    g_eff = 0 there as well, nor with kappa_c = 0 on the dressed resonance
+    delta_c = g_eff^2/(delta - Delta); both are decided before any division.
     """
-    dmD = model.delta_minus_Delta
+    g, dmD, omega = model.g_eff, model.delta_minus_Delta, model.Omega
     if dmD == 0.0:
-        if model.g_eff == 0.0:
-            if model.Omega == 0.0:
-                return SystemState(a=0.0 + 0.0j, sigma=0.0 + 0.0j, t=np.inf)
+        if g == 0.0 and omega != 0.0:
             raise RegimeError("undamped resonant dipole with g_eff = 0: "
                               "no steady state exists")
-        return SystemState(a=0.0 + 0.0j,
-                           sigma=complex(-model.Omega / model.g_eff), t=np.inf)
-    denom = model.kappa_c / 2.0 - 1j * (model.delta_c - model.g_eff**2 / dmD)
-    a = -1j * model.Omega / denom
-    sigma = model.g_eff * a / dmD
-    return SystemState(a=complex(a), sigma=complex(sigma), t=np.inf)
+        return (np.zeros(delta_c.shape, dtype=complex),
+                np.full(delta_c.shape, -omega / g if g else 0.0, dtype=complex))
+    detuning = delta_c - g**2 / dmD
+    if model.kappa_c == 0.0 and np.any(detuning == 0.0):
+        raise RegimeError("undamped cavity driven on its dressed resonance "
+                          "(kappa_c = 0, delta_c = g_eff^2/(delta - Delta)): "
+                          "no steady state exists")
+    a = -1j * omega / (model.kappa_c / 2.0 - 1j * detuning)
+    return a, g * a / dmD
+
+
+def steady_state_two_mode(model: TwoModeModel) -> SystemState:
+    """Driven steady state of the two-oscillator model at model.delta_c
+    (``_two_mode`` gives the formula and its dark and singular cases)."""
+    a, sigma = _two_mode(model, np.array([model.delta_c]))
+    _check_amplitudes(a, np.max(np.abs(sigma)))
+    return SystemState(a=complex(a[0]), sigma=complex(sigma[0]), t=np.inf)
 
 
 def spectrum_scan(model: TwoModeModel, delta_c_range, samples: int):
@@ -128,14 +147,10 @@ def spectrum_scan(model: TwoModeModel, delta_c_range, samples: int):
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    rows = []
-    for dc in np.linspace(float(delta_c_range[0]), float(delta_c_range[1]), samples):
-        m = TwoModeModel(g_eff=model.g_eff, delta_c=float(dc),
-                         delta_minus_Delta=model.delta_minus_Delta,
-                         kappa_c=model.kappa_c, Omega=model.Omega)
-        st = steady_state_two_mode(m)
-        rows.append((float(dc), float(abs(st.a) ** 2), float(np.angle(st.a))))
-    return np.array(rows)
+    dc = np.linspace(float(delta_c_range[0]), float(delta_c_range[1]), samples)
+    a, sigma = _two_mode(model, dc)
+    _check_amplitudes(a, np.max(np.abs(sigma)))
+    return np.column_stack([dc, np.abs(a) ** 2, np.angle(a)])
 
 
 def coupling_profile(cfg: FullConfig):
@@ -358,6 +373,8 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
     y0[0] = a0
     if sigma0 is not None:
         y0[1:] = np.asarray(sigma0, dtype=complex)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("non-finite initial amplitudes")
     initial = SystemState(a=complex(y0[0]), sigma=y0[1:].copy(), t=0.0)
     chains, errors, two_mode = [], [], None
     if c.any():
@@ -380,11 +397,10 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
         a = coefs @ basis[:, 0]
         s2 = np.sum(np.abs(coefs @ basis[:, 1:]) ** 2, axis=1)
     a[0], s2[0] = initial.a, np.sum(np.abs(initial.sigma) ** 2)
-    if np.max(s2) > SATURATION_WARN ** 2:   # else no |s_n| can exceed it
+    peak = np.sqrt(np.max(s2))   # bounds every |s_n|
+    if peak > SATURATION_WARN:
         peak = max(np.max(np.abs(z @ basis[:, 1:])) for z in coefs)
-        if peak > SATURATION_WARN:
-            warnings.warn(f"|sigma| = {peak:.3g} strains the non-saturated "
-                          "(linear) dipole model", stacklevel=2)
+    _check_amplitudes(a, peak)
     diagnostics = {"krylov_m": int(len(basis)),
                    "krylov_error": float(max(errors, default=0.0)),
                    "krylov_tolerance": KRYLOV_TOL,
@@ -410,4 +426,5 @@ def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
 
     Z, _a, _s2, _err, _ = _converge(krylov, coefficients)
     y = Z[0] @ krylov.V[:Z.shape[1]]
+    _check_amplitudes(y[0], np.max(np.abs(y[1:])))
     return SystemState(a=complex(y[0]), sigma=y[1:], t=np.inf)

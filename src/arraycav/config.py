@@ -100,31 +100,6 @@ class DriveSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class NoiseContract:
-    """Delta-correlated noise channels: name -> (rate, delta_correlated)."""
-
-    correlators: dict
-
-    def __post_init__(self):
-        for name, (rate, _flag) in self.correlators.items():
-            if rate < 0:
-                raise ConfigError(f"noise channel {name}: rate must be >= 0")
-        chan = self.correlators
-        if "F_total" in chan:
-            total = sum(r for n, (r, _) in chan.items() if n != "F_total")
-            if abs(chan["F_total"][0] - total) > 1e-12 * max(1.0, total):
-                raise ConfigError("F_total rate must equal the sum of channel rates")
-
-    @staticmethod
-    def for_cavity(kappa_c, kappa_sc=0.0) -> "NoiseContract":
-        return NoiseContract({
-            "F_c": (kappa_c, True),
-            "F_sc": (kappa_sc, True),
-            "F_total": (kappa_c + kappa_sc, True),
-        })
-
-
-@dataclass(frozen=True, eq=False)
 class FullConfig:
     physical: PhysicalConfig
     lattice: LatticeSpec
@@ -372,6 +347,13 @@ def gamma_plus_Gamma0(a: float) -> float:
     Closed form 3 lambda^2 gamma / (4 pi a^2), exact for the infinite array.
     """
     return 3.0 * LAMBDA * LAMBDA * GAMMA / (4.0 * np.pi * a * a)
+
+
+def cavity_dipole_coupling(cfg: FullConfig) -> float:
+    """Motionless coupling g_eff = |sin q z0| sqrt((c/l)(gamma + Gamma)) of the
+    cavity to the cavity-matched collective dipole."""
+    gamma_coop = gamma_plus_Gamma0(cfg.lattice.a)
+    return float(abs(np.sin(cfg.qz0)) * np.sqrt(cfg.cavity.l_fsr * gamma_coop))
 
 
 def default_config_text(a=0.5, n_side=32, w=4.0, l_fsr=100.0, kappa_c=1.0,

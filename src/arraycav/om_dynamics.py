@@ -35,7 +35,7 @@ import numpy as np
 
 from ._numerics import integrate_linear
 from .cavity_dynamics import _rel_dev
-from .config import FullConfig, NoiseContract
+from .config import FullConfig
 from .errors import MAX_MODES
 from .optomech import MechanicalChain, OmParams
 
@@ -188,9 +188,8 @@ def standard_model_report(params: OmParams, cfg: FullConfig) -> dict:
     """
     kappa_c = cfg.cavity.kappa_c
     kappa = kappa_c + params.kappa_sc
-    contract = NoiseContract.for_cavity(kappa_c, params.kappa_sc)
     ratio = None if params.g == 0 else params.kappa_sc / params.g
-    report = {
+    return {
         "omega_c_shift": params.Delta_AC,
         "kappa": kappa,
         "kappa_c": kappa_c,
@@ -198,8 +197,10 @@ def standard_model_report(params: OmParams, cfg: FullConfig) -> dict:
         "g": params.g,
         "g2": params.g2,
         "omega_m": cfg.trap.omega_m,
-        "noise_contract": {name: {"rate": rate, "delta_correlated": flag}
-                           for name, (rate, flag) in contract.correlators.items()},
+        "noise_contract": {name: {"rate": rate, "delta_correlated": True}
+                           for name, rate in (("F_c", kappa_c),
+                                              ("F_sc", params.kappa_sc),
+                                              ("F_total", kappa))},
         "membrane_in_the_middle": {
             "kappa_sc_over_g": ratio,
             "eta": params.eta,
@@ -207,4 +208,3 @@ def standard_model_report(params: OmParams, cfg: FullConfig) -> dict:
             "epsilon": params.epsilon,
         },
     }
-    return report

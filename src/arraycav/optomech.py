@@ -37,7 +37,8 @@ import numpy as np
 
 from ._numerics import open_convolve_real, padded_rfft, padded_shape
 from .cavity_dynamics import _Krylov
-from .config import FullConfig, LatticeSpec, gamma_plus_Gamma0
+from .config import (FullConfig, LatticeSpec, cavity_dipole_coupling,
+                     gamma_plus_Gamma0)
 from .confined import (KernelMatrix, confined_nodes, confined_profiles,
                        octant_radii, remove_confined)
 from .errors import ConfigError, RegimeError
@@ -94,11 +95,10 @@ def closed_form_params(cfg: FullConfig, Delta: float) -> OmParams:
     epsilon = 6.0 * (np.cos(qz0) ** 2 + 0.4 * np.sin(qz0) ** 2)
     kappa_sc = eta**2 * n_a * cl * (GAMMA / dmD) ** 2 * (epsilon / 2.0) / qw2
     g2 = eta**2 * cl * (GAMMA / dmD) * 4.0 * np.cos(qz0) ** 2 / qw2
-    g_eff = abs(np.sin(qz0)) * np.sqrt(cl * gamma_coop)
     return OmParams(g=float(g), g_bar=float(g_bar), g2=float(g2),
                     kappa_sc=float(kappa_sc), Delta_AC=float(delta_ac),
                     Delta_sc=None, eta=eta, N_a=float(n_a),
-                    epsilon=float(epsilon), g_eff=float(g_eff))
+                    epsilon=float(epsilon), g_eff=cavity_dipole_coupling(cfg))
 
 
 def g2_flat_profile_form(cfg: FullConfig, Delta: float) -> float:

@@ -14,8 +14,9 @@ The complete-basis route is a seeded orthonormal mechanical basis
 (``mechanical_basis``), C over it from ``dense_C``, the multimode model over
 those modes from any start (``evolve_multimode``) and its conserved
 Hamiltonian (``energy_functional``).  ``k_sc_ground_state_average`` is an
-independent route to kappa_sc, and ``bare_cavity_amplitude`` the empty-cavity
-steady state.
+independent route to kappa_sc, ``bare_cavity_amplitude`` the empty-cavity
+steady state and ``two_mode_steady_state`` the two-oscillator steady state
+one detuning at a time in scalar arithmetic.
 """
 
 import math
@@ -28,6 +29,7 @@ from arraycav._numerics import open_convolve, padded_rfft, padded_shape
 from arraycav.cavity_dynamics import coupling_profile
 from arraycav.confined import (confined_profiles, lattice_radii,
                                projected_kernels, remove_confined)
+from arraycav.errors import RegimeError
 from arraycav.greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane,
                              kernel_fs_plane)
 from arraycav.om_dynamics import RTOL, _integrate, _trajectory
@@ -171,6 +173,25 @@ def k_sc_ground_state_average(cfg, kernel_d2, dispersion):
 def bare_cavity_amplitude(cfg):
     """Empty-cavity Lorentzian steady state -i Omega / (kappa_c/2 - i delta_c)."""
     return -1j * cfg.drive.Omega / (cfg.cavity.kappa_c / 2.0 - 1j * cfg.drive.delta_c)
+
+
+def two_mode_steady_state(model):
+    """Steady state (a, sigma) of a TwoModeModel at its delta_c, one sample in
+    CPython scalar complex arithmetic: the per-sample formula the library's
+    array form is held to.  Defined where a steady state exists: not for
+    g_eff = 0 at delta = Delta (unless Omega = 0), nor for kappa_c = 0 on the
+    dressed resonance (a ZeroDivisionError)."""
+    dmD = model.delta_minus_Delta
+    if dmD == 0.0:
+        if model.g_eff == 0.0:
+            if model.Omega == 0.0:
+                return 0j, 0j
+            raise RegimeError("undamped resonant dipole with g_eff = 0: "
+                              "no steady state exists")
+        return 0j, complex(-model.Omega / model.g_eff)
+    denom = model.kappa_c / 2.0 - 1j * (model.delta_c - model.g_eff**2 / dmD)
+    a = -1j * model.Omega / denom
+    return a, model.g_eff * a / dmD
 
 
 def box_sum(table):

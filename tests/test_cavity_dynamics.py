@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,8 @@ from arraycav.lattice_sums import DispersionPoint, dispersion_point
 from arraycav.optomech import closed_form_params
 
 from conftest import make_config
-from dense_reference import bare_cavity_amplitude, full_system
+from dense_reference import (bare_cavity_amplitude, full_system,
+                             two_mode_steady_state)
 
 DELTA0 = 0.4003319962564511       # cooperative shift at k = 0, a = 0.5 (frozen)
 GPLUSG = 3.0 / np.pi
@@ -96,6 +100,18 @@ class TestSteadyState:
         with pytest.raises(RegimeError, match="no steady state"):
             steady_state_two_mode(m)
 
+    def test_undamped_cavity_on_dressed_resonance(self):
+        # kappa_c = 0 and delta_c = g_eff^2/(delta - Delta): the denominator
+        # vanishes, so there is no steady state, for one point and in a scan
+        g, dmD = 4.0, 100.0
+        m = TwoModeModel(g_eff=g, delta_c=g * g / dmD, delta_minus_Delta=dmD,
+                         kappa_c=0.0, Omega=0.01)
+        with pytest.raises(RegimeError, match="no steady state"):
+            steady_state_two_mode(m)
+        with pytest.raises(RegimeError, match="no steady state"):
+            spectrum_scan(m, (g * g / dmD, 1.0), 11)
+        assert spectrum_scan(m, (-1.0, 0.0), 11)[:, 1].all()
+
 
 class TestSpectrumScan:
     def test_peak_height(self):
@@ -127,6 +143,42 @@ class TestSpectrumScan:
                          kappa_c=1.0, Omega=0.01)
         scan = spectrum_scan(m, (-1, 1), 11)
         assert np.all(scan[:, 1] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g_eff=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+           dmD=st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                         st.floats(-1e3, -1e-3)),
+           kappa_c=st.floats(1e-3, 10.0), Omega=st.floats(1e-4, 1.0),
+           ends=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+           samples=st.integers(2, 101))
+    def test_scan_matches_scalar_oracle(self, g_eff, dmD, kappa_c, Omega,
+                                        ends, samples):
+        # the array formula against the per-sample scalar one: numpy's
+        # complex division and |z| are not CPython's, so rows agree to a few
+        # ulp; dark rows are exact, and each row is steady_state_two_mode at
+        # its delta_c bit for bit
+        m = TwoModeModel(g_eff=g_eff, delta_c=0.0, delta_minus_Delta=dmD,
+                         kappa_c=kappa_c, Omega=Omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # saturation
+            if dmD == 0.0 and g_eff == 0.0:
+                with pytest.raises(RegimeError, match="no steady state"):
+                    spectrum_scan(m, ends, samples)
+                return
+            scan = spectrum_scan(m, ends, samples)
+            for dc, abs_a2, phase in scan:
+                model = dataclasses.replace(m, delta_c=dc)
+                if dmD == 0.0:
+                    assert abs_a2 == 0.0 and phase == 0.0
+                    assert not np.signbit(phase)
+                else:
+                    a, _sigma = two_mode_steady_state(model)
+                    want2, want_phase = abs(a) ** 2, np.angle(a)
+                    assert abs(abs_a2 - want2) <= 8 * np.spacing(want2)
+                    assert abs(phase - want_phase) <= 4 * np.spacing(abs(want_phase))
+                st_ = steady_state_two_mode(model)
+                assert abs_a2 == np.square(np.abs(st_.a))   # an array's ** 2
+                assert phase == np.angle(st_.a)
 
 
 class TestFullModel:
@@ -271,6 +323,21 @@ class TestFullModel:
         s2 = np.array([np.sum(np.abs(s.sigma) ** 2) for s in states])
         rate = -np.polyfit(ts, np.log(s2), 1)[0]
         assert rate == pytest.approx(1 + disp.gamma_k, rel=0.01)
+
+    def test_saturation_warns_once_per_result(self, proj32):
+        # a strong drive saturates the dipoles: the trajectory warns once,
+        # at the caller, and forming its 201 states warns no more
+        cfg = make_config(z0=0.125, Omega=30.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = evolve_full(cfg, proj32, 10.0, 0.05)
+        here = self.test_saturation_warns_once_per_result.__code__.co_filename
+        assert len(caught) == 1 and "strains" in str(caught[0].message)
+        assert caught[0].filename == here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            states = list(traj)
+        assert len(states) == 201 and caught == []
 
     def test_steady_state_linearity(self, proj32):
         cfg1 = make_config(z0=0.125, delta_c=0.3, delta=DELTA0 + 20.0,

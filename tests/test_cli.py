@@ -100,6 +100,30 @@ def test_spectrum_bare_lorentzian_at_node(tmp_path):
     assert np.allclose(rows[:, 1], bare, rtol=1e-12)
 
 
+def test_spectrum_undamped_cavity_on_resonance_exits_3(tmp_path, capsys,
+                                                       monkeypatch):
+    # kappa_c = 0 at a field node: the README scan's sample delta_c = 0 sits
+    # exactly on the cavity resonance, where no steady state exists
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(default_config_text(kappa_c=0.0, z0=0.0))
+    argv = README_COMMANDS["spectrum"]
+    assert main(argv[:1] + ["--config", "run.cfg"] + argv[1:]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:")
+    assert "no steady state" in err[0]
+
+
+def test_spectrum_saturation_warns_once_at_the_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(default_config_text(Omega=1.0))
+    argv = README_COMMANDS["spectrum"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv[:1] + ["--config", "run.cfg"] + argv[1:]) == 0
+    assert len(caught) == 1 and "strains" in str(caught[0].message)
+    assert caught[0].filename == main.__code__.co_filename
+
+
 def test_omparams_json(cfg_file, tmp_path):
     out = tmp_path / "om.json"
     assert main(["omparams", "--config", str(cfg_file), "--out", str(out)]) == 0
@@ -109,6 +133,9 @@ def test_omparams_json(cfg_file, tmp_path):
     assert cf["N_a"] == pytest.approx(np.pi * 4.0 / 0.16)
     assert data["standard_model"]["kappa"] == pytest.approx(
         1.0 + cf["kappa_sc"])
+    noise = data["standard_model"]["noise_contract"]
+    assert noise["F_total"]["rate"] == noise["F_c"]["rate"] + noise["F_sc"]["rate"]
+    assert all(c["rate"] >= 0.0 and c["delta_correlated"] for c in noise.values())
 
 
 def test_omparams_consistency_exit(cfg_file, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from arraycav.config import (default_config_text, emit_config,
                              gamma_plus_Gamma0, parse_config, validate_regime,
-                             FullConfig, LatticeSpec, NoiseContract, TrapSpec)
+                             FullConfig, LatticeSpec, TrapSpec)
 from arraycav.errors import ConfigError
 
 from conftest import make_config
@@ -146,12 +146,3 @@ def test_regime_fails_on_resonance():
 def test_regime_pure():
     cfg = make_config()
     assert validate_regime(cfg, Delta=0.0) == validate_regime(cfg, Delta=0.0)
-
-
-def test_noise_contract():
-    c = NoiseContract.for_cavity(1.0, 0.25)
-    assert c.correlators["F_total"][0] == pytest.approx(1.25)
-    with pytest.raises(ConfigError):
-        NoiseContract({"F_c": (-1.0, True)})
-    with pytest.raises(ConfigError):
-        NoiseContract({"F_c": (1.0, True), "F_total": (3.0, True)})
