@@ -21,10 +21,11 @@ is one closed form over an array of cavity detunings (``_two_mode``), which
 one delta_c.  At delta = Delta it is the dark state a = 0, s = -Omega/g_eff.
 Each result checks its amplitudes once, where it is formed.
 
-The full model is solved matrix-free.  The drive acts on the cavity alone, so
-the driven solution lies in the Krylov space of the generator from the cavity
-mode e_0: the chain e_0, u = g/|g| (reached with coupling g_eff), and the
-dipole profiles the kernel generates from u.  Its m = 2 truncation is the
+The full model is solved matrix-free, and, like every dynamics model of the
+package, it starts from rest.  The drive acts on the cavity alone, so the
+solution lies in the Krylov space of the generator from the cavity mode e_0:
+the chain e_0, u = g/|g| (reached with coupling g_eff), and the dipole
+profiles the kernel generates from u.  Its m = 2 truncation is the
 two-oscillator model above, with <u|D|u> in place of the lattice-sum shift;
 the chain grows until longer truncations stop changing the result (Chin,
 Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109 (2010); Saad, SIAM J.
@@ -60,10 +61,11 @@ class SystemState:
 
 def _check_amplitudes(a, sigma_peak):
     """One result's amplitudes ``a`` and largest |<s_n>| ``sigma_peak`` (a bound
-    serves below SATURATION_WARN) must be finite; a peak beyond it warns once,
-    at the caller of the public function that formed the result."""
+    serves below SATURATION_WARN) must be finite, or ConvergenceError; a peak
+    beyond it warns once, at the caller of the public function that formed
+    the result."""
     if not (np.all(np.isfinite(a)) and np.isfinite(sigma_peak)):
-        raise ValueError("non-finite amplitudes")
+        raise ConvergenceError("non-finite amplitudes")
     if sigma_peak > SATURATION_WARN:
         warnings.warn(f"|sigma| = {sigma_peak:.3g} strains the non-saturated "
                       "(linear) dipole model", stacklevel=3)
@@ -192,7 +194,9 @@ def _generator(cfg: FullConfig, kernel: KernelMatrix):
 
 
 class _Krylov:
-    """Orthonormal basis of span{v, A v, A^2 v, ...}, extended on demand.
+    """Orthonormal basis of span{v, A v, A^2 v, ...}, extended on demand: the
+    Arnoldi engine of the drive's chain here and of the mechanical chain
+    (``optomech.MechanicalChain``), which read their states from it.
 
     Arnoldi with classical Gram-Schmidt and one reorthogonalization pass.
     After m steps the rows of ``V[:m]`` span the space and ``H[:m, :m]`` is
@@ -201,11 +205,10 @@ class _Krylov:
     spanned): the projection is then exact.
     """
 
-    def __init__(self, apply, start, cavity_start=False):
+    def __init__(self, apply, start):
         self.dim = dim = start.size
         self.apply = apply
         self.beta = float(np.linalg.norm(start))
-        self.cavity_start = cavity_start   # start = e_0 times a phase
         self.max_m = min(dim, max(2, KRYLOV_MAX_BYTES // (16 * dim) - 1))
         self.V = np.empty((3, dim), dtype=complex)
         self.V[0] = start / self.beta
@@ -244,18 +247,6 @@ class _Krylov:
                 self.V[j + 1] = w / norm
         return self.m
 
-    def readout(self, Z):
-        """Cavity amplitude and sum_n |s_n|^2 of the states Z @ V, one row of
-        coefficients per state."""
-        V = self.V[:Z.shape[1]]
-        a = Z @ V[:, 0]
-        if self.cavity_start:
-            # later basis vectors are orthogonal to e_0: no cavity component
-            s2 = np.sum(np.abs(Z[:, 1:]) ** 2, axis=1)
-        else:
-            s2 = np.sum(np.abs(Z @ V[:, 1:]) ** 2, axis=1)
-        return a, s2
-
 
 def _rel_dev(x, ref):
     scale = np.max(np.abs(ref))
@@ -263,19 +254,24 @@ def _rel_dev(x, ref):
 
 
 def _converge(krylov, coefficients):
-    """Extend the chain to m = 2, 4, 8, ... basis vectors until the readouts
-    (a and sum |s|^2, each relative to its largest magnitude) from m and 2m
-    vectors agree to KRYLOV_TOL, or the span is invariant.
+    """Extend the drive's chain to m = 2, 4, 8, ... basis vectors until the
+    readouts (a and sum |s|^2, each relative to its largest magnitude) from m
+    and 2m vectors agree to KRYLOV_TOL, or the span is invariant.
 
     ``coefficients(H)`` gives the solution's coefficients in the basis, one
-    row per state, for a unit start vector.  Returns (Z, a, s2, error, a2)
-    with a2 the cavity amplitude of the m = 2 truncation.
+    row per state, for a unit start vector.  The chain starts at the cavity
+    mode, so a state's cavity amplitude is its coefficients times V[:, 0],
+    and the later basis vectors, orthogonal to e_0, are pure dipole profiles:
+    sum_n |s_n|^2 is the squared norm of the coefficients after the first.
+    Returns (Z, a, s2, error, a2) with a2 the cavity amplitude of the m = 2
+    truncation.
     """
     m, prev, a2 = 2, None, None
     while True:
         m = krylov.extend(m)
         Z = krylov.beta * coefficients(krylov.H[:m, :m])
-        a, s2 = krylov.readout(Z)
+        a = Z @ krylov.V[:m, 0]
+        s2 = np.sum(np.abs(Z[:, 1:]) ** 2, axis=1)
         if a2 is None:
             a2 = a
         if krylov.invariant:
@@ -292,9 +288,8 @@ def _converge(krylov, coefficients):
         m *= 2
 
 
-def _chain_propagation(h, n_out, driven):
-    """Coefficients z(k h), k < n_out, of dz/dt = H z + e_1 from z = 0
-    (``driven``) or of dz/dt = H z from z = e_1.
+def _chain_propagation(h, n_out):
+    """Coefficients z(k h), k < n_out, of dz/dt = H z + e_1 from z = 0.
 
     One expm of the augmented (m+1)^2 matrix [[h H, h e_1], [0, 0]] is the
     propagator over one output spacing; it is applied once per output time.
@@ -306,15 +301,10 @@ def _chain_propagation(h, n_out, driven):
         m = len(H)
         aug = np.zeros((m + 1, m + 1), dtype=complex)
         aug[:m, :m] = h * H
-        w = np.zeros(m + 1, dtype=complex)
-        if driven:
-            aug[0, m] = h
-            w[m] = 1.0
-        else:
-            w[0] = 1.0
+        aug[0, m] = h
         step = expm(aug)
-        out = np.empty((n_out, m + 1), dtype=complex)
-        out[0] = w
+        out = np.zeros((n_out, m + 1), dtype=complex)
+        out[0, m] = 1.0
         for k in range(1, n_out):
             out[k] = step @ out[k - 1]
         return out[:, :m]
@@ -324,15 +314,17 @@ def _chain_propagation(h, n_out, driven):
 
 @dataclass(frozen=True, eq=False)
 class FullTrajectory(Sequence):
-    """Full-model states at the output times, held in the Krylov basis.
+    """Full-model states at the output times, from rest, held in the drive's
+    Krylov basis.
 
-    ``a`` and ``sum_sigma2`` come from the chain coefficients alone; indexing
-    or iterating gives SystemStates whose site amplitudes are formed then,
-    sigma(t_k) = coefficients[k] @ basis[:, 1:].  ``diagnostics`` holds the
-    basis size ``krylov_m``, the convergence estimate ``krylov_error`` against
-    ``krylov_tolerance``, and ``two_mode_deviation``: the largest deviation of
-    the m = 2 chain (cavity plus one collective dipole) from the converged
-    cavity amplitude, relative to max |a| (None without a drive).
+    ``a`` and ``sum_sigma2`` come from the chain coefficients alone, and both
+    are exactly zero at t = 0; indexing or iterating gives SystemStates whose
+    site amplitudes are formed then, sigma(t_k) = coefficients[k] @
+    basis[:, 1:].  ``diagnostics`` holds the basis size ``krylov_m``, the
+    convergence estimate ``krylov_error`` against ``krylov_tolerance``, and
+    ``two_mode_deviation``: the largest deviation of the m = 2 chain (cavity
+    plus one collective dipole) from the converged cavity amplitude, relative
+    to max |a| (None without a drive, when the basis is empty).
     """
 
     t: np.ndarray
@@ -341,72 +333,52 @@ class FullTrajectory(Sequence):
     diagnostics: dict
     basis: np.ndarray            # (M, N + 1), basis vectors as rows
     coefficients: np.ndarray     # (len(t), M)
-    initial: SystemState
 
     def __len__(self):
         return len(self.t)
 
     def __getitem__(self, k):
-        k = range(len(self.t))[k]
-        if k == 0:
-            return self.initial
         return SystemState(a=complex(self.a[k]),
                            sigma=self.coefficients[k] @ self.basis[:, 1:],
                            t=float(self.t[k]))
 
 
 def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
-                dt_out: float, a0: complex = 0.0, sigma0=None) -> FullTrajectory:
-    """Site-resolved linear dynamics sampled every dt_out, exact to KRYLOV_TOL.
+                dt_out: float) -> FullTrajectory:
+    """Site-resolved linear dynamics from rest (a = 0, s = 0), sampled every
+    dt_out, exact to KRYLOV_TOL.
 
-    By linearity y(t) = t phi_1(tA) c + e^{At} y0.  Each term lives in a
-    Krylov space: the drive's from the cavity mode e_0 (the chain e_0, the
-    cavity-profile dipole, ...), the initial state's from y0.  Each is
-    projected onto its Arnoldi basis and propagated there by one small expm
-    per output spacing; the basis grows until the m- and 2m-vector results
-    agree.  Cost O(m N log N + m^2 N), memory m (N + 1) complex numbers.
+    From rest y(t) = t phi_1(tA) c, which lives in the Krylov space of the
+    generator from the drive c, i.e. from the cavity mode e_0 (the chain e_0,
+    the cavity-profile dipole, ...).  It is projected onto that Arnoldi basis
+    and propagated there by one small expm per output spacing; the basis grows
+    until the m- and 2m-vector results agree.  Without a drive the trajectory
+    is zero and the basis empty.  Cost O(m N log N + m^2 N), memory m (N + 1)
+    complex numbers.
     """
     apply, c = _generator(cfg, kernel)
     times = output_times(t_final, dt_out)
     h = t_final / (len(times) - 1)
-    y0 = np.zeros_like(c)
-    y0[0] = a0
-    if sigma0 is not None:
-        y0[1:] = np.asarray(sigma0, dtype=complex)
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("non-finite initial amplitudes")
-    initial = SystemState(a=complex(y0[0]), sigma=y0[1:].copy(), t=0.0)
-    chains, errors, two_mode = [], [], None
     if c.any():
-        krylov = _Krylov(apply, c, cavity_start=True)
-        Z, a, s2, err, a2 = _converge(krylov, _chain_propagation(h, len(times), True))
-        chains.append((krylov.V[:Z.shape[1]], Z))
-        errors.append(err)
-        two_mode = _rel_dev(a2, a)
-    if y0.any():
-        krylov = _Krylov(apply, y0)
-        Z, a, s2, err, _ = _converge(krylov, _chain_propagation(h, len(times), False))
-        chains.append((krylov.V[:Z.shape[1]], Z))
-        errors.append(err)
-    basis = np.concatenate([V for V, _ in chains]
-                           or [np.zeros((0, c.size), dtype=complex)])
-    coefs = np.concatenate([Z for _, Z in chains]
-                           or [np.zeros((len(times), 0), dtype=complex)], axis=1)
-    if len(chains) != 1:
-        # two bases are not mutually orthogonal: sum over the site amplitudes
-        a = coefs @ basis[:, 0]
-        s2 = np.sum(np.abs(coefs @ basis[:, 1:]) ** 2, axis=1)
-    a[0], s2[0] = initial.a, np.sum(np.abs(initial.sigma) ** 2)
+        krylov = _Krylov(apply, c)
+        coefs, a, s2, error, a2 = _converge(krylov, _chain_propagation(h, len(times)))
+        basis, two_mode = krylov.V[:coefs.shape[1]], _rel_dev(a2, a)
+    else:
+        basis = np.zeros((0, c.size), dtype=complex)
+        coefs = np.zeros((len(times), 0), dtype=complex)
+        a, s2 = np.zeros(len(times), dtype=complex), np.zeros(len(times))
+        error, two_mode = 0.0, None
+    a[0], s2[0] = 0.0, 0.0      # t = 0 is rest, exactly
     peak = np.sqrt(np.max(s2))   # bounds every |s_n|
     if peak > SATURATION_WARN:
         peak = max(np.max(np.abs(z @ basis[:, 1:])) for z in coefs)
     _check_amplitudes(a, peak)
     diagnostics = {"krylov_m": int(len(basis)),
-                   "krylov_error": float(max(errors, default=0.0)),
+                   "krylov_error": float(error),
                    "krylov_tolerance": KRYLOV_TOL,
                    "two_mode_deviation": two_mode}
     return FullTrajectory(t=times, a=a, sum_sigma2=s2, diagnostics=diagnostics,
-                          basis=basis, coefficients=coefs, initial=initial)
+                          basis=basis, coefficients=coefs)
 
 
 def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
@@ -417,7 +389,7 @@ def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
     if not c.any():
         return SystemState(a=0.0 + 0.0j, sigma=np.zeros(c.size - 1, dtype=complex),
                            t=np.inf)
-    krylov = _Krylov(apply, c, cavity_start=True)
+    krylov = _Krylov(apply, c)
 
     def coefficients(H):
         e1 = np.zeros(len(H), dtype=complex)

@@ -119,6 +119,8 @@ def cmd_spectrum(args):
     cfg, text = _load_config(args.config)
     for option, value in (("--dc-min", args.dc_min), ("--dc-max", args.dc_max)):
         _require(np.isfinite(value), option, "must be finite")
+    _require(np.isfinite(args.dc_max - args.dc_min), "--dc-max",
+             "the scan width --dc-max - --dc-min must be finite")
     _require(args.samples >= 2, "--samples",
              f"need at least 2 samples, got {args.samples}")
     disp = dispersion_point((0.0, 0.0), cfg.lattice.a)

@@ -326,9 +326,8 @@ def validate_regime(cfg: FullConfig, Delta: float | None = None) -> RegimeReport
         c_light / l_atoms, rate_s)
     add("small_motion", "zero-point motion small vs wavelength (q x0 << 1)",
         1.0, t.eta)
-    detuning = abs(d.delta - Delta)
     add("large_detuning", "atom-cavity detuning dominates dynamical rates",
-        detuning, max(gamma_coop, t.omega_m, c.kappa_c, abs(d.Omega)))
+        *large_detuning(cfg, Delta))
     add("paraxial_waist", "paraxial beam: w above the enforced bound",
         c.w, LAMBDA, threshold=2.0)
     add("subwavelength", "lattice spacing below the wavelength",
@@ -339,6 +338,16 @@ def validate_regime(cfg: FullConfig, Delta: float | None = None) -> RegimeReport
         cfg.lattice.extent, c.w, threshold=4.0, severity="warning")
 
     return RegimeReport(checks=tuple(checks))
+
+
+def large_detuning(cfg: FullConfig, Delta: float) -> tuple[float, float]:
+    """The two sides of the large-detuning inequality: |delta - Delta| and the
+    fastest competing rate max(gamma + Gamma, omega_m, kappa_c, |Omega|), which
+    is at least gamma + Gamma > 0.  The inequality holds, and the internal
+    states may be eliminated, at a ratio >= MARGIN."""
+    rate = max(gamma_plus_Gamma0(cfg.lattice.a), cfg.trap.omega_m,
+               cfg.cavity.kappa_c, abs(cfg.drive.Omega))
+    return abs(cfg.drive.delta - Delta), rate
 
 
 def gamma_plus_Gamma0(a: float) -> float:

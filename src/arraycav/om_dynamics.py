@@ -22,9 +22,10 @@ functional
 (Im_s the symmetrized imaginary part), conserved when kappa = Omega = 0 and
 the non-conservative Re[C] is dropped.
 
-The multimode model runs from rest (b = 0), where it needs only the modes of
-the mechanical chain (``optomech.MechanicalChain``): ``evolve_chain``
-lengthens the chain until two lengths give the same trajectory.
+Both models run from rest (a = 0, b = 0), where the multimode one needs only
+the modes of the mechanical chain (``optomech.MechanicalChain``):
+``evolve_chain`` lengthens the chain until two lengths give the same
+trajectory.
 """
 
 from __future__ import annotations
@@ -166,13 +167,12 @@ def _reduced_rhs(cfg: FullConfig, params: OmParams):
     return rhs
 
 
-def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out,
-                   a0=0.0 + 0.0j, b0=0.0 + 0.0j, rtol=RTOL):
-    """Integrate the reduced standard-optomechanics model (cavity + one mode);
-    returns an OmTrajectory."""
-    y0 = np.array([a0, b0], dtype=complex)
-    return _trajectory(*integrate_linear(_reduced_rhs(cfg, params), y0, t_final,
-                                         dt_out, rtol=rtol))
+def evolve_reduced(cfg: FullConfig, params: OmParams, t_final, dt_out):
+    """Integrate the reduced standard-optomechanics model (cavity + one mode)
+    from rest (a = b = 0); returns an OmTrajectory."""
+    return _trajectory(*integrate_linear(_reduced_rhs(cfg, params),
+                                         np.zeros(2, dtype=complex), t_final,
+                                         dt_out, rtol=RTOL))
 
 
 def standard_model_report(params: OmParams, cfg: FullConfig) -> dict:

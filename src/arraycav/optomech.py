@@ -37,8 +37,8 @@ import numpy as np
 
 from ._numerics import open_convolve_real, padded_rfft, padded_shape
 from .cavity_dynamics import _Krylov
-from .config import (FullConfig, LatticeSpec, cavity_dipole_coupling,
-                     gamma_plus_Gamma0)
+from .config import (MARGIN, FullConfig, LatticeSpec, cavity_dipole_coupling,
+                     gamma_plus_Gamma0, large_detuning)
 from .confined import (KernelMatrix, confined_nodes, confined_profiles,
                        octant_radii, remove_confined)
 from .errors import ConfigError, RegimeError
@@ -66,21 +66,17 @@ class OmParams:
             raise ValueError("kappa_sc must be >= 0")
 
 
-def detuning_margin(cfg: FullConfig, Delta: float) -> float:
-    gamma_coop = gamma_plus_Gamma0(cfg.lattice.a)
-    rate = max(gamma_coop, cfg.trap.omega_m, cfg.cavity.kappa_c,
-               abs(cfg.drive.Omega))
-    return abs(cfg.drive.delta - Delta) / rate
-
-
 def closed_form_params(cfg: FullConfig, Delta: float) -> OmParams:
     """Closed-form optomechanical parameter set at cooperative shift Delta.
 
-    Requires the large-detuning margin |delta - Delta| >= 10 x the fastest
-    competing rate; the internal-state elimination is meaningless otherwise.
+    Requires the large-detuning margin |delta - Delta| >= MARGIN x the fastest
+    competing rate (``config.large_detuning``, the ``validate`` check of the
+    same name); the internal-state elimination is meaningless otherwise.
     """
-    if detuning_margin(cfg, Delta) < 10.0:
-        raise RegimeError("large-detuning margin below 10: closed forms invalid")
+    detuning, rate = large_detuning(cfg, Delta)
+    if not detuning / rate >= MARGIN:
+        raise RegimeError(f"large-detuning margin below {MARGIN:g}: "
+                          "closed forms invalid")
     a, w = cfg.lattice.a, cfg.cavity.w
     qz0 = cfg.qz0
     dmD = cfg.drive.delta - Delta

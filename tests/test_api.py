@@ -1,3 +1,4 @@
+import math
 import re
 import subprocess
 import sys
@@ -31,3 +32,15 @@ def test_every_public_name_imports_in_a_fresh_interpreter():
     subprocess.run([sys.executable, "-c", code], check=True)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         arraycav.no_such_name
+
+
+def test_readme_quickstart_runs(capsys):
+    # the python block under "Library quickstart", as a reader would paste it
+    section = README.read_text().split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert 0.0 < float(lines[0]) < 1e-3      # the cavity profile is dark
+    assert complex(lines[1]) != 0.0
+    assert all(math.isfinite(float(x)) for x in lines[2].split())

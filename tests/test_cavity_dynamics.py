@@ -11,9 +11,9 @@ from arraycav.cavity_dynamics import (TwoModeModel, build_two_mode,
                                       coupling_profile, evolve_full,
                                       spectrum_scan, steady_state_full,
                                       steady_state_two_mode)
-from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
-                               free_space_kernel, projected_kernel)
-from arraycav.errors import RegimeError
+from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
+                               projected_kernel)
+from arraycav.errors import ConvergenceError, RegimeError
 from arraycav.lattice_sums import DispersionPoint, dispersion_point
 from arraycav.optomech import closed_form_params
 
@@ -165,6 +165,11 @@ class TestSpectrumScan:
                 with pytest.raises(RegimeError, match="no steady state"):
                     spectrum_scan(m, ends, samples)
                 return
+            if dmD == 0.0 and not np.isfinite(Omega / g_eff):
+                # the dark state's dipole -Omega/g_eff is beyond the float range
+                with pytest.raises(ConvergenceError, match="non-finite amplitudes"):
+                    spectrum_scan(m, ends, samples)
+                return
             scan = spectrum_scan(m, ends, samples)
             for dc, abs_a2, phase in scan:
                 model = dataclasses.replace(m, delta_c=dc)
@@ -179,6 +184,19 @@ class TestSpectrumScan:
                 st_ = steady_state_two_mode(model)
                 assert abs_a2 == np.square(np.abs(st_.a))   # an array's ** 2
                 assert phase == np.angle(st_.a)
+
+
+def _energy_balance(cfg, kernel, t_final, dt_out):
+    """The full model from rest with the energy E = |a|^2 + sum |s|^2 it
+    gains from the drive, -2 Omega int Im a dt, and the part of that its atoms
+    radiate, int s^+ (2 Re D) s dt: what neither E(t_final) nor the mirror,
+    kappa_c int |a|^2 dt, holds.  Returns (trajectory, inflow, radiated);
+    the integrals are trapezoid sums over the output times."""
+    traj = evolve_full(cfg, kernel, t_final, dt_out)
+    inflow = -2.0 * cfg.drive.Omega * np.trapezoid(traj.a.imag, traj.t)
+    mirror = cfg.cavity.kappa_c * np.trapezoid(np.abs(traj.a) ** 2, traj.t)
+    energy = abs(traj.a[-1]) ** 2 + traj.sum_sigma2[-1]
+    return traj, inflow, inflow - mirror - energy
 
 
 class TestFullModel:
@@ -208,8 +226,8 @@ class TestFullModel:
     ], ids=["n_side4", "n_side16"])
     def test_eigendecomposition_oracle_every_output_time(self, overrides,
                                                          t_final, dt_out):
-        # y(t) = V [e^{lt} z0 + (e^{lt} - 1)/l w] with A = V diag(l) V^-1,
-        # z0 = V^-1 y0, w = V^-1 c: independent of expm and of the LU solve
+        # from rest y(t) = V (e^{lt} - 1)/l w with A = V diag(l) V^-1 and
+        # w = V^-1 c: independent of expm and of the LU solve
         cfg = make_config(**overrides)
         kernel = free_space_kernel(cfg.lattice)
         A, c = full_system(cfg, kernel)
@@ -228,42 +246,56 @@ class TestFullModel:
         assert s2_dev <= 1e-10
 
     @settings(max_examples=20, deadline=None)
-    @given(n_side=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
-           z0=st.floats(0.0, 0.25), delta=st.floats(-5.0, 20.0),
-           Omega=st.sampled_from([0.0, 0.01]), t_final=st.floats(0.5, 10.0))
-    def test_chain_matches_eigendecomposition_oracle(self, n_side, seed, z0,
-                                                     delta, Omega, t_final):
-        # random initial state plus drive: both Krylov spaces, every output
-        # time, against y(t) = V [e^{lt} z0 + (e^{lt} - 1)/l w].  The oracle
-        # itself rounds the atom phases delta t to ~ delta t eps, which the
-        # mixing into a amplifies: at delta t ~ 1000 it is off by ~1e-12
-        # (against expm), so delta t stays <= 200 here.
-        rng = np.random.default_rng(seed)
+    @given(n_side=st.integers(2, 12), z0=st.floats(0.0, 0.25),
+           delta=st.floats(-5.0, 20.0), Omega=st.sampled_from([0.0, 0.01]),
+           t_final=st.floats(0.5, 10.0))
+    def test_chain_matches_eigendecomposition_oracle(self, n_side, z0, delta,
+                                                     Omega, t_final):
+        # from rest, every output time, against y(t) = V (e^{lt} - 1)/l w
+        # with w = V^-1 c.  The oracle itself rounds the atom phases delta t
+        # to ~ delta t eps, which the mixing into a amplifies: at delta t ~
+        # 1000 it is off by ~1e-12 (against expm), so delta t stays <= 200
+        # here.  It decomposes the generator with the atoms scaled by
+        # 1/|sin q z0| (a diagonal similarity), so that its eigenvectors
+        # resolve weakly coupled atoms to their own scale.
         cfg = make_config(a=0.5, n_side=n_side, w=2.0, z0=z0, delta_c=0.3,
                           delta=delta, kappa_c=1.0, Omega=Omega, l_fsr=100.0)
         kernel = projected_kernel(
             free_space_kernel(cfg.lattice),
             confined_kernel_paraxial(cfg.lattice, z0, cfg.cavity.k_cut_abs))
-        n = cfg.lattice.n_sites
-        a0 = 0.02 * complex(*rng.normal(size=2))
-        sigma0 = 0.02 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-        traj = evolve_full(cfg, kernel, t_final, t_final / 40, a0=a0,
-                           sigma0=sigma0)
+        traj = evolve_full(cfg, kernel, t_final, t_final / 40)
+        if Omega == 0.0:
+            # no drive: the state stays at rest, on an empty basis
+            assert not traj.a.any() and not traj.sum_sigma2.any()
+            assert traj.diagnostics["krylov_m"] == 0
+            return
         A, c = full_system(cfg, kernel)
-        y0 = np.concatenate([[a0], sigma0])
+        alpha, b = A[0, 0], A[1:, 0].copy()
+        sin, g = np.sin(cfg.qz0), coupling_profile(cfg)
+        A[0, 1:], A[1:, 0] = -2j * sin * abs(sin) * g, -2j * np.sign(sin) * g
         lam, V = np.linalg.eig(A)
-        z0_, w = np.linalg.solve(V, y0), np.linalg.solve(V, c)
+        w = np.linalg.solve(V, c)
         growth = np.exp(np.outer(traj.t, lam))
-        exact = (growth * z0_ + (growth - 1.0) / lam * w) @ V.T
+        exact = ((growth - 1.0) / lam * w) @ V.T
+        exact[:, 1:] *= abs(sin)
         s2_exact = np.sum(np.abs(exact[:, 1:]) ** 2, axis=1)
         a_dev = np.max(np.abs(traj.a - exact[:, 0])) / np.max(np.abs(exact[:, 0]))
-        s2_dev = np.max(np.abs(traj.sum_sigma2 - s2_exact)) / np.max(s2_exact)
         assert a_dev <= 1e-12
+        assert traj.diagnostics["krylov_error"] <= 1e-12
+        if traj.diagnostics["krylov_m"] == 1:
+            # the atoms couple below the chain's tolerance, |b| <= 1e-12 |A e_0|,
+            # so the chain is the bare cavity; the dissipative atoms then hold
+            # at most |b| t max|a|
+            assert np.linalg.norm(b) <= 1e-12 * np.hypot(abs(alpha), np.linalg.norm(b))
+            assert not traj.sum_sigma2.any()
+            assert np.max(s2_exact) <= (np.linalg.norm(b) * t_final
+                                        * np.max(np.abs(exact[:, 0]))) ** 2
+            return
+        s2_dev = np.max(np.abs(traj.sum_sigma2 - s2_exact)) / np.max(s2_exact)
         assert s2_dev <= 1e-12
         sigma_last = traj[-1].sigma
         assert (np.linalg.norm(sigma_last - exact[-1, 1:])
                 <= 1e-12 * np.max(np.sqrt(s2_exact)))
-        assert traj.diagnostics["krylov_error"] <= 1e-12
 
     def test_steady_state_matches_dense_lu_at_dark_state(self, proj32):
         cfg = make_config(z0=0.125, delta_c=0.3, delta=DELTA0, kappa_c=1.0,
@@ -275,14 +307,15 @@ class TestFullModel:
         assert np.linalg.norm(st_.sigma - y[1:]) <= 1e-10 * np.linalg.norm(y[1:])
 
     def test_output_grid_and_initial_state(self):
+        # every run starts from rest: the t = 0 state is exactly zero
         cfg = make_config(a=0.5, n_side=4, w=2.0, z0=0.125, Omega=0.05)
         kernel = free_space_kernel(cfg.lattice)
-        a0 = 0.3 - 0.1j
-        sigma0 = np.linspace(-0.02, 0.02, cfg.lattice.n_sites) * (1 + 0.5j)
-        states = evolve_full(cfg, kernel, 1.0, 0.3, a0=a0, sigma0=sigma0)
-        assert np.array_equal([s.t for s in states], np.linspace(0.0, 1.0, 4))
-        assert states[0].a == a0
-        assert np.array_equal(states[0].sigma, sigma0)
+        traj = evolve_full(cfg, kernel, 1.0, 0.3)
+        assert np.array_equal([s.t for s in traj], np.linspace(0.0, 1.0, 4))
+        assert traj.a[0] == 0.0 and traj.sum_sigma2[0] == 0.0
+        assert traj[0].a == 0.0 and not traj[0].sigma.any()
+        assert traj[0].sigma.shape == (cfg.lattice.n_sites,)
+        assert np.all(np.abs(traj.a[1:]) > 0.0)
 
     def test_steady_state_matches_two_mode(self, disp, proj32):
         cfg = make_config(z0=0.125, delta_c=0.3, delta=DELTA0 + 20.0,
@@ -298,31 +331,30 @@ class TestFullModel:
         assert abs(st.a) <= 1e-3 * abs(bare_cavity_amplitude(cfg))
 
     def test_energy_leaves_only_through_mirror(self, proj32):
-        # undriven: d/dt (|a|^2 + sum |s|^2) = -kappa_c |a|^2 under the
-        # projected kernel (the collective dipole itself is dark)
-        cfg = make_config(z0=0.125, delta_c=0.0, delta=DELTA0, kappa_c=2.0,
-                          Omega=0.0, l_fsr=100.0)
-        u = cavity_profile(cfg.lattice, cfg.cavity.w).weights
-        states = evolve_full(cfg, proj32, 2.0, 0.005, sigma0=0.05 * u)
-        ts = np.array([s.t for s in states])
-        energy = np.array([abs(s.a) ** 2 + np.sum(np.abs(s.sigma) ** 2)
-                           for s in states])
-        flux = 2.0 * np.trapezoid([abs(s.a) ** 2 for s in states], ts)
-        lost = energy[0] - energy[-1]
-        assert abs(lost - flux) / lost < 0.01
+        # driven from rest, E = |a|^2 + sum |s|^2 obeys
+        # dE/dt = -kappa_c |a|^2 - 2 Omega Im a - s^+ (2 Re D) s: under the
+        # projected kernel the collective dipole is dark, so what the atoms
+        # radiate is at most 1 % of what the drive puts in
+        for delta_c, delta in ((0.0, DELTA0), (0.3, DELTA0 + 20.0),
+                               (-1.0, DELTA0 + 5.0)):
+            cfg = make_config(z0=0.125, delta_c=delta_c, delta=delta,
+                              kappa_c=2.0, Omega=0.01, l_fsr=100.0)
+            _, inflow, radiated = _energy_balance(cfg, proj32, 2.0, 0.005)
+            assert inflow > 0.0
+            assert abs(radiated) <= 0.01 * inflow
 
     def test_free_space_kernel_decays_cooperatively(self, disp):
-        # array at a field node: the cavity decouples and the profile mode
-        # decays at ~ gamma + Gamma
-        cfg = make_config(z0=0.0, delta_c=0.0, delta=0.0, kappa_c=1.0,
-                          Omega=0.0, l_fsr=100.0)
-        fs = free_space_kernel(cfg.lattice)
-        u = cavity_profile(cfg.lattice, cfg.cavity.w).weights
-        states = evolve_full(cfg, fs, 1.0, 0.02, sigma0=0.05 * u)
-        ts = np.array([s.t for s in states])
-        s2 = np.array([np.sum(np.abs(s.sigma) ** 2) for s in states])
-        rate = -np.polyfit(ts, np.log(s2), 1)[0]
-        assert rate == pytest.approx(1 + disp.gamma_k, rel=0.01)
+        # under the free-space kernel the driven cavity-profile dipole
+        # radiates at gamma + Gamma: the energy balance's radiated part is
+        # (gamma + Gamma) int sum |s|^2 dt
+        fs = free_space_kernel(make_config().lattice)
+        for delta_c, delta in ((0.0, DELTA0), (0.3, DELTA0 + 20.0),
+                               (-1.0, DELTA0 + 5.0)):
+            cfg = make_config(z0=0.125, delta_c=delta_c, delta=delta,
+                              kappa_c=1.0, Omega=0.01, l_fsr=100.0)
+            traj, _, radiated = _energy_balance(cfg, fs, 1.0, 0.005)
+            excited = np.trapezoid(traj.sum_sigma2, traj.t)
+            assert radiated == pytest.approx((1 + disp.gamma_k) * excited, rel=0.01)
 
     def test_saturation_warns_once_per_result(self, proj32):
         # a strong drive saturates the dipoles: the trajectory warns once,

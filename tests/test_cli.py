@@ -502,6 +502,33 @@ def test_start_loads_no_numpy(start, exit_code, loaded):
     assert (out[-2] if exit_code else None) == exit_code
 
 
+@pytest.mark.parametrize("overrides, command, exit_code, last_line", [
+    ({}, ["spectrum", "--dc-min=-1e308", "--dc-max=1e308", "--out", "spec.csv"],
+     2, "config error: --dc-max: the scan width --dc-max - --dc-min must be finite"),
+    ({"Omega": 1e308}, README_COMMANDS["spectrum"], 3,
+     "numerical error: non-finite amplitudes"),
+    ({"Omega": 1e308}, README_COMMANDS["full"], 3,
+     "numerical error: non-finite amplitudes"),
+], ids=["spectrum-width", "spectrum-Omega", "full-Omega"])
+def test_overflow_exits_with_one_line(tmp_path, overrides, command, exit_code,
+                                      last_line):
+    # a scan width or a drive beyond the float range: an exit code and one
+    # closing message, no traceback (numpy's overflow warnings may precede
+    # the message of a numerical error)
+    (tmp_path / "run.cfg").write_text(default_config_text(**overrides))
+    argv = command[:1] + ["--config", "run.cfg"] + command[1:]
+    code = ("import os, sys; from arraycav.cli import main; "
+            f"os.chdir({str(tmp_path)!r}); sys.exit(main({argv!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    err = out.stderr.splitlines()
+    assert out.returncode == exit_code
+    assert "Traceback" not in out.stderr
+    assert err[-1] == last_line
+    if exit_code == 2:
+        assert len(err) == 1
+
+
 @pytest.mark.parametrize("model", ["multimode", "full"])
 def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
     # both projected kernels come from one confined J0 pass: one evaluation

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraycav.config import LatticeSpec, gamma_plus_Gamma0
+from arraycav.config import LatticeSpec, gamma_plus_Gamma0, validate_regime
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
                                projected_kernel, projected_kernels)
 from arraycav.errors import RegimeError
@@ -87,6 +87,24 @@ class TestClosedForms:
         cfg = make_config(delta=1.0)
         with pytest.raises(RegimeError, match="margin"):
             closed_form_params(cfg, Delta=0.0)
+
+    @pytest.mark.parametrize("rates", [{}, {"kappa_c": 3.0}, {"Omega": 2.5},
+                                       {"omega_m": 1.7}])
+    def test_regime_guard_is_the_validate_check(self, rates):
+        # the closed forms refuse exactly where validate's large_detuning
+        # check fails, on both sides of the threshold ratio MARGIN = 10
+        rate = max([gamma_plus_Gamma0(0.5), *rates.values()])
+        edge = 10.0 * rate
+        for delta in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+                      -edge, 0.5 * edge, 2.0 * edge):
+            cfg = make_config(delta=float(delta), **rates)
+            passed = validate_regime(cfg, Delta=0.0)["large_detuning"].passed
+            try:
+                closed_form_params(cfg, Delta=0.0)
+                raised = False
+            except RegimeError:
+                raised = True
+            assert raised != passed
 
 
 class TestScalingLaws:
