@@ -136,14 +136,14 @@ def cmd_spectrum(args):
 def cmd_omparams(args):
     import json
     import numpy as np
-    from .config import check_k_cut
+    from .config import _KEYS
     from .lattice_sums import dispersion_grid
     from .om_dynamics import standard_model_report
     from .optomech import closed_form_params, om_consistency
     cfg, text = _load_config(args.config)
     k_cut_abs = None
     if args.k_cut_over_q is not None:
-        k_cut_abs = check_k_cut(args.k_cut_over_q, "--k-cut-over-q") * 2 * np.pi
+        k_cut_abs = _KEYS["k_cut"].check(args.k_cut_over_q, "--k-cut-over-q") * 2 * np.pi
     grid = dispersion_grid(cfg.lattice.a, cfg.lattice.n_side)
     params = closed_form_params(cfg, grid.delta0)
     result = {"closed_form": {

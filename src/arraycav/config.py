@@ -6,17 +6,18 @@ frequency only matters for retardation checks and is supplied as the optional
 ``omega_l`` key (default 1e8 gamma).
 
 Config files are INI-style with sections [physical], [lattice], [cavity],
-[trap], [drive], ``key = value`` pairs and ``#`` comments.  All records are
-immutable after construction.  ``polarization`` accepts only ``circular``, the
-dipole orientation for which every kernel and lattice sum is built.
+[trap], [drive], ``key = value`` pairs and ``#`` comments.  One key table
+(``_KEYS``) drives parsing, emission and the canonical document: a section or
+key outside it, or a number that is not finite, is a ConfigError.  All records
+are immutable after construction.  ``polarization`` accepts only ``circular``,
+the dipole orientation for which every kernel and lattice sum is built.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class PhysicalConfig:
     """The [physical] section's one free value.  Its other keys are fixed:
     lambda and gamma are the internal units (1), polarization is circular."""
 
-    omega_l: float = 1e8          # laser frequency in units gamma (retardation checks)
+    omega_l: float                # laser frequency in units gamma (retardation checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,148 +113,150 @@ class FullConfig:
         return Q * self.cavity.z0
 
 
-def _getfloat(sec, section, key):
-    if key not in sec:
-        raise ConfigError(f"[{section}] missing key '{key}'")
-    raw = sec[key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] key '{key}': non-numeric value {raw!r}") from None
+_REQUIRED = object()              # default of a key that every config must give
 
 
-def _getint(sec, section, key):
-    val = _getfloat(sec, section, key)
-    if val != int(val):
-        raise ConfigError(f"[{section}] key '{key}': expected integer, got {val}")
-    return int(val)
+@dataclass(frozen=True)
+class _Key:
+    """One config key: where it lives, its type, its default and the rule its
+    value obeys.  ``ok`` sees a finite number (or the stripped string), and
+    each rule is a comparison that NaN fails."""
+
+    section: str
+    name: str
+    kind: type = float            # float, int or str
+    default: object = _REQUIRED   # value of an absent key; None: set from w below
+    ok: object = None             # value -> bool; None: any finite value
+    rule: str = ""                # what ``ok`` asks, for the error message
+
+    def check(self, value, source):
+        """``value`` as this key's type if it obeys the key's rule, else a
+        ConfigError naming ``source``."""
+        if self.kind is not str:
+            if not np.isfinite(value):
+                raise ConfigError(f"{source}: must be finite, got {value!r}")
+            if self.kind is int and value != int(value):
+                raise ConfigError(f"{source}: expected integer, got {value}")
+            value = self.kind(value)
+        if self.ok is not None and not self.ok(value):
+            raise ConfigError(f"{source}: {self.rule}, got {value!r}")
+        return value
+
+    def read(self, sec):
+        """This key's checked value in the config section ``sec``, or its
+        default when the key is absent."""
+        if self.name not in sec:
+            if self.default is _REQUIRED:
+                raise ConfigError(f"[{self.section}] missing key '{self.name}'")
+            return self.default
+        source = f"[{self.section}] key '{self.name}'"
+        raw = sec[self.name].strip()
+        if self.kind is str:
+            return self.check(raw, source)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"{source}: non-numeric value {raw!r}") from None
+        return self.check(value, source)
 
 
-def check_k_cut(k_cut: float, source: str) -> float:
-    """The confinement cutoff (units q) if it lies in (0, 1), else a
-    ConfigError naming ``source``."""
-    if not 0.0 < k_cut < 1.0:
-        raise ConfigError(f"{source}: must lie in (0, 1) in units of q")
-    return k_cut
+# Every key a config may hold, in the emitted order.  Three rules span keys
+# and live in parse_config: |z0| <= 0.1 z_R, the default k_cut = 4/(q w) and
+# the warning when the lattice extent is below 4 w.
+_KEYS = {key.name: key for key in (
+    _Key("physical", "lambda", default=LAMBDA, ok=lambda v: v == LAMBDA,
+         rule="internal unit, must be 1"),
+    _Key("physical", "gamma", default=GAMMA, ok=lambda v: v == GAMMA,
+         rule="internal unit, must be 1"),
+    _Key("physical", "polarization", str, "circular", lambda v: v == "circular",
+         "only 'circular' is supported"),
+    _Key("physical", "omega_l", default=1e8, ok=lambda v: v > 0, rule="must be > 0"),
+    _Key("lattice", "a", ok=lambda v: 0 < v < 1,
+         rule="subwavelength spacing requires 0 < a < 1 (at a = 1 the (+-1, 0) "
+              "and (0, +-1) diffraction orders graze the light line at k = 0)"),
+    _Key("lattice", "n_side", int, ok=lambda v: v >= 2,
+         rule="need at least 2 sites per edge"),
+    _Key("cavity", "w", ok=lambda v: v >= 2,
+         rule="paraxial bound requires w >= 2 lambda"),
+    _Key("cavity", "l_fsr", ok=lambda v: v > 0, rule="must be > 0"),
+    _Key("cavity", "kappa_c", ok=lambda v: v >= 0, rule="must be >= 0"),
+    _Key("cavity", "z0"),
+    _Key("cavity", "k_cut", default=None, ok=lambda v: 0 < v < 1,
+         rule="must lie in (0, 1) in units of q"),
+    _Key("trap", "omega_m", ok=lambda v: v > 0, rule="must be > 0"),
+    _Key("trap", "eta", ok=lambda v: 0 < v <= 0.3,
+         rule="Lamb-Dicke regime requires 0 < eta <= 0.3"),
+    _Key("drive", "Omega"),
+    _Key("drive", "delta_c"),
+    _Key("drive", "delta"),
+)}
+
+# section -> its typed record; a key the record lacks is fixed at its default
+_RECORDS = {"physical": PhysicalConfig, "lattice": LatticeSpec, "cavity": CavitySpec,
+            "trap": TrapSpec, "drive": DriveSpec}
 
 
 def parse_config(text: str) -> FullConfig:
     """Parse an INI-style configuration document into typed records.
 
     Every derived quantity (q, z_R, x0, N) is available through the record
-    properties.  Violated invariants raise ConfigError naming the key.
+    properties.  A missing, unknown, non-finite or out-of-range value raises
+    ConfigError naming the key.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   comment_prefixes=("#",), interpolation=None)
+    cp.optionxform = str          # key names are case-sensitive, like the table's
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from None
-    for section in ("physical", "lattice", "cavity", "trap", "drive"):
+    for section in _RECORDS:
         if section not in cp:
             raise ConfigError(f"missing section [{section}]")
+    for section in cp.sections():
+        if section not in _RECORDS:
+            raise ConfigError(f"unknown section [{section}]")
+        for name in cp[section]:
+            if name not in _KEYS or _KEYS[name].section != section:
+                raise ConfigError(f"[{section}] unknown key '{name}'")
+    values = {name: key.read(cp[key.section]) for name, key in _KEYS.items()}
 
-    phys_sec = cp["physical"]
-    lam = _getfloat(phys_sec, "physical", "lambda") if "lambda" in phys_sec else 1.0
-    gam = _getfloat(phys_sec, "physical", "gamma") if "gamma" in phys_sec else 1.0
-    if lam != 1.0:
-        raise ConfigError("[physical] key 'lambda': internal unit, must be 1")
-    if gam != 1.0:
-        raise ConfigError("[physical] key 'gamma': internal unit, must be 1")
-    pol = phys_sec.get("polarization", "circular").strip()
-    if pol != "circular":
-        raise ConfigError(f"[physical] key 'polarization': {pol!r} not supported; "
-                          "only 'circular' is")
-    omega_l = _getfloat(phys_sec, "physical", "omega_l") if "omega_l" in phys_sec else 1e8
-    if omega_l <= 0:
-        raise ConfigError("[physical] key 'omega_l': must be > 0")
-    physical = PhysicalConfig(omega_l=omega_l)
-
-    lat_sec = cp["lattice"]
-    a = _getfloat(lat_sec, "lattice", "a")
-    n_side = _getint(lat_sec, "lattice", "n_side")
-    if not 0.0 < a < 1.0:
-        raise ConfigError("[lattice] key 'a': subwavelength spacing requires 0 < a < 1 "
-                          "(at a = 1 the (+-1, 0) and (0, +-1) diffraction orders "
-                          "graze the light line at k = 0)")
-    if n_side < 2:
-        raise ConfigError("[lattice] key 'n_side': need at least 2 sites per edge")
-    lattice = LatticeSpec(a=a, n_side=n_side)
-
-    cav_sec = cp["cavity"]
-    w = _getfloat(cav_sec, "cavity", "w")
-    if w < 2.0:
-        raise ConfigError("[cavity] key 'w': w below paraxial bound (w >= 2 lambda)")
-    l_fsr = _getfloat(cav_sec, "cavity", "l_fsr")
-    if l_fsr <= 0:
-        raise ConfigError("[cavity] key 'l_fsr': must be > 0")
-    kappa_c = _getfloat(cav_sec, "cavity", "kappa_c")
-    if kappa_c < 0:
-        raise ConfigError("[cavity] key 'kappa_c': must be >= 0")
-    z0 = _getfloat(cav_sec, "cavity", "z0")
+    w, z0 = values["w"], values["z0"]
     z_r = np.pi * w * w
-    if abs(z0) > 0.1 * z_r:
+    if not abs(z0) <= 0.1 * z_r:
         raise ConfigError("[cavity] key 'z0': array must sit well inside the Rayleigh "
                           f"range (|z0| <= 0.1 z_R = {0.1 * z_r:g})")
-    if "k_cut" in cav_sec:
-        k_cut = _getfloat(cav_sec, "cavity", "k_cut")
-    else:
-        k_cut = 4.0 / (w * Q)     # covers the Gaussian mode spectrum to e^-8
-    check_k_cut(k_cut, "[cavity] key 'k_cut'")
-    cavity = CavitySpec(w=w, l_fsr=l_fsr, kappa_c=kappa_c, z0=z0, k_cut=k_cut)
-
-    trap_sec = cp["trap"]
-    omega_m = _getfloat(trap_sec, "trap", "omega_m")
-    if omega_m <= 0:
-        raise ConfigError("[trap] key 'omega_m': must be > 0")
-    eta = _getfloat(trap_sec, "trap", "eta")
-    if not 0.0 < eta <= 0.3:
-        raise ConfigError("[trap] key 'eta': Lamb-Dicke regime requires 0 < eta <= 0.3")
-    trap = TrapSpec(omega_m=omega_m, eta=eta)
-
-    drv_sec = cp["drive"]
-    Omega = _getfloat(drv_sec, "drive", "Omega")
-    delta_c = _getfloat(drv_sec, "drive", "delta_c")
-    delta = _getfloat(drv_sec, "drive", "delta")
-    for key, val in (("Omega", Omega), ("delta_c", delta_c), ("delta", delta)):
-        if not np.isfinite(val):
-            raise ConfigError(f"[drive] key '{key}': must be finite")
-    drive = DriveSpec(Omega=Omega, delta_c=delta_c, delta=delta)
-
-    if lattice.extent < 4.0 * w:
+    if values["k_cut"] is None:   # covers the Gaussian mode spectrum to e^-8
+        values["k_cut"] = _KEYS["k_cut"].check(4.0 / (w * Q), "[cavity] key 'k_cut'")
+    if values["n_side"] * values["a"] < 4.0 * w:
         warnings.warn(
-            f"lattice extent {lattice.extent:g} < 4 w = {4 * w:g}: the Gaussian "
-            "mode is not negligible at the array boundary", stacklevel=2)
+            f"lattice extent {values['n_side'] * values['a']:g} < 4 w = {4 * w:g}: "
+            "the Gaussian mode is not negligible at the array boundary", stacklevel=2)
 
-    return FullConfig(physical=physical, lattice=lattice, cavity=cavity,
-                      trap=trap, drive=drive)
+    return FullConfig(**{section: record(**{f.name: values[f.name]
+                                            for f in fields(record)})
+                         for section, record in _RECORDS.items()})
+
+
+def _emit(values) -> str:
+    """Canonical text of the key -> value map ``values``; an absent key takes
+    its default."""
+    blocks = []
+    for section in _RECORDS:
+        lines = [f"[{section}]\n"]
+        for key in _KEYS.values():
+            if key.section == section:
+                value = values.get(key.name, key.default)
+                lines.append(f"{key.name} = "
+                             f"{repr(float(value)) if key.kind is float else value}\n")
+        blocks.append("".join(lines))
+    return "\n".join(blocks)
 
 
 def emit_config(cfg: FullConfig) -> str:
     """Canonical text form; parse(emit(cfg)) reproduces cfg bit-for-bit."""
-    out = io.StringIO()
-    fmt = lambda x: repr(float(x))
-    out.write("[physical]\n")
-    out.write(f"lambda = {fmt(LAMBDA)}\n")
-    out.write(f"gamma = {fmt(GAMMA)}\n")
-    out.write("polarization = circular\n")
-    out.write(f"omega_l = {fmt(cfg.physical.omega_l)}\n")
-    out.write("\n[lattice]\n")
-    out.write(f"a = {fmt(cfg.lattice.a)}\n")
-    out.write(f"n_side = {cfg.lattice.n_side}\n")
-    out.write("\n[cavity]\n")
-    out.write(f"w = {fmt(cfg.cavity.w)}\n")
-    out.write(f"l_fsr = {fmt(cfg.cavity.l_fsr)}\n")
-    out.write(f"kappa_c = {fmt(cfg.cavity.kappa_c)}\n")
-    out.write(f"z0 = {fmt(cfg.cavity.z0)}\n")
-    out.write(f"k_cut = {fmt(cfg.cavity.k_cut)}\n")
-    out.write("\n[trap]\n")
-    out.write(f"omega_m = {fmt(cfg.trap.omega_m)}\n")
-    out.write(f"eta = {fmt(cfg.trap.eta)}\n")
-    out.write("\n[drive]\n")
-    out.write(f"Omega = {fmt(cfg.drive.Omega)}\n")
-    out.write(f"delta_c = {fmt(cfg.drive.delta_c)}\n")
-    out.write(f"delta = {fmt(cfg.drive.delta)}\n")
-    return out.getvalue()
+    return _emit({name: value for section in _RECORDS
+                  for name, value in vars(getattr(cfg, section)).items()})
 
 
 @dataclass(frozen=True)
@@ -368,13 +371,7 @@ def cavity_dipole_coupling(cfg: FullConfig) -> float:
 def default_config_text(a=0.5, n_side=32, w=4.0, l_fsr=100.0, kappa_c=1.0,
                         z0=0.125, omega_m=0.01, eta=0.1, Omega=0.01,
                         delta_c=0.0, delta=100.0) -> str:
-    """Convenience builder for a canonical config document."""
-    cfg = FullConfig(
-        physical=PhysicalConfig(),
-        lattice=LatticeSpec(a=a, n_side=n_side),
-        cavity=CavitySpec(w=w, l_fsr=l_fsr, kappa_c=kappa_c, z0=z0,
-                          k_cut=4.0 / (w * Q)),
-        trap=TrapSpec(omega_m=omega_m, eta=eta),
-        drive=DriveSpec(Omega=Omega, delta_c=delta_c, delta=delta),
-    )
-    return emit_config(cfg)
+    """The canonical config document at these values, with k_cut at its
+    default 4/(q w) and the [physical] keys at theirs.  Nothing is checked:
+    parse_config judges the text."""
+    return _emit(dict(locals(), k_cut=4.0 / (w * Q)))

@@ -106,7 +106,10 @@ def chebyshev_panels(k_cut_abs, rho_max, radii, nodes):
     their Chebyshev coefficients fall like J_k(z), z = k_cut h / 2: they
     reach round-off a transition width ~ z^(1/3) past k = z, and
     K = ceil(z + 12 z^(1/3)) + 8 puts the last 8 below 3e-15 of the largest
-    (checked for z up to 400 and k_cut up to 0.999 q).  More panels mean a
+    (checked for z up to 400 and k_cut up to 0.999 q).  Below z ~ 0.2 they
+    fall like (z/2)^k / k!, which that count undershoots (at z = 0.06, J_6
+    of 1.7e-13 lands in the tail), so K keeps at least 8 coefficients ahead
+    of the last 8: J_9(z) < 3e-15 there.  More panels mean a
     lower degree, so fewer Clenshaw steps for each of the ``radii`` radii,
     but more J0 evaluations, P (K + 1) at each of the ``nodes`` quadrature
     nodes.  P is the count from 1 to ceil(k_cut rho_max / 2) that minimizes
@@ -116,7 +119,7 @@ def chebyshev_panels(k_cut_abs, rho_max, radii, nodes):
     z = 0.5 * k_cut_abs * rho_max
     panels = np.arange(1, max(1, math.ceil(z)) + 1)
     zp = z / panels
-    degree = np.ceil(zp + 12.0 * np.cbrt(zp)) + 8
+    degree = np.maximum(np.ceil(zp + 12.0 * np.cbrt(zp)), 8) + 8
     cost = _J0_COST * nodes * panels * (degree + 1) + radii * degree
     best = int(np.argmin(cost))
     return int(panels[best]), int(degree[best])

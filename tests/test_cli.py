@@ -483,6 +483,23 @@ def test_readme_command_loads_no_scipy(tmp_path, command):
     assert out.splitlines()[-1].split() == ["0"]
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("cavity", "kappa_c", np.nan), ("cavity", "z0", np.nan), ("lattice", "n_side", np.inf)])
+@pytest.mark.parametrize("command", sorted(README_COMMANDS))
+def test_non_finite_config_exits_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                                 command, section, key, value):
+    # a non-finite value stops every command before any work: exit 2, one
+    # line on stderr and no output file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(default_config_text(**{key: value}))
+    argv = README_COMMANDS[command]
+    assert main(argv[:1] + ["--config", "run.cfg"] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"config error: [{section}] key '{key}': must be finite, got {value!r}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
 CLI_START = ["arraycav", "arraycav.cli", "arraycav.errors"]
 
 

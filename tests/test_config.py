@@ -1,9 +1,12 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraycav.config import (default_config_text, emit_config,
+from arraycav.config import (_KEYS, default_config_text, emit_config,
                              gamma_plus_Gamma0, parse_config, validate_regime,
                              FullConfig, LatticeSpec, TrapSpec)
 from arraycav.errors import ConfigError
@@ -78,6 +81,100 @@ def test_only_circular_polarization(value):
                                          f"polarization = {value}")
     with pytest.raises(ConfigError, match="'polarization'"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda t: t.replace("[cavity]\n", "[cavity]\nk_cutt = 0.5\n"), "'k_cutt'"),
+    (lambda t: t + "\n[drve]\nOmega = 0.5\n", "[drve]"),
+    (lambda t: t.replace("[drive]\n", "[drive]\neta = 0.1\n"), "'eta'"),
+    (lambda t: t.replace("Omega = ", "omega = "), "'omega'"),
+], ids=["misspelt-key", "misspelt-section", "key-in-wrong-section", "key-case"])
+def test_unknown_key_or_section_refused(edit, name):
+    with pytest.raises(ConfigError, match="unknown") as exc:
+        parse_config(edit(default_config_text()))
+    assert name in str(exc.value)
+
+
+def test_percent_sign_is_a_non_numeric_value():
+    # no interpolation: '%' is a character of the value, not a syntax error
+    text = default_config_text().replace("a = 0.5", "a = 50%")
+    with pytest.raises(ConfigError, match="'a': non-numeric"):
+        parse_config(text)
+
+
+# Values just outside each key's range, one entry for every key of the table
+# (the [drive] keys need only be finite)
+_Z0_MAX = 0.1 * (np.pi * 4.0 * 4.0)      # 0.1 z_R of the default waist w = 4
+OUTSIDE = {
+    "lambda": [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)],
+    "gamma": [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)],
+    "polarization": ["linear"],
+    "omega_l": [0.0],
+    "a": [0.0, 1.0],
+    "n_side": [1, 2.5],
+    "w": [np.nextafter(2.0, 0.0)],
+    "l_fsr": [0.0],
+    "kappa_c": [-5e-324],
+    "z0": [np.nextafter(_Z0_MAX, 6.0), -np.nextafter(_Z0_MAX, 6.0)],
+    "k_cut": [0.0, 1.0],
+    "omega_m": [0.0],
+    "eta": [0.0, np.nextafter(0.3, 1.0)],
+    "Omega": [], "delta_c": [], "delta": [],
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in _KEYS
+    for value in ("nan", "inf", "-inf", *map(str, OUTSIDE[key]))])
+def test_non_finite_or_outside_value_names_the_key(key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", default_config_text(),
+                  count=1, flags=re.M)
+    assert f"{key} = {value}\n" in text
+    with pytest.raises(ConfigError, match=f"key '{key}'") as exc:
+        parse_config(text)
+    assert "\n" not in str(exc.value)
+
+
+GOLDEN = """\
+[physical]
+lambda = 1.0
+gamma = 1.0
+polarization = circular
+omega_l = 100000000.0
+
+[lattice]
+a = 0.5
+n_side = 32
+
+[cavity]
+w = 4.0
+l_fsr = 100.0
+kappa_c = 1.0
+z0 = 0.125
+k_cut = 0.15915494309189535
+
+[trap]
+omega_m = 0.01
+eta = 0.1
+
+[drive]
+Omega = 0.01
+delta_c = 0.0
+delta = 100.0
+"""
+
+
+def test_emitted_default_text_is_pinned():
+    # every manifest embeds this text: its bytes are part of the output
+    assert emit_config(parse_config(default_config_text())) == GOLDEN
+    assert default_config_text() == GOLDEN
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Config format", 1)[1].split("```")[1]
+    parse_config(block)
+    assert re.findall(r"^(\w+) *=", block, flags=re.M) == list(_KEYS)
 
 
 def test_roundtrip_bit_for_bit():

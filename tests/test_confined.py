@@ -363,6 +363,14 @@ class TestPanelProfiles:
         near = np.flatnonzero(k_cut * rho <= 300.0)
         self._check(rho, k_cut, np.unique(np.r_[0, rng.choice(near, 3)]), rounding=0.25)
 
+    @pytest.mark.parametrize("k_cut", [0.0546875 * Q, 0.999 * Q], ids=["0.0547q", "0.999q"])
+    def test_small_phases(self, k_cut):
+        # half-phases z from 1e-4 to 0.3, where the coefficients fall like
+        # (z/2)^k / k!; n_side 2 at a = 0.25 and k_cut = 0.0547 q is z = 0.06
+        for z in np.geomspace(1e-4, 0.3, 12):
+            rho = np.linspace(0.0, 2.0 * z / k_cut, 3)
+            self._check(rho, k_cut, range(rho.size))
+
     def test_phase_20000(self):
         # 1,000 radii at k_cut = 0.95 q out to phase 20,000: one panel of
         # degree 10,267 on 15,096 quadrature nodes; the largest radius too

@@ -104,9 +104,11 @@ class TestRealSpace:
            kx=st.floats(-2.0 * Q, 2.0 * Q), ky=st.floats(-2.0 * Q, 2.0 * Q))
     def test_separable_sum_matches_direct_cosine_sum(self, a, kx, ky):
         # the damped sum converges only algebraically, and slowly near a
-        # grazing order: compare where every |k_z| >= q/2
+        # grazing order: compare where every |k_z| >= q/2.  Radius 90 keeps
+        # the oracle within 2.3e-4 at a <= 0.25 in the subradiant band, where
+        # radius 60 is off by up to 2.4e-3
         assume(light_line_margin((kx, ky), a) >= 0.25)
-        ref, _ = damped_lattice_sum((kx, ky), a)
+        ref, _ = damped_lattice_sum((kx, ky), a, radius=90.0)
         assert abs(lattice_sum((kx, ky), a) - ref) <= 2e-3
 
 
