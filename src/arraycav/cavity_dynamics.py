@@ -129,8 +129,11 @@ def _two_mode(model: TwoModeModel, delta_c):
         raise RegimeError("undamped cavity driven on its dressed resonance "
                           "(kappa_c = 0, delta_c = g_eff^2/(delta - Delta)): "
                           "no steady state exists")
-    a = -1j * omega / (model.kappa_c / 2.0 - 1j * detuning)
-    return a, g * a / dmD
+    # a drive beyond the float range overflows here; the callers check the
+    # amplitudes (``_check_amplitudes``), so numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = -1j * omega / (model.kappa_c / 2.0 - 1j * detuning)
+        return a, g * a / dmD
 
 
 def steady_state_two_mode(model: TwoModeModel) -> SystemState:
@@ -360,9 +363,11 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
     times = output_times(t_final, dt_out)
     h = t_final / (len(times) - 1)
     if c.any():
-        krylov = _Krylov(apply, c)
-        coefs, a, s2, error, a2 = _converge(krylov, _chain_propagation(h, len(times)))
-        basis, two_mode = krylov.V[:coefs.shape[1]], _rel_dev(a2, a)
+        # as in ``_two_mode``: an overflow shows in the amplitudes' check
+        with np.errstate(over="ignore", invalid="ignore"):
+            krylov = _Krylov(apply, c)
+            coefs, a, s2, error, a2 = _converge(krylov, _chain_propagation(h, len(times)))
+            basis, two_mode = krylov.V[:coefs.shape[1]], _rel_dev(a2, a)
     else:
         basis = np.zeros((0, c.size), dtype=complex)
         coefs = np.zeros((len(times), 0), dtype=complex)

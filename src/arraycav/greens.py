@@ -201,21 +201,36 @@ def kernel_fs_momentum(k_perp, dz=0.0, e_d=None):
 # vectorized in-plane forms used by the lattice-table builders, for circular
 # polarization: t = 1/2 in every direction, so the kernel is radial
 
+def _plane_points(rho):
+    """``_closed_form_points`` at x = q rho, with the coincident point rho = 0
+    read as x = 1 (its value is set by the callers)."""
+    return _closed_form_points(np.where(rho > 0, Q * rho, 1.0))
+
+
+def _fs_plane(rho, points):
+    return np.where(rho > 0, _da(points) + 0.5 * _db(points), 0.5 * GAMMA + 0.0j)
+
+
+def _fs_d2z_plane(rho, points):
+    return np.where(rho > 0, Q * Q * (_p1(points) + 0.5 * _p2(points)),
+                    -Q * Q * GAMMA / 5.0 + 0.0j)
+
+
 def kernel_fs_plane(dx, dy):
     """kernel_fs at dz=0, vectorized over displacement meshes (zero -> gamma/2)."""
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    rho = np.hypot(dx, dy)
-    points = _closed_form_points(np.where(rho > 0, Q * rho, 1.0))
-    out = _da(points) + 0.5 * _db(points)
-    return np.where(rho > 0, out, 0.5 * GAMMA + 0.0j)
+    rho = np.hypot(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
+    return _fs_plane(rho, _plane_points(rho))
 
 
 def kernel_fs_d2z_plane(dx, dy):
     """kernel_fs_d2z vectorized over displacement meshes (zero -> -q^2 gamma/5)."""
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    rho = np.hypot(dx, dy)
-    points = _closed_form_points(np.where(rho > 0, Q * rho, 1.0))
-    out = Q * Q * (_p1(points) + 0.5 * _p2(points))
-    return np.where(rho > 0, out, -Q * Q * GAMMA / 5.0 + 0.0j)
+    rho = np.hypot(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
+    return _fs_d2z_plane(rho, _plane_points(rho))
+
+
+def kernel_fs_plane_profiles(rho):
+    """(``kernel_fs_plane``, ``kernel_fs_d2z_plane``) at the radii rho >= 0,
+    bit for bit, from one evaluation of the closed-form points."""
+    rho = np.asarray(rho, dtype=float)
+    points = _plane_points(rho)
+    return _fs_plane(rho, points), _fs_d2z_plane(rho, points)

@@ -19,7 +19,9 @@ vanishes because the cubed Gaussian profile is still cavity-matched), and
 g_2 = -Im[C_00].  The trace over the complete mode basis never needs an
 explicit basis: completeness reduces every term to lattice sums of radial
 kernel profiles against correlations of the profile, which is how the
-consistency checks are evaluated at any lattice size.
+consistency checks are evaluated at any lattice size.  The Gaussian profile
+is separable, V0 = v (x) v, so those correlations come from the 1-D factor
+by 1-D transforms, with no 2-D transform on the padded grid.
 
 Time evolution needs C only on the modes the cavity reaches.  With b(0) = 0
 the multimode trajectory stays in the Krylov space of Im C started from V0,
@@ -42,7 +44,7 @@ from .config import (MARGIN, FullConfig, LatticeSpec, cavity_dipole_coupling,
 from .confined import (KernelMatrix, confined_nodes, confined_profiles,
                        octant_radii, remove_confined)
 from .errors import ConfigError, RegimeError
-from .greens import GAMMA, Q, kernel_fs_d2z_plane, kernel_fs_plane
+from .greens import GAMMA, Q, kernel_fs_plane_profiles
 from .lattice_sums import DispersionGrid
 
 
@@ -108,12 +110,19 @@ def g2_flat_profile_form(cfg: FullConfig, Delta: float) -> float:
                  * (np.cos(qz0) ** 2 - np.sin(qz0) ** 2) / (Q * cfg.cavity.w) ** 2)
 
 
+def _intensity_factor(lattice: LatticeSpec, w: float):
+    """The 1-D factor v of ``intensity_profile``, V0 = v (x) v: e^{-2 x^2/w^2}
+    on the lattice axis, normalized to sum v^2 = 1."""
+    v = np.exp(-2.0 * lattice.axis() ** 2 / (w * w))
+    return v / np.linalg.norm(v)
+
+
 def intensity_profile(lattice: LatticeSpec, w: float):
     """Cavity-intensity mechanical profile V0_n = (2/sqrt(pi))(a/w) e^{-2 r^2/w^2}
-    as an (n_side, n_side) grid; discretely normalized to sum V0^2 = 1."""
-    X, Y = lattice.meshes()
-    v0 = (2.0 / np.sqrt(np.pi)) * (lattice.a / w) * np.exp(-2.0 * (X**2 + Y**2) / (w * w))
-    return v0 / np.linalg.norm(v0)
+    as an (n_side, n_side) grid; discretely normalized to sum V0^2 = 1.  It is
+    formed as the outer product of its 1-D factor (``_intensity_factor``)."""
+    v = _intensity_factor(lattice, w)
+    return np.outer(v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +282,52 @@ def _trace_profiles(cfg: FullConfig, k_cut_abs: float):
 
     The confined pair shares one J0 pass at the Chebyshev points of its
     panels (``confined_profiles``), whose count, degree and coefficient tail
-    are recorded next to the node count.
+    are recorded next to the node count; the free-space pair shares one
+    closed-form evaluation (``kernel_fs_plane_profiles``).
     """
     rho, offsets, index, multiplicity = octant_radii(cfg.lattice)
     nodes = confined_nodes(k_cut_abs, float(rho[-1]))
     sizes = {"confined_nodes": nodes}
     conf, conf_d2 = confined_profiles(rho, k_cut_abs, nodes=nodes, diagnostics=sizes)
     sizes.update(distinct_radii=int(rho.size), octant_offsets=int(index.size))
-    g2_prof = 2.0 * remove_confined(kernel_fs_plane(rho, 0.0), conf).real
-    d2_prof = remove_confined(kernel_fs_d2z_plane(rho, 0.0), conf_d2)
+    fs, fs_d2 = kernel_fs_plane_profiles(rho)
+    g2_prof = 2.0 * remove_confined(fs, conf).real
+    d2_prof = remove_confined(fs_d2, conf_d2)
     return g2_prof, d2_prof, (offsets, index, multiplicity), sizes
 
 
-def _radial_contract(profile, octant, corr):
-    """sum_d T(d) corr(d) over the displacements d of the open window, for
-    the radial table T of ``profile`` and a D4-symmetric cyclic correlation
-    ``corr`` on the padded grid: the profile against the per-radius sums of
-    corr over the octant offsets, each weighted by its orbit size."""
-    (i, j), index, multiplicity = octant
-    return profile @ np.bincount(index, weights=multiplicity * corr[i, j])
+def _radial_contract(profile, octant, values):
+    """sum_d T(d) c(d) over the displacements d of the open window, for the
+    radial table T of ``profile`` and a D4-symmetric field c given by its
+    ``values`` at the octant offsets: the profile against the per-radius sums
+    of c, each offset weighted by its orbit size.  The sum over radii is
+    pairwise (``np.sum``): a one-pass dot product cost up to 2.5e-15 of the
+    trace's Z sum at n_side 128."""
+    _, index, multiplicity = octant
+    return np.sum(profile * np.bincount(index, weights=multiplicity * values))
 
 
-def _octant_window_sums(v0, offsets):
-    """W(d) = sum of v0 over the window shifted by d, that is over the sites
-    p with p and p - d both in the n x n window, at the octant offsets d =
-    (i, j), i, j >= 0: rows i..n-1 and columns j..n-1 of a summed-area
-    table of v0."""
-    n = v0.shape[0]
-    c = np.zeros((n + 1, n + 1))
-    np.cumsum(np.cumsum(v0, axis=0), axis=1, out=c[1:, 1:])
-    i, j = offsets
-    return c[n, n] - c[i, n] - c[n, j] + c[i, j]
+def _suffix_sums(v):
+    """r_i = sum_{x >= i} v_x: a cumulative sum from the end plus the running
+    sum of each step's exact rounding error (TwoSum, Knuth), to ~1 ulp where
+    the plain running sum loses ~sqrt(n) ulp (~1e-15 of kappa_1 at n_side
+    128)."""
+    x = v[::-1]
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    t = s - prev
+    err = (prev - (s - t)) + (x - t)
+    return (s + np.cumsum(err))[::-1]
+
+
+def _correlate_rows(x, u_conj):
+    """c[:, d] = sum_p x[:, p + d] u[p] along the rows of the (n, n) array x,
+    for the lags d = 0..n-1, given ``u_conj``, the conjugate padded ``rfft``
+    of u: one batched 1-D transform pair of the open-convolution length, so
+    the cyclic wrap never reaches the lags kept."""
+    n = x.shape[-1]
+    nf = padded_shape(n)[0]
+    return np.fft.irfft(np.fft.rfft(x, nf) * u_conj, nf)[:, :n]
 
 
 def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
@@ -313,30 +337,40 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     Completeness sum_nu V^nu (V^nu)^T = 1 collapses every basis-summed term
     to lattice sums, which is exactly what any orthonormal completion would
     give.  Every term is a quadratic form in radial kernel profiles, so no
-    displacement table is transformed.  With f = s o V0, s = sqrt(V0):
+    displacement table is transformed.  The route relies on the cavity
+    profile being separable: ``intensity_profile`` is exactly v (x) v, so
+    f = s o V0 = u (x) u with s = sqrt(V0) and u = v^{3/2}.  Then:
 
-    - f . (T f) for a radial table T is sum_d T(d) A(d), A the
-      autocorrelation of f: one padded rfft2 of f and one irfft2 of |F|^2,
-      contracted with the Re D'' and Im D'' profiles per radius;
+    - f . (T f) for a radial table T is sum_d T(d) A(d), with the
+      autocorrelation A(i, j) = a_i a_j of f from the 1-D autocorrelation a
+      of u, contracted with the Re D'' and Im D'' profiles per radius;
     - f . P2 (Gamma2 f) = (P2 f) . (Gamma2 f) is Gamma2 contracted with the
-      cross-correlation of P2 f and f: one more padded rfft2 and irfft2;
-    - f . P1 f and f . f are n x n operations;
-    - sum_p V0_p Z_p = sum_d p2(d) Gamma2(d) W(d), W the window sums of V0
-      (``_octant_window_sums``) and p2 the n-periodic ``ifft2`` of the P2
-      weights.
+      cross-correlation of P2 f and f: P2 f correlated with u along each axis
+      in turn, by batched 1-D transforms of the padded length;
+    - P2 f is one n x n inverse transform of the P2 weights times the
+      transform of f, the outer product U (x) U[:n/2 + 1] of U = fft(u);
+    - f . P1 f = (1/N) sum_k W1_k |U_kx|^2 |U_ky|^2 (Parseval) and
+      f . f = (u . u)^2 need no transform of their own;
+    - sum_p V0_p Z_p = sum_d p2(d) Gamma2(d) W(d), with the window sums of
+      V0 W(i, j) = r_i r_j, r the suffix sums of v, and p2 the n-periodic
+      inverse transform of the P2 weights (real, as they are real and even),
+      formed in the same n x n inverse as P2 f.
 
     Every field contracted over the displacements (the correlations, W, p2
     and the radial tables) is invariant under the eight symmetries of the
     square, because V0 and the Brillouin-grid weights are.  So each lattice
     sum runs over the octant 0 <= j <= i < n with orbit multiplicities
     (``confined.octant_radii``), an eighth of the (2n - 1)^2 displacements.
-    O(N log N) time, O(N) memory.  ``k_cut_abs`` overrides the confinement
-    cutoff (default the config's).
+    No 2-D transform on the padded grid: O(N log N) time, O(N) memory.  The
+    contractions are pairwise ``np.sum``, not BLAS dots, which accumulate in
+    one pass and, threaded, can wait milliseconds for idle worker threads.
+    ``k_cut_abs`` overrides the confinement cutoff (default the config's).
     """
     if dispersion.a != cfg.lattice.a or dispersion.n_side != cfg.lattice.n_side:
         raise ValueError("dispersion grid does not match the lattice")
     lattice = cfg.lattice
     n = lattice.n_side
+    nf = padded_shape(n)[0]
     dmD, w1, w2 = _weights(cfg, dispersion)
     params = closed_form_params(cfg, dispersion.delta0)
     eta2_gbar = cfg.trap.eta**2 * params.g_bar
@@ -345,37 +379,42 @@ def om_consistency(cfg: FullConfig, dispersion: DispersionGrid,
     k_cut_abs = cfg.cavity.k_cut_abs if k_cut_abs is None else k_cut_abs
     g2_prof, d2_prof, octant, sizes = _trace_profiles(cfg, k_cut_abs)
     diagnostics = {"dispersion_residual": dispersion.residual, **sizes}
-    v0 = intensity_profile(lattice, cfg.cavity.w)
+    (i, j), _, _ = octant
+    v = _intensity_factor(lattice, cfg.cavity.w)
+    u = np.sqrt(v) * v
+    u_hat = np.fft.fft(u)
+    half = n // 2 + 1
+    w2_half = w2[:, :half]
+    p2, p2f = np.fft.irfft2(np.stack([w2_half, w2_half * u_hat[:, None] * u_hat[:half]]),
+                            s=(n, n))
+
     # trace over the complete basis: sum_nu V^nu_n V^nu_m = delta_nm
-    b1 = np.sum(v0)
-    b2 = np.sum(v0) * d2_prof[0] / (Q * Q * dmD)
-    mean_w1 = float(np.mean(w1))
+    r = _suffix_sums(v)
+    sum_v0 = np.sum(v) ** 2
+    b2 = sum_v0 * d2_prof[0] / (Q * Q * dmD)
     # Z_n = (1/N) sum_kk' e^{i(k-k') r_n} gamma_kk' W2_k as a lattice
     # cross-correlation of p2(d) (BZ-grid kernel) against Gamma2(-d); its
     # V0-weighted sum over the octant offsets, which lie inside one period
     # of p2
-    (i, j), index, multiplicity = octant
-    weighted = _octant_window_sums(v0, (i, j))
-    weighted *= multiplicity
-    weighted *= g2_prof[index]
-    b3 = np.sum(v0) * mean_w1 - 0.5j * (np.fft.ifft2(w2)[i, j] @ weighted)
-    trace_c = complex(eta2_gbar * (1j * sin2 * b1 + sin2 * b2 - 1j * cos2 * b3))
+    z_term = _radial_contract(g2_prof, octant, p2[i, j] * r[i] * r[j])
+    b3 = sum_v0 * float(np.mean(w1)) - 0.5j * z_term
+    trace_c = complex(eta2_gbar * (1j * sin2 * sum_v0 + sin2 * b2 - 1j * cos2 * b3))
 
-    # C_00 as quadratic forms of f = s o V0: the autocorrelation of f meets
+    # C_00 as quadratic forms of f = u (x) u: the autocorrelation of f meets
     # Re D'' and Im D'', the cross-correlation of P2 f and f meets Gamma2
-    f = np.sqrt(v0) * v0
-    half = n // 2 + 1
-    p1f, p2f = np.fft.irfft2(np.stack([w1[:, :half], w2[:, :half]])
-                             * np.fft.rfft2(f), s=(n, n))
-    ff, fp = padded_rfft(f, n), padded_rfft(p2f, n)
-    fp *= ff.conj()
-    ff *= ff.conj()
-    d2_term = _radial_contract(d2_prof, octant, np.fft.irfft2(ff, s=padded_shape(n)))
-    del ff
-    g2_term = _radial_contract(g2_prof, octant, np.fft.irfft2(fp, s=padded_shape(n)))
+    u_conj = np.fft.rfft(u, nf).conj()
+    a = np.fft.irfft(u_conj * u_conj.conj(), nf)[:n]
+    d2_term = _radial_contract(d2_prof, octant, a[i] * a[j])
+    # rows, then the rows of the transpose: cross_t[j, i] = (P2 f * f)(i, j)
+    cross_t = _correlate_rows(np.ascontiguousarray(_correlate_rows(p2f, u_conj).T),
+                              u_conj)
+    g2_term = _radial_contract(g2_prof, octant, cross_t[j, i])
+    power = (u_hat * u_hat.conj()).real
+    p1_term = np.sum(np.sum(w1 * power, axis=1) * power) / (n * n)
+    uu = np.sum(u * u)
     scale = sin2 / (Q * Q * dmD)
     c00_re = scale * d2_term.real - 0.5 * cos2 * g2_term
-    c00_im = scale * d2_term.imag - cos2 * np.sum(f * p1f) + sin2 * np.sum(f * f)
+    c00_im = scale * d2_term.imag - cos2 * p1_term + sin2 * uu * uu
     c00 = complex(eta2_gbar * complex(c00_re, c00_im))
 
     kappa_1 = -2.0 * trace_c.real

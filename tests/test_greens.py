@@ -7,7 +7,8 @@ from scipy.special import j0 as J0
 
 from arraycav.errors import GrazingError
 from arraycav.greens import (E_D_CIRCULAR, Q, kernel_fs, kernel_fs_d2z,
-                             kernel_fs_momentum)
+                             kernel_fs_d2z_plane, kernel_fs_momentum,
+                             kernel_fs_plane, kernel_fs_plane_profiles)
 
 Q2G5 = Q * Q / 5.0
 
@@ -165,6 +166,15 @@ class TestKernelD2z:
             h = 1e-4
             d1 = (kernel_fs(rp, h) - kernel_fs(rp, -h)) / (2 * h)
             assert abs(d1) < 1e-12
+
+
+def test_plane_profiles_share_one_evaluation_bit_for_bit():
+    # radii on both sides of the series crossover and the coincident point
+    rho = np.concatenate([[0.0], np.linspace(1e-3, 0.1, 50), np.linspace(0.1, 40.0, 500)])
+    fs, fs_d2 = kernel_fs_plane_profiles(rho)
+    assert np.array_equal(fs, kernel_fs_plane(rho, 0.0))
+    assert np.array_equal(fs_d2, kernel_fs_d2z_plane(rho, 0.0))
+    assert fs[0] == 0.5 and fs_d2[0] == -Q2G5
 
 
 class TestKernelMomentum:

@@ -13,8 +13,10 @@ from arraycav.errors import RegimeError
 from arraycav.greens import Q
 from arraycav.lattice_sums import dispersion_grid
 from arraycav.om_dynamics import standard_model_report
-from arraycav.optomech import (MechanicalChain, closed_form_params,
-                               intensity_profile, om_consistency)
+from arraycav._numerics import padded_shape
+from arraycav.optomech import (MechanicalChain, _intensity_factor,
+                               closed_form_params, intensity_profile,
+                               om_consistency)
 
 from conftest import make_config
 from dense_reference import (dense_C, k_sc_ground_state_average, mechanical_basis,
@@ -175,6 +177,21 @@ class TestMechanicalBasis:
         b1 = mechanical_basis(lat, 1.0, completion_seed=42)
         b2 = mechanical_basis(lat, 1.0, completion_seed=42)
         assert np.array_equal(b1, b2)
+
+    @pytest.mark.parametrize("n_side", [16, 31, 45, 256])
+    def test_profile_is_the_outer_product_of_its_factor(self, n_side):
+        # om_consistency's separable route relies on V0 = v (x) v exactly;
+        # the product is the Gaussian e^{-2 r^2/w^2} to a few ulp
+        lat = LatticeSpec(a=0.25, n_side=n_side)
+        w = n_side * 0.25 / 4.0
+        v = _intensity_factor(lat, w)
+        v0 = intensity_profile(lat, w)
+        assert np.array_equal(v0, np.outer(v, v))
+        assert np.array_equal(v, v[::-1])
+        X, Y = lat.meshes()
+        direct = np.exp(-2.0 * (X**2 + Y**2) / (w * w))
+        direct /= np.linalg.norm(direct)
+        assert np.max(np.abs(v0 - direct) / direct) <= 8 * np.finfo(float).eps
 
     def test_continuum_profile_sums(self):
         # discrete sums approach the Gaussian integrals as a/w -> 0
@@ -375,25 +392,30 @@ class TestTraceEngine:
         assert abs(rep.trace_C - trace) <= 1e-13 * abs(trace)
 
     def test_no_table_transform(self, small_setup, grid16, monkeypatch):
-        # four padded real transforms (two forward, two inverse, one field
-        # each), the n x n pair of P1/P2 and one n x n ifft2 of the P2
-        # weights; no (2n-1, 2n-1) table is transformed
+        # no 2-D transform on the padded grid and no table transformed: one
+        # n x n real inverse (p2 and P2 f, stacked), the length-n fft of u,
+        # and 1-D transforms of the padded length: u's pair and two batched
+        # passes of n rows each (P2 f correlated with u along each axis)
         cfg, _, _, _, k_cut = small_setup
         n = cfg.lattice.n_side
+        nf = padded_shape(n)[0]
         calls = []
-        for name in ("rfft2", "irfft2", "fft2", "ifft2"):
+        for name in ("fft", "rfft", "irfft", "ifft", "fft2", "ifft2", "rfft2",
+                     "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
             def counting(x, *args, _f=getattr(np.fft, name), _name=name, **kw):
                 x = np.asarray(x)
-                calls.append((_name, x.shape[-2:], int(np.prod(x.shape[:-2])),
-                              kw.get("s")))
+                if _name.endswith("2") or _name.endswith("n"):
+                    calls.append((_name, int(np.prod(x.shape[:-2])), kw.get("s")))
+                else:
+                    length = args[0] if args else kw.get("n", x.shape[-1])
+                    calls.append((_name, int(np.prod(x.shape[:-1])), length))
                 return _f(x, *args, **kw)
             monkeypatch.setattr(np.fft, name, counting)
         om_consistency(cfg, grid16, k_cut_abs=k_cut)
-        assert all(shape != (2 * n - 1, 2 * n - 1) for _, shape, _, _ in calls)
-        padded = [(name, count) for name, _, count, s in calls if s not in (None, (n, n))]
-        assert sorted(padded) == [("irfft2", 1)] * 2 + [("rfft2", 1)] * 2
-        assert sorted((name, count) for name, _, count, s in calls
-                      if s in (None, (n, n))) == [("ifft2", 1), ("irfft2", 2), ("rfft2", 1)]
+        assert sorted(calls) == sorted([
+            ("irfft2", 2, (n, n)), ("fft", 1, n),
+            ("rfft", 1, nf), ("irfft", 1, nf),
+            ("rfft", n, nf), ("irfft", n, nf), ("rfft", n, nf), ("irfft", n, nf)])
 
     def test_memory_at_acceptance_scale(self):
         # no displacement-table transform: the peak is a few padded-grid
