@@ -205,13 +205,15 @@ class _Krylov:
     After m steps the rows of ``V[:m]`` span the space and ``H[:m, :m]`` is
     the projection of A onto it.  ``invariant`` is set on a happy breakdown
     (the next residual below KRYLOV_TOL of |A v_m|, or the whole space
-    spanned): the projection is then exact.
+    spanned): the projection is then exact.  The chain starts from
+    start / beta, with ``beta`` the norm of ``start`` from the caller: the
+    drive's chain passes |Omega|, whose square may overflow.
     """
 
-    def __init__(self, apply, start):
+    def __init__(self, apply, start, beta):
         self.dim = dim = start.size
         self.apply = apply
-        self.beta = float(np.linalg.norm(start))
+        self.beta = float(beta)
         self.max_m = min(dim, max(2, KRYLOV_MAX_BYTES // (16 * dim) - 1))
         self.V = np.empty((3, dim), dtype=complex)
         self.V[0] = start / self.beta
@@ -267,7 +269,8 @@ def _converge(krylov, coefficients):
     and the later basis vectors, orthogonal to e_0, are pure dipole profiles:
     sum_n |s_n|^2 is the squared norm of the coefficients after the first.
     Returns (Z, a, s2, error, a2) with a2 the cavity amplitude of the m = 2
-    truncation.
+    truncation.  Readouts that overflow raise ConvergenceError at once: no
+    longer chain makes them finite.
     """
     m, prev, a2 = 2, None, None
     while True:
@@ -275,6 +278,8 @@ def _converge(krylov, coefficients):
         Z = krylov.beta * coefficients(krylov.H[:m, :m])
         a = Z @ krylov.V[:m, 0]
         s2 = np.sum(np.abs(Z[:, 1:]) ** 2, axis=1)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s2))):
+            raise ConvergenceError("non-finite amplitudes")
         if a2 is None:
             a2 = a
         if krylov.invariant:
@@ -363,9 +368,10 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
     times = output_times(t_final, dt_out)
     h = t_final / (len(times) - 1)
     if c.any():
-        # as in ``_two_mode``: an overflow shows in the amplitudes' check
+        # as in ``_two_mode``: an overflow shows in the amplitudes' check;
+        # c = -i Omega e_0 has the norm |Omega|, whose square may overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            krylov = _Krylov(apply, c)
+            krylov = _Krylov(apply, c, abs(cfg.drive.Omega))
             coefs, a, s2, error, a2 = _converge(krylov, _chain_propagation(h, len(times)))
             basis, two_mode = krylov.V[:coefs.shape[1]], _rel_dev(a2, a)
     else:
@@ -394,14 +400,16 @@ def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
     if not c.any():
         return SystemState(a=0.0 + 0.0j, sigma=np.zeros(c.size - 1, dtype=complex),
                            t=np.inf)
-    krylov = _Krylov(apply, c)
 
     def coefficients(H):
         e1 = np.zeros(len(H), dtype=complex)
         e1[0] = 1.0
         return -np.linalg.solve(H, e1)[None, :]
 
-    Z, _a, _s2, _err, _ = _converge(krylov, coefficients)
-    y = Z[0] @ krylov.V[:Z.shape[1]]
+    # as in ``evolve_full``
+    with np.errstate(over="ignore", invalid="ignore"):
+        krylov = _Krylov(apply, c, abs(cfg.drive.Omega))
+        Z, _a, _s2, _err, _ = _converge(krylov, coefficients)
+        y = Z[0] @ krylov.V[:Z.shape[1]]
     _check_amplitudes(y[0], np.max(np.abs(y[1:])))
     return SystemState(a=complex(y[0]), sigma=y[1:], t=np.inf)

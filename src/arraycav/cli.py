@@ -103,7 +103,7 @@ def cmd_dispersion(args):
     from .lattice_sums import dispersion_curve
     cfg, text = _load_config(args.config)
     path = [p.strip() for p in args.path.split(",") if p.strip()]
-    pts = dispersion_curve(path, args.samples, cfg.lattice.a, strict=False)
+    pts = dispersion_curve(path, args.samples, cfg.lattice.a)
     q = 2.0 * np.pi
     rows = [(p.k_perp[0] / q, p.k_perp[1] / q, p.gamma_k, p.delta_k) for p in pts]
     _write_csv(args.out, ["k_x/q", "k_y/q", "gamma_k/gamma", "delta_k/gamma"], rows)

@@ -32,7 +32,7 @@ import numpy as np
 from ._numerics import gl_interval, horner, open_convolve
 from .config import LatticeSpec
 from .errors import ConfigError, ConvergenceError
-from .greens import (GAMMA, LAMBDA, Q, kernel_fs_d2z_plane, kernel_fs_plane)
+from .greens import GAMMA, LAMBDA, Q, kernel_fs_plane_profiles
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +40,6 @@ class ModeProfile:
     """Normalized complex weights over lattice sites (flat, row-major)."""
 
     weights: np.ndarray
-    label: str = "custom"
 
     def __post_init__(self):
         norm = float(np.sum(np.abs(self.weights) ** 2))
@@ -83,7 +82,7 @@ def cavity_profile(lattice: LatticeSpec, w: float) -> ModeProfile:
     u = np.exp(-(X**2 + Y**2) / (w * w)).ravel()
     u = u / np.linalg.norm(u)
     u.setflags(write=False)
-    return ModeProfile(weights=u.astype(complex), label="cavity_gaussian")
+    return ModeProfile(weights=u.astype(complex))
 
 
 def confined_nodes(k_cut_abs, rho_max):
@@ -267,8 +266,7 @@ def _clenshaw(coeffs, t, out):
     out += coeffs[0, :, None]
 
 
-def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
-                      diagnostics: dict | None = None):
+def confined_profiles(rho, k_cut_abs: float, *, diagnostics: dict | None = None):
     """The confined kernel and its d2z at the radii ``rho`` (ascending, as
     ``lattice_radii`` gives them).
 
@@ -282,8 +280,8 @@ def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
     entire functions of rho of exponential type k_cut, so [0, rho_max] is
     cut into P equal panels, each with a degree-K interpolant at its K + 1
     first-kind Chebyshev points (P and K from ``chebyshev_panels``).  One
-    pass of J0 at the P (K + 1) points and the ``nodes`` quadrature nodes
-    (default ``confined_nodes``), contracted with both weight vectors of
+    pass of J0 at the P (K + 1) points and the ``confined_nodes``
+    quadrature nodes, contracted with both weight vectors of
     ``confined_rule``, gives the values there; a (K + 1)^2 cosine matrix
     turns each panel's values into Chebyshev coefficients.  On every panel
     the last 8 must fall below 1e-13 of the profile's largest coefficient,
@@ -297,15 +295,14 @@ def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
     plus O(R K) arithmetic, memory O(R + P K) plus one block: at n_side 256,
     a = 0.25 and k_cut = 0.75, P = 4 and K = 41 (z = 8.5), and 32 k J0
     evaluations replace the 4.2 M of a per-radius quadrature.
-    ``diagnostics``, if a dict, receives ``chebyshev_panels``,
-    ``chebyshev_degree`` and ``chebyshev_tail`` (the largest relative tail
-    over the panels and both profiles).
+    ``diagnostics``, if a dict, receives ``confined_nodes``,
+    ``chebyshev_panels``, ``chebyshev_degree`` and ``chebyshev_tail`` (the
+    largest relative tail over the panels and both profiles).
     """
     if not 0.0 < k_cut_abs < Q:
         raise ValueError("k_cut must lie strictly between 0 and q")
     rho_max = float(rho[-1])
-    if nodes is None:
-        nodes = confined_nodes(k_cut_abs, rho_max)
+    nodes = confined_nodes(k_cut_abs, rho_max)
     panels, degree = chebyshev_panels(k_cut_abs, rho_max, rho.size, nodes)
     kk, weights = confined_rule(k_cut_abs, nodes)
     k = np.arange(degree + 1)
@@ -327,8 +324,8 @@ def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
                    / np.max(np.abs(coeffs), axis=(0, 1)), axis=1)
     worst = int(np.argmax(tails))
     if diagnostics is not None:
-        diagnostics.update(chebyshev_panels=panels, chebyshev_degree=degree,
-                           chebyshev_tail=float(tails[worst]))
+        diagnostics.update(confined_nodes=nodes, chebyshev_panels=panels,
+                           chebyshev_degree=degree, chebyshev_tail=float(tails[worst]))
     if not tails[worst] < _TAIL_TOL:
         raise ConvergenceError(
             f"confined-kernel Chebyshev tail {tails[worst]:.2g} not below "
@@ -347,20 +344,16 @@ def confined_profiles(rho, k_cut_abs: float, *, nodes: int | None = None,
     return out
 
 
-def confined_table(lattice: LatticeSpec, k_cut_abs: float, *,
-                   nodes: int | None = None, radii=None,
-                   diagnostics: dict | None = None):
+def confined_table(lattice: LatticeSpec, k_cut_abs: float, *, radii=None):
     """Displacement tables of the confined kernel and of its d2z over the
     lattice: ``confined_profiles`` at the lattice radii, scattered over the
     (2 n_side - 1)^2 displacements.
 
     Returns ``(D_c, d2z D_c)``.  ``radii`` is the lattice's ``lattice_radii``,
-    if already formed; ``nodes`` and ``diagnostics`` are as for
-    ``confined_profiles``.
+    if already formed.
     """
     rho, inverse = lattice_radii(lattice) if radii is None else radii
-    conf, conf_d2 = confined_profiles(rho, k_cut_abs, nodes=nodes,
-                                      diagnostics=diagnostics)
+    conf, conf_d2 = confined_profiles(rho, k_cut_abs)
     return conf[inverse], conf_d2[inverse]
 
 
@@ -376,8 +369,7 @@ def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, *,
     if derivative not in (0, 2):
         raise ValueError("derivative must be 0 or 2")
     rho, inverse = lattice_radii(lattice) if radii is None else radii
-    profile = kernel_fs_plane if derivative == 0 else kernel_fs_d2z_plane
-    return KernelMatrix(table=profile(rho, 0.0)[inverse],
+    return KernelMatrix(table=kernel_fs_plane_profiles(rho)[derivative // 2][inverse],
                         kind="fs" if derivative == 0 else "fs_d2z",
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
                                     "derivative": derivative})
@@ -393,21 +385,17 @@ def _confined_kernel(lattice: LatticeSpec, z0: float, k_cut: float,
                                     "derivative": derivative})
 
 
-def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float,
-                             derivative: int = 0, nodes: int | None = None) -> KernelMatrix:
+def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float) -> KernelMatrix:
     """Confined kernel D_c on the lattice: the |k_perp| <= k_cut radiative disc.
 
     ``k_cut`` is the absolute cutoff wavenumber (units 1/lambda; pass
     cfg.cavity.k_cut_abs).  All atoms sit in the common plane z0; near the
     focus the coincident-plane kernel does not depend on z0, which is recorded
-    in provenance only.  Symmetric and real (kind 'confined'), or the second
-    longitudinal derivative (kind 'confined_d2z').  A caller that needs both
-    takes them from one ``confined_table`` call instead (``projected_kernels``).
+    in provenance only.  Symmetric and real (kind 'confined').  Its second
+    longitudinal derivative comes with the projected pair of
+    ``projected_kernels``, from the same confined J0 pass.
     """
-    if derivative not in (0, 2):
-        raise ValueError("derivative must be 0 or 2")
-    table = confined_table(lattice, k_cut, nodes=nodes)[derivative // 2]
-    return _confined_kernel(lattice, z0, k_cut, derivative, table)
+    return _confined_kernel(lattice, z0, k_cut, 0, confined_table(lattice, k_cut)[0])
 
 
 def remove_confined(fs, confined):
@@ -416,45 +404,53 @@ def remove_confined(fs, confined):
     return (fs.real - confined.real) + 1j * fs.imag
 
 
+# the confined kind each projectable kind is paired with
+_CONFINED_KIND = {"fs": "confined", "fs_d2z": "confined_d2z",
+                  "projected": "confined", "projected_d2z": "confined_d2z"}
+
+
 def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
     """Non-confined kernel: radiative part of ``confined`` removed from ``fs``.
 
     The real (radiative) part becomes Re[fs] - Re[confined]; the imaginary
     (dispersive) part is taken from ``fs`` unchanged, since the near fields
-    that dominate it are unaffected by the cavity structure.  Applying the
+    that dominate it are unaffected by the cavity structure.  ``confined``
+    must be the confined kernel of the same derivative ('confined' for
+    'fs', 'confined_d2z' for 'fs_d2z') on the same lattice (``a`` and
+    ``n_side`` of both provenances), else ValueError.  Applying the
     projection a second time with the same confined channel is a no-op: the
     channel content is already absent, which is tracked through provenance.
     """
-    if fs.table.shape != confined.table.shape:
-        raise ValueError("kernel shape mismatch")
-    base_kind = {"fs": "projected", "fs_d2z": "projected_d2z"}
-    if fs.kind in ("projected", "projected_d2z"):
-        if fs.provenance.get("k_cut") == confined.provenance.get("k_cut"):
+    if fs.kind not in _CONFINED_KIND:
+        raise ValueError(f"cannot project kernel of kind {fs.kind!r}")
+    if confined.kind != _CONFINED_KIND[fs.kind]:
+        raise ValueError(f"cannot project a {fs.kind!r} kernel against a "
+                         f"{confined.kind!r} kernel: needs {_CONFINED_KIND[fs.kind]!r}")
+    lattices = [(k.provenance.get("a"), k.provenance.get("n_side")) for k in (fs, confined)]
+    if lattices[0] != lattices[1]:
+        raise ValueError(f"kernel lattice mismatch: (a, n_side) = {lattices[0]} "
+                         f"against {lattices[1]}")
+    if fs.kind.startswith("projected"):
+        if fs.provenance["k_cut"] == confined.provenance["k_cut"]:
             return fs
         raise ValueError("kernel already projected against a different channel")
-    if fs.kind not in base_kind:
-        raise ValueError(f"cannot project kernel of kind {fs.kind!r}")
-    table = remove_confined(fs.table, confined.table)
     prov = dict(fs.provenance)
     prov.update({k: confined.provenance[k] for k in ("z0", "k_cut")})
-    return KernelMatrix(table=table, kind=base_kind[fs.kind], provenance=prov)
+    return KernelMatrix(table=remove_confined(fs.table, confined.table),
+                        kind="projected" if fs.kind == "fs" else "projected_d2z",
+                        provenance=prov)
 
 
-def projected_kernels(lattice: LatticeSpec, z0: float, k_cut: float,
-                      nodes: int | None = None, radii=None,
-                      diagnostics: dict | None = None):
+def projected_kernels(lattice: LatticeSpec, z0: float, k_cut: float):
     """The projected kernel and its d2z (kinds 'projected', 'projected_d2z'):
-    ``projected_kernel`` of ``free_space_kernel`` and ``confined_kernel_paraxial``
-    for derivatives 0 and 2, with both confined tables taken from one radius
-    index and one confined J0 pass.  ``nodes``, ``radii`` and ``diagnostics``
-    are as for ``confined_table``."""
-    radii = lattice_radii(lattice) if radii is None else radii
-    confined = confined_table(lattice, k_cut, nodes=nodes, radii=radii,
-                              diagnostics=diagnostics)
+    ``projected_kernel`` of ``free_space_kernel`` and the confined kernel for
+    derivatives 0 and 2, with both confined tables taken from one radius
+    index and one confined J0 pass."""
+    radii = lattice_radii(lattice)
     return tuple(
         projected_kernel(free_space_kernel(lattice, derivative, radii=radii),
                          _confined_kernel(lattice, z0, k_cut, derivative, table))
-        for derivative, table in zip((0, 2), confined))
+        for derivative, table in zip((0, 2), confined_table(lattice, k_cut, radii=radii)))
 
 
 def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:

@@ -2,14 +2,16 @@
 
 Internal units: wavelength lambda = 1, single-atom decay rate gamma = 1, so the
 optical wavenumber is q = 2*pi.  The scalar kernel is the dyadic Green's tensor
-contracted with an in-plane dipole orientation e_d,
+contracted with the circular in-plane dipole e_d = (e_x + i e_y)/sqrt(2),
 
     D(r) = -i (3/2) gamma lambda  e_d^dag . G(r) . e_d ,
 
 whose real part is the pairwise radiative decay and whose imaginary part is the
-coherent dipole-dipole shift.  The tensor splits into G = A(r) I + B(r) rr/r^2,
-which makes every contraction a combination of two radial profiles; all closed
-forms below are written in x = q r.
+coherent dipole-dipole shift.  Circular is the one orientation the package
+builds, so no function takes an orientation.  The tensor splits into
+G = A(r) I + B(r) rr/r^2, so the kernel is D_A + t D_B with
+t = |e_d^dag . rhat|^2 = rho^2 / (2 r^2); all closed forms below are written
+in x = q r.
 
 The coincident point is served analytically: D(0) = gamma/2 (half the
 single-atom emission rate; the divergent self-shift is dropped) and
@@ -25,9 +27,6 @@ from .errors import GrazingError
 Q = 2.0 * np.pi          # optical wavenumber, units 1/lambda
 GAMMA = 1.0              # free-space decay rate (internal unit)
 LAMBDA = 1.0
-
-# circular in-plane orientation (e_x + i e_y)/sqrt(2)
-E_D_CIRCULAR = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0)
 
 # crossover to Taylor series; below this the closed forms lose digits to
 # cancellation among the 1/x^3 near-field terms
@@ -119,87 +118,9 @@ def _p2(points):
     return out
 
 
-def _check_inplane(e_d):
-    e_d = np.asarray(e_d, dtype=complex)
-    if e_d.shape != (3,):
-        raise ValueError("dipole orientation must be a 3-vector")
-    if abs(np.vdot(e_d, e_d).real - 1.0) > 1e-12:
-        raise ValueError("dipole orientation must be unit-normalized")
-    if abs(e_d[2]) > 1e-12:
-        raise ValueError("dipole orientation must be in-plane (e_d . e_z = 0)")
-    return e_d
-
-
-def kernel_fs(r_perp, dz=0.0, e_d=None):
-    """Scalar free-space kernel D_fs at transverse/longitudinal displacement.
-
-    Parameters
-    ----------
-    r_perp : 2-vector (units lambda); dz : longitudinal offset.
-    e_d : in-plane complex unit 3-vector; circular (e_x + i e_y)/sqrt(2) when None.
-
-    Returns the complex rate (units gamma).  The coincident point returns
-    gamma/2 + 0j: the real part is half the single-atom emission rate, the
-    divergent self-shift is dropped.
-    """
-    e_d = E_D_CIRCULAR if e_d is None else _check_inplane(e_d)
-    rp = np.asarray(r_perp, dtype=float)
-    rho2 = rp[0] ** 2 + rp[1] ** 2
-    r = np.sqrt(rho2 + dz * dz)
-    if r == 0.0:
-        return 0.5 * GAMMA + 0.0j
-    # |e_d^dag . rhat|^2; e_d has no z-component so only r_perp enters
-    proj = np.conj(e_d[0]) * rp[0] + np.conj(e_d[1]) * rp[1]
-    t = float(abs(proj) ** 2) / r**2
-    points = _closed_form_points(Q * r)
-    return complex(_da(points) + t * _db(points))
-
-
-def kernel_fs_d2z(r_perp, e_d=None):
-    """Second longitudinal derivative of D_fs, evaluated in the array plane.
-
-    Returns d^2 D_fs / d dz^2 at dz = 0 (units gamma / lambda^2).  At zero
-    transverse displacement the analytic limit -q^2 gamma / 5 + 0j is returned
-    (self-shift dropped, same convention as kernel_fs).  The first derivative
-    vanishes at dz = 0 by symmetry, so this is the leading motional response.
-    """
-    e_d = E_D_CIRCULAR if e_d is None else _check_inplane(e_d)
-    rp = np.asarray(r_perp, dtype=float)
-    rho = float(np.hypot(rp[0], rp[1]))
-    if rho == 0.0:
-        return -Q * Q * GAMMA / 5.0 + 0.0j
-    proj = np.conj(e_d[0]) * rp[0] + np.conj(e_d[1]) * rp[1]
-    t = float(abs(proj) ** 2) / rho**2
-    points = _closed_form_points(Q * rho)
-    return complex(Q * Q * (_p1(points) + t * _p2(points)))
-
-
-def kernel_fs_momentum(k_perp, dz=0.0, e_d=None):
-    """Transverse-momentum representation of D_fs, per propagating/evanescent k.
-
-    value = (3/2) gamma lambda e^{i k_z |dz|} / (2 k_z) * (1 - |k . e_d|^2 / q^2)
-
-    with k_z = sqrt(q^2 - |k_perp|^2) on the propagating branch and
-    k_z = i sqrt(|k_perp|^2 - q^2) on the evanescent branch (outgoing/decaying
-    fields).  For circular polarization the weight is 1 - |k_perp|^2/(2 q^2).
-    """
-    e_d = E_D_CIRCULAR if e_d is None else _check_inplane(e_d)
-    kp = np.asarray(k_perp, dtype=float)
-    k2 = kp[0] ** 2 + kp[1] ** 2
-    if abs(k2 - Q * Q) <= 1e-14 * Q * Q:
-        raise GrazingError("grazing wavevector: |k_perp| = q has no finite k_z")
-    if k2 < Q * Q:
-        kz = np.sqrt(Q * Q - k2)
-    else:
-        kz = 1j * np.sqrt(k2 - Q * Q)
-    proj = np.conj(e_d[0]) * kp[0] + np.conj(e_d[1]) * kp[1]
-    weight = 1.0 - float(abs(proj) ** 2) / (Q * Q)
-    return 1.5 * GAMMA * LAMBDA * np.exp(1j * kz * abs(dz)) / (2.0 * kz) * weight
-
-
 # ---------------------------------------------------------------------------
-# vectorized in-plane forms used by the lattice-table builders, for circular
-# polarization: t = 1/2 in every direction, so the kernel is radial
+# the in-plane forms, vectorized over radii: the circular dipole sees t = 1/2
+# in every in-plane direction, so the kernel in the plane is radial
 
 def _plane_points(rho):
     """``_closed_form_points`` at x = q rho, with the coincident point rho = 0
@@ -216,21 +137,74 @@ def _fs_d2z_plane(rho, points):
                     -Q * Q * GAMMA / 5.0 + 0.0j)
 
 
-def kernel_fs_plane(dx, dy):
-    """kernel_fs at dz=0, vectorized over displacement meshes (zero -> gamma/2)."""
-    rho = np.hypot(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
-    return _fs_plane(rho, _plane_points(rho))
-
-
-def kernel_fs_d2z_plane(dx, dy):
-    """kernel_fs_d2z vectorized over displacement meshes (zero -> -q^2 gamma/5)."""
-    rho = np.hypot(np.asarray(dx, dtype=float), np.asarray(dy, dtype=float))
-    return _fs_d2z_plane(rho, _plane_points(rho))
-
-
 def kernel_fs_plane_profiles(rho):
-    """(``kernel_fs_plane``, ``kernel_fs_d2z_plane``) at the radii rho >= 0,
-    bit for bit, from one evaluation of the closed-form points."""
+    """(D_fs, d2z D_fs) in the plane at the radii rho >= 0, from one
+    evaluation of the closed-form points: the profiles of every lattice
+    table, which ``kernel_fs`` and ``kernel_fs_d2z`` equal bit for bit."""
     rho = np.asarray(rho, dtype=float)
     points = _plane_points(rho)
     return _fs_plane(rho, points), _fs_d2z_plane(rho, points)
+
+
+def _radius(r_perp):
+    """|r_perp| as a one-element array: the point kernels then run the
+    tables' array arithmetic, not numpy's scalar arithmetic, which rounds
+    some complex products differently."""
+    rp = np.asarray(r_perp, dtype=float)
+    return np.hypot(rp[:1], rp[1:2])
+
+
+def kernel_fs(r_perp, dz=0.0):
+    """Scalar free-space kernel D_fs at transverse/longitudinal displacement.
+
+    Parameters
+    ----------
+    r_perp : 2-vector (units lambda); dz : longitudinal offset.
+
+    Returns the complex rate (units gamma) for the circular dipole, which
+    sees t = |e_d^dag . rhat|^2 = rho^2 / (2 r^2).  In the plane (dz = 0) it
+    is the closed form of the lattice tables (``kernel_fs_plane_profiles``)
+    at rho = |r_perp|, bit for bit.  The coincident point returns gamma/2 +
+    0j: the real part is half the single-atom emission rate, the divergent
+    self-shift is dropped.
+    """
+    rho = _radius(r_perp)
+    if dz == 0.0:
+        return complex(_fs_plane(rho, _plane_points(rho))[0])
+    r2 = rho * rho + dz * dz
+    points = _closed_form_points(Q * np.sqrt(r2))
+    return complex((_da(points) + (0.5 * rho * rho / r2) * _db(points))[0])
+
+
+def kernel_fs_d2z(r_perp):
+    """Second longitudinal derivative of D_fs, evaluated in the array plane.
+
+    Returns d^2 D_fs / d dz^2 at dz = 0 (units gamma / lambda^2): the closed
+    form of the lattice tables at rho = |r_perp|, bit for bit.  At zero
+    transverse displacement the analytic limit -q^2 gamma / 5 + 0j is returned
+    (self-shift dropped, same convention as kernel_fs).  The first derivative
+    vanishes at dz = 0 by symmetry, so this is the leading motional response.
+    """
+    rho = _radius(r_perp)
+    return complex(_fs_d2z_plane(rho, _plane_points(rho))[0])
+
+
+def kernel_fs_momentum(k_perp, dz=0.0):
+    """Transverse-momentum representation of D_fs, per propagating/evanescent k.
+
+    value = (3/2) gamma lambda e^{i k_z |dz|} / (2 k_z) * (1 - |k_perp|^2 / (2 q^2))
+
+    with k_z = sqrt(q^2 - |k_perp|^2) on the propagating branch and
+    k_z = i sqrt(|k_perp|^2 - q^2) on the evanescent branch (outgoing/decaying
+    fields); the weight is 1 - |k . e_d|^2 / q^2 for the circular dipole.
+    """
+    kp = np.asarray(k_perp, dtype=float)
+    k2 = kp[0] ** 2 + kp[1] ** 2
+    if abs(k2 - Q * Q) <= 1e-14 * Q * Q:
+        raise GrazingError("grazing wavevector: |k_perp| = q has no finite k_z")
+    if k2 < Q * Q:
+        kz = np.sqrt(Q * Q - k2)
+    else:
+        kz = 1j * np.sqrt(k2 - Q * Q)
+    weight = 1.0 - k2 / (2.0 * Q * Q)
+    return 1.5 * GAMMA * LAMBDA * np.exp(1j * kz * abs(dz)) / (2.0 * kz) * weight

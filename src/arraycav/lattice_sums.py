@@ -281,7 +281,7 @@ def resolve_bz_point(p, a):
     return (float(p[0]), float(p[1]))
 
 
-def dispersion_curve(path, samples, a, strict=True):
+def dispersion_curve(path, samples, a):
     """Dispersion along a Brillouin-zone path, all samples in one lattice sum.
 
     ``path`` is a sequence of waypoints ('G', 'X', 'M', 'kx:ky' or explicit
@@ -289,9 +289,10 @@ def dispersion_curve(path, samples, a, strict=True):
     to segment length, endpoints included.
 
     A path of fewer than 2 samples or waypoints, or of zero length, raises
-    ConfigError.  Samples where a diffraction order grazes the light line raise
-    GrazingError when ``strict``; with ``strict=False`` they keep NaN for
-    both rates, with one warning per call, so whole-band sweeps survive.
+    ConfigError.  Samples where a diffraction order grazes the light line keep
+    NaN for both rates, with one UserWarning per call that counts them and
+    names the first, so whole-band sweeps survive (``dispersion_point``
+    raises GrazingError there).
     """
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
@@ -316,12 +317,9 @@ def dispersion_curve(path, samples, a, strict=True):
     gk, dk, _ = _lattice_sum(k[:, 0], k[:, 1], a)
     bad = np.isnan(gk)
     if bad.any():
-        msg = (f"{int(bad.sum())} of {samples} samples put a diffraction order "
-               f"on the light line (grazing), first at k_perp="
-               f"{kvecs[int(np.argmax(bad))]}")
-        if strict:
-            raise GrazingError(msg)
-        warnings.warn(f"{msg}; NaN kept", stacklevel=2)
+        warnings.warn(f"{int(bad.sum())} of {samples} samples put a diffraction "
+                      f"order on the light line (grazing), first at k_perp="
+                      f"{kvecs[int(np.argmax(bad))]}; NaN kept", stacklevel=2)
         dk = np.where(bad, np.nan, dk)
     return [DispersionPoint(k_perp=kv, gamma_k=g, delta_k=d)
             for kv, g, d in zip(kvecs, gk.tolist(), dk.tolist())]

@@ -41,8 +41,8 @@ from ._numerics import open_convolve_real, padded_rfft, padded_shape
 from .cavity_dynamics import _Krylov
 from .config import (MARGIN, FullConfig, LatticeSpec, cavity_dipole_coupling,
                      gamma_plus_Gamma0, large_detuning)
-from .confined import (KernelMatrix, confined_nodes, confined_profiles,
-                       octant_radii, remove_confined)
+from .confined import (KernelMatrix, confined_profiles, octant_radii,
+                       remove_confined)
 from .errors import ConfigError, RegimeError
 from .greens import GAMMA, Q, kernel_fs_plane_profiles
 from .lattice_sums import DispersionGrid
@@ -216,7 +216,8 @@ class MechanicalChain:
             re_kf.append(re_kf_v.ravel())
             return (s * (im_kf_v.ravel() + sin2 * f)).astype(complex)
 
-        self._krylov = _Krylov(apply, v0.astype(complex))
+        start = v0.astype(complex)
+        self._krylov = _Krylov(apply, start, np.linalg.norm(start))
 
     @property
     def invariant(self) -> bool:
@@ -281,14 +282,13 @@ def _trace_profiles(cfg: FullConfig, k_cut_abs: float):
     the work sizes of the profile stage.
 
     The confined pair shares one J0 pass at the Chebyshev points of its
-    panels (``confined_profiles``), whose count, degree and coefficient tail
-    are recorded next to the node count; the free-space pair shares one
+    panels (``confined_profiles``), which records their node count, panel
+    count, degree and coefficient tail; the free-space pair shares one
     closed-form evaluation (``kernel_fs_plane_profiles``).
     """
     rho, offsets, index, multiplicity = octant_radii(cfg.lattice)
-    nodes = confined_nodes(k_cut_abs, float(rho[-1]))
-    sizes = {"confined_nodes": nodes}
-    conf, conf_d2 = confined_profiles(rho, k_cut_abs, nodes=nodes, diagnostics=sizes)
+    sizes = {}
+    conf, conf_d2 = confined_profiles(rho, k_cut_abs, diagnostics=sizes)
     sizes.update(distinct_radii=int(rho.size), octant_offsets=int(index.size))
     fs, fs_d2 = kernel_fs_plane_profiles(rho)
     g2_prof = 2.0 * remove_confined(fs, conf).real

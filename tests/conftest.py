@@ -22,15 +22,9 @@ def std_config():
 @pytest.fixture(scope="session")
 def std_kernels(std_config):
     """Projected kernel pair (D, D'') for the standard geometry."""
-    from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
-                                   projected_kernel)
+    from arraycav.confined import projected_kernels
     cfg = std_config
-    fs = free_space_kernel(cfg.lattice)
-    fs2 = free_space_kernel(cfg.lattice, derivative=2)
-    conf = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
-    conf2 = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
-                                     cfg.cavity.k_cut_abs, derivative=2)
-    return projected_kernel(fs, conf), projected_kernel(fs2, conf2)
+    return projected_kernels(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
 
 
 @pytest.fixture(scope="session")

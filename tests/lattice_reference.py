@@ -13,7 +13,7 @@ window-only sum) then grows.
 
 import numpy as np
 
-from arraycav.greens import kernel_fs_plane
+from arraycav.greens import kernel_fs_plane_profiles
 
 EPS = (0.02, 0.04, 0.08)        # damping rates, units 1/lambda
 RADIUS = 60.0                   # summation radius, units lambda
@@ -35,7 +35,7 @@ def damped_lattice_sum(k, a, radius=RADIUS):
     r = np.hypot(x, y)
     sel = (r > 0) & (r <= radius)
     x, y, r = x[sel], y[sel], r[sel]
-    base = (np.cos(k[0] * x + k[1] * y) * kernel_fs_plane(x, y)
+    base = (np.cos(k[0] * x + k[1] * y) * kernel_fs_plane_profiles(r)[0]
             * taper((r - (1.0 - TAPER) * radius) / (TAPER * radius)))
     f = [np.sum(base * np.exp(-e * r)) for e in EPS]
     second = (8.0 * f[0] - 6.0 * f[1] + f[2]) / 3.0

@@ -14,7 +14,7 @@ from arraycav.cavity_dynamics import (evolve_full, steady_state_full,
                                       steady_state_two_mode, TwoModeModel)
 from arraycav.confined import (cavity_profile, confined_kernel_paraxial,
                                free_space_kernel, mode_decay_rate,
-                               projected_kernel)
+                               projected_kernel, projected_kernels)
 from arraycav.greens import GAMMA, Q, kernel_fs_d2z
 from arraycav.lattice_sums import dispersion_grid, dispersion_point
 from arraycav.om_dynamics import evolve_reduced
@@ -242,11 +242,7 @@ def test_criterion_9_reduction_fidelity():
                     Omega=0.02, delta_c=0.0, eta=eta, l_fsr=100.0)
         args.update(kw)
         cfg = make_config(**args)
-        proj = projected_kernel(free_space_kernel(cfg.lattice),
-                                confined_kernel_paraxial(cfg.lattice, 0.125, 3.0))
-        proj2 = projected_kernel(
-            free_space_kernel(cfg.lattice, derivative=2),
-            confined_kernel_paraxial(cfg.lattice, 0.125, 3.0, derivative=2))
+        proj, proj2 = projected_kernels(cfg.lattice, 0.125, 3.0)
         C = dense_C(cfg, mechanical_basis(cfg.lattice, 2.0, 0), proj, proj2, grid)
         return cfg, closed_form_params(cfg, grid.delta0), C
 

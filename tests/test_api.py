@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import subprocess
@@ -23,6 +24,69 @@ def test_public_names_are_the_readme_library_api():
     listed = _listed()
     assert len(listed) == len(set(listed))
     assert set(listed) == set(arraycav.__all__) == set(dir(arraycav))
+
+
+# every public callable's parameter names, in order: an option comes back
+# only with an edit here
+SIGNATURES = {
+    "CavitySpec": ("w", "l_fsr", "kappa_c", "z0", "k_cut"),
+    "DispersionGrid": ("a", "n_side", "delta_k", "residual"),
+    "DispersionPoint": ("k_perp", "gamma_k", "delta_k"),
+    "DriveSpec": ("Omega", "delta_c", "delta"),
+    "FullConfig": ("physical", "lattice", "cavity", "trap", "drive"),
+    "FullTrajectory": ("t", "a", "sum_sigma2", "diagnostics", "basis", "coefficients"),
+    "KernelMatrix": ("table", "kind", "provenance"),
+    "LatticeSpec": ("a", "n_side"),
+    "MechanicalChain": ("cfg", "kernel", "kernel_d2", "dispersion"),
+    "ModeProfile": ("weights",),
+    "OmParams": ("g", "g_bar", "g2", "kappa_sc", "Delta_AC", "Delta_sc", "eta",
+                 "N_a", "epsilon", "g_eff"),
+    "OmState": ("a", "b", "t"),
+    "OmTrajectory": ("states", "rhs_evals", "diagnostics"),
+    "PhysicalConfig": ("omega_l",),
+    "SystemState": ("a", "sigma", "t"),
+    "TrapSpec": ("omega_m", "eta"),
+    "TwoModeModel": ("g_eff", "delta_c", "delta_minus_Delta", "kappa_c", "Omega"),
+    "build_two_mode": ("cfg", "dispersion"),
+    "cavity_profile": ("lattice", "w"),
+    "closed_form_params": ("cfg", "Delta"),
+    "confined_kernel_paraxial": ("lattice", "z0", "k_cut"),
+    "confined_table": ("lattice", "k_cut_abs", "radii"),
+    "default_config_text": ("a", "n_side", "w", "l_fsr", "kappa_c", "z0", "omega_m",
+                            "eta", "Omega", "delta_c", "delta"),
+    "dispersion_curve": ("path", "samples", "a"),
+    "dispersion_grid": ("a", "n_side"),
+    "dispersion_point": ("k_perp", "a"),
+    "emit_config": ("cfg",),
+    "evolve_chain": ("cfg", "params", "chain", "t_final", "dt_out", "max_modes"),
+    "evolve_full": ("cfg", "kernel", "t_final", "dt_out"),
+    "evolve_reduced": ("cfg", "params", "t_final", "dt_out"),
+    "free_space_kernel": ("lattice", "derivative", "radii"),
+    "gamma_plus_Gamma0": ("a",),
+    "intensity_profile": ("lattice", "w"),
+    "kernel_fs": ("r_perp", "dz"),
+    "kernel_fs_d2z": ("r_perp",),
+    "kernel_fs_momentum": ("k_perp", "dz"),
+    "mode_decay_rate": ("profile", "kernel"),
+    "om_consistency": ("cfg", "dispersion", "k_cut_abs"),
+    "parse_config": ("text",),
+    "projected_kernel": ("fs", "confined"),
+    "projected_kernels": ("lattice", "z0", "k_cut"),
+    "spectrum_scan": ("model", "delta_c_range", "samples"),
+    "standard_model_report": ("params", "cfg"),
+    "steady_state_full": ("cfg", "kernel"),
+    "steady_state_two_mode": ("model",),
+    "validate_regime": ("cfg", "Delta"),
+}
+
+
+def test_public_signatures_are_pinned():
+    # every exported callable is in the table, with exactly these parameters
+    callables = {name for name in arraycav.__all__ if callable(getattr(arraycav, name))}
+    assert callables == set(SIGNATURES)
+    got = {name: tuple(inspect.signature(getattr(arraycav, name)).parameters)
+           for name in SIGNATURES}
+    assert got == SIGNATURES
 
 
 def test_every_public_name_imports_in_a_fresh_interpreter():

@@ -371,6 +371,19 @@ class TestFullModel:
             states = list(traj)
         assert len(states) == 201 and caught == []
 
+    @pytest.mark.parametrize("Omega", [1e308, -1e308])
+    def test_overflowing_drive_is_one_convergence_error(self, proj32, Omega):
+        # Omega^2 overflows, |Omega| does not: the chain starts from the unit
+        # cavity mode, and the overflowing amplitudes raise the amplitude
+        # check's error with no numpy warning (not a singular-matrix error)
+        cfg = make_config(Omega=Omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite amplitudes"):
+                steady_state_full(cfg, proj32)
+            with pytest.raises(ConvergenceError, match="non-finite amplitudes"):
+                evolve_full(cfg, proj32, 10.0, 0.5)
+
     def test_steady_state_linearity(self, proj32):
         cfg1 = make_config(z0=0.125, delta_c=0.3, delta=DELTA0 + 20.0,
                            Omega=0.01, l_fsr=100.0)

@@ -16,10 +16,10 @@ from arraycav.confined import (KernelMatrix, ModeProfile, cavity_profile,
                                confined_nodes, confined_profiles,
                                confined_rule, confined_table, free_space_kernel,
                                lattice_radii, mode_decay_rate, octant_radii,
-                               projected_kernel, projected_kernels)
+                               projected_kernel, projected_kernels, remove_confined)
 from arraycav.errors import ConfigError, ConvergenceError
 from arraycav.greens import (GAMMA, Q, kernel_fs, kernel_fs_d2z,
-                             kernel_fs_d2z_plane, kernel_fs_plane)
+                             kernel_fs_plane_profiles)
 
 from dense_reference import confined_kernel_hg, dense
 
@@ -74,9 +74,9 @@ class TestConfinedKernel:
         # k_cut -> q: the whole radiative solid angle is confined; the limit
         # closes like sqrt(1 - (k_cut/q)^2)
         lat = LatticeSpec(a=0.5, n_side=8)
-        k = confined_kernel_paraxial(lat, 0.0, Q * (1 - 1e-12), nodes=800)
+        k = confined_kernel_paraxial(lat, 0.0, Q * (1 - 1e-12))
         assert dense(k)[0, 0].real == pytest.approx(0.5 * GAMMA, rel=1e-5)
-        closer = confined_kernel_paraxial(lat, 0.0, Q * (1 - 1e-15), nodes=2000)
+        closer = confined_kernel_paraxial(lat, 0.0, Q * (1 - 1e-15))
         assert abs(dense(closer)[0, 0].real - 0.5) < \
             abs(dense(k)[0, 0].real - 0.5)
 
@@ -98,10 +98,12 @@ def _displacement_meshes(lattice):
     return np.meshgrid(d, d, indexing="ij")
 
 
-def _quadrature(rho, k_cut_abs, derivative):
+def _quadrature(rho, k_cut_abs, derivative, node_factor=1):
     """Reference: the Bessel quadrature (``confined_rule``) evaluated at each
-    radius with scipy's J0, no interpolant."""
-    kk, weights = confined_rule(k_cut_abs, confined_nodes(k_cut_abs, float(rho.max())))
+    radius with scipy's J0, no interpolant, on ``node_factor`` times the
+    library's node count."""
+    nodes = node_factor * confined_nodes(k_cut_abs, float(rho.max()))
+    kk, weights = confined_rule(k_cut_abs, nodes)
     return (j0(np.outer(rho.ravel(), kk)) @ weights[:, derivative // 2]).reshape(rho.shape)
 
 
@@ -213,14 +215,17 @@ class TestConfinedTable:
         lat = LatticeSpec(a=0.25, n_side=256)
         rho, inverse = lattice_radii(lat)
         diagnostics = {}
-        tables = confined_table(lat, 0.75, diagnostics=diagnostics)
+        profiles = confined_profiles(rho, 0.75, diagnostics=diagnostics)
+        nodes = confined_nodes(0.75, rho[-1])
+        assert diagnostics["confined_nodes"] == nodes
         assert (diagnostics["chebyshev_panels"], diagnostics["chebyshev_degree"]) \
-            == chebyshev_panels(0.75, rho[-1], rho.size, confined_nodes(0.75, rho[-1])) \
-            == (4, 41)
+            == chebyshev_panels(0.75, rho[-1], rho.size, nodes) == (4, 41)
         assert diagnostics["chebyshev_tail"] < 2e-15     # round-off, not truncation
-        for derivative, table in zip((0, 2), tables):
+        for table, profile in zip(confined_table(lat, 0.75), profiles):
+            np.testing.assert_array_equal(table, profile[inverse])
+        for derivative, profile in zip((0, 2), profiles):
             ref = _quadrature(rho, 0.75, derivative)
-            assert np.max(np.abs(table - ref[inverse])) <= 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(profile - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("a, n_side", [(0.9, 96), (0.95, 136)])
     def test_large_phase_matches_per_radius_quadrature(self, a, n_side, monkeypatch):
@@ -230,7 +235,7 @@ class TestConfinedTable:
         lat, k_cut = LatticeSpec(a=a, n_side=n_side), 0.95 * Q
         rho, inverse = lattice_radii(lat)
         diagnostics = {}
-        tables = confined_table(lat, k_cut, diagnostics=diagnostics)
+        profiles = confined_profiles(rho, k_cut, diagnostics=diagnostics)
         panels = diagnostics["chebyshev_panels"]
         assert panels == 2
         short = math.ceil(0.25 * k_cut * rho[-1]) + 20
@@ -238,12 +243,10 @@ class TestConfinedTable:
             patch.setattr(confined, "chebyshev_panels", lambda *args: (panels, short))
             with pytest.raises(ConvergenceError, match="Chebyshev tail"):
                 confined_table(lat, k_cut)
-        first = np.unique(inverse, return_index=True)[1]    # a displacement per radius
         sample = np.r_[0:rho.size:9, rho.size - 1]
-        for derivative, table in zip((0, 2), tables):
+        for derivative, profile in zip((0, 2), profiles):
             ref = _quadrature(rho[sample], k_cut, derivative)
-            got = table.ravel()[first[sample]]
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(profile[sample] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @staticmethod
     def _refuse(monkeypatch, rho, k_cut, short, failing):
@@ -301,14 +304,13 @@ class TestConfinedTable:
     @pytest.mark.parametrize("a, k_cut, n_side", [
         (0.25, 0.75, 128), (0.25, 0.75, 256), (0.9, 0.95 * Q, 64)])
     def test_node_count_is_converged(self, a, k_cut, n_side):
-        # doubling the Gauss-Legendre nodes moves neither table by 1e-13 of
-        # its maximum (2.8e-14 at the acceptance scale; 9.4e-14 for the d2z
-        # table at phase k_cut rho_max = 479)
+        # the quadrature on twice the Gauss-Legendre nodes moves neither
+        # table by 1e-13 of its maximum (at most 1.0e-15 at a = 0.25 and
+        # 2.9e-15 at phase k_cut rho_max = 479, interpolation included)
         lat = LatticeSpec(a=a, n_side=n_side)
-        rho, _ = lattice_radii(lat)
-        nodes = confined_nodes(k_cut, float(rho[-1]))
-        for table, doubled in zip(confined_table(lat, k_cut),
-                                  confined_table(lat, k_cut, nodes=2 * nodes)):
+        rho, inverse = lattice_radii(lat)
+        for derivative, table in zip((0, 2), confined_table(lat, k_cut)):
+            doubled = _quadrature(rho, k_cut, derivative, node_factor=2)[inverse]
             assert np.max(np.abs(doubled - table)) <= 1e-13 * np.max(np.abs(table))
 
     def test_memory_stays_per_radius(self):
@@ -414,8 +416,7 @@ class TestKernelTables:
     def test_radial_free_space_matches_meshes(self, n_side, a, derivative):
         lat = LatticeSpec(a=a, n_side=n_side)
         table = free_space_kernel(lat, derivative).table
-        plane = kernel_fs_plane if derivative == 0 else kernel_fs_d2z_plane
-        ref = plane(*_displacement_meshes(lat))
+        ref = kernel_fs_plane_profiles(np.hypot(*_displacement_meshes(lat)))[derivative // 2]
         assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
         np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
@@ -424,8 +425,6 @@ class TestKernelTables:
     def test_derivative_must_be_0_or_2(self, lat32):
         with pytest.raises(ValueError, match="derivative"):
             free_space_kernel(lat32, 1)
-        with pytest.raises(ValueError, match="derivative"):
-            confined_kernel_paraxial(lat32, 0.0, KCUT, derivative=1)
 
     @settings(max_examples=20, deadline=None)
     @given(n_side=st.integers(2, 20), a=st.floats(0.2, 1.0),
@@ -448,8 +447,7 @@ class TestKernelTables:
            derivative=st.sampled_from([0, 2]), seed=st.integers(0, 2**32 - 1))
     def test_decay_rate_matches_dense_contraction(self, n_side, a, derivative, seed):
         lat = LatticeSpec(a=a, n_side=n_side)
-        proj = projected_kernel(free_space_kernel(lat, derivative),
-                                confined_kernel_paraxial(lat, 0.0, 0.3 * Q, derivative))
+        proj = projected_kernels(lat, 0.0, 0.3 * Q)[derivative // 2]
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
         u /= np.linalg.norm(u)
@@ -474,7 +472,8 @@ class TestProjectedKernel:
     def test_zero_channel_is_identity(self, lat32, kernels32):
         fs, _, _ = kernels32
         zero = KernelMatrix(table=np.zeros(fs.table.shape), kind="confined",
-                            provenance={"z0": 0.0, "k_cut": 0.0})
+                            provenance={"a": lat32.a, "n_side": lat32.n_side,
+                                        "z0": 0.0, "k_cut": 0.0})
         proj = projected_kernel(fs, zero)
         assert np.array_equal(dense(proj), dense(fs))
 
@@ -501,16 +500,41 @@ class TestProjectedKernel:
     @pytest.mark.parametrize("n_side", [1, 2, 7, 32])
     def test_pair_from_one_pass_matches_separate_builders(self, n_side):
         # same tables to the bit, kinds and provenance as projected_kernel on
-        # the separate free-space and confined builders
+        # the separate free-space and confined builders; the d2z kernel as
+        # the projection rule on the separate tables
         lat = LatticeSpec(a=0.5, n_side=n_side)
-        pair = projected_kernels(lat, 0.125, KCUT)
-        for derivative, got in zip((0, 2), pair):
-            want = projected_kernel(
-                free_space_kernel(lat, derivative),
-                confined_kernel_paraxial(lat, 0.125, KCUT, derivative))
-            np.testing.assert_array_equal(got.table, want.table)
-            assert got.kind == want.kind
-            assert got.provenance == want.provenance
+        proj, proj_d2 = projected_kernels(lat, 0.125, KCUT)
+        want = projected_kernel(free_space_kernel(lat),
+                                confined_kernel_paraxial(lat, 0.125, KCUT))
+        np.testing.assert_array_equal(proj.table, want.table)
+        assert proj.kind == want.kind
+        assert proj.provenance == want.provenance
+        fs_d2 = free_space_kernel(lat, 2)
+        np.testing.assert_array_equal(
+            proj_d2.table, remove_confined(fs_d2.table, confined_table(lat, KCUT)[1]))
+        assert proj_d2.kind == "projected_d2z"
+        assert proj_d2.provenance == {**fs_d2.provenance, "z0": 0.125, "k_cut": KCUT}
+
+    @staticmethod
+    def _confined_d2z(lat):
+        return KernelMatrix(table=confined_table(lat, KCUT)[1], kind="confined_d2z",
+                            provenance={"a": lat.a, "n_side": lat.n_side, "z0": 0.125,
+                                        "k_cut": KCUT, "derivative": 2})
+
+    @pytest.mark.parametrize("case", ["fs_with_confined_d2z", "fs_d2z_with_confined",
+                                      "fs_with_fs", "lattice_constant_differs"])
+    def test_pair_is_validated(self, lat32, kernels32, case):
+        # the confined kernel must have the free-space kernel's derivative
+        # and lattice (a and n_side), else ValueError
+        fs, conf, _ = kernels32
+        other = LatticeSpec(a=0.6, n_side=lat32.n_side)
+        pair = {"fs_with_confined_d2z": (fs, self._confined_d2z(lat32)),
+                "fs_d2z_with_confined": (free_space_kernel(lat32, 2), conf),
+                "fs_with_fs": (fs, fs),
+                "lattice_constant_differs":
+                    (fs, confined_kernel_paraxial(other, 0.125, KCUT))}[case]
+        with pytest.raises(ValueError, match="cannot project|mismatch"):
+            projected_kernel(*pair)
 
 
 class TestModeDecayRate:
@@ -529,7 +553,7 @@ class TestModeDecayRate:
         for n in (24, 48):
             lat = LatticeSpec(a=0.5, n_side=n)
             u = np.full(lat.n_sites, 1.0 / math.sqrt(lat.n_sites), dtype=complex)
-            rate = mode_decay_rate(ModeProfile(weights=u, label="uniform"),
+            rate = mode_decay_rate(ModeProfile(weights=u),
                                    free_space_kernel(lat))
             errs.append(abs(rate - GPLUSG))
         assert errs[1] < errs[0]

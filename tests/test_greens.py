@@ -6,9 +6,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import j0 as J0
 
 from arraycav.errors import GrazingError
-from arraycav.greens import (E_D_CIRCULAR, Q, kernel_fs, kernel_fs_d2z,
-                             kernel_fs_d2z_plane, kernel_fs_momentum,
-                             kernel_fs_plane, kernel_fs_plane_profiles)
+from arraycav.greens import (Q, kernel_fs, kernel_fs_d2z, kernel_fs_momentum,
+                             kernel_fs_plane_profiles)
 
 Q2G5 = Q * Q / 5.0
 
@@ -69,14 +68,11 @@ class TestKernelFs:
         assert kernel_fs(r) == pytest.approx(kernel_fs((-0.7, -0.2)), abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.05, 5.0), st.floats(0, 2 * np.pi),
-           st.sampled_from(["circular", "linear"]))
-    def test_reciprocity_property(self, rho, th, pol):
-        e_d = None if pol == "circular" else np.array([1.0, 0, 0], dtype=complex)
+    @given(st.floats(0.05, 5.0), st.floats(0, 2 * np.pi))
+    def test_reciprocity_property(self, rho, th):
         rp = (rho * np.cos(th), rho * np.sin(th))
         rm = (-rp[0], -rp[1])
-        assert kernel_fs(rp, 0.1, e_d) == pytest.approx(kernel_fs(rm, -0.1, e_d),
-                                                        rel=1e-13)
+        assert kernel_fs(rp, 0.1) == pytest.approx(kernel_fs(rm, -0.1), rel=1e-13)
 
     def test_contraction_identity_vs_dyadic(self):
         # circular polarization picks out (G_xx + G_yy)/2
@@ -84,13 +80,6 @@ class TestKernelFs:
         G = dyadic_green_fs([rp[0], rp[1], dz])
         expect = -1.5j * (G[0, 0] + G[1, 1]) / 2.0
         assert kernel_fs(rp, dz) == pytest.approx(expect, rel=1e-13)
-
-    def test_general_polarization_contraction(self):
-        e_d = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.4j), 0.0])
-        rp, dz = (0.8, -0.3), 0.2
-        G = dyadic_green_fs([rp[0], rp[1], dz])
-        expect = -1.5j * np.conj(e_d) @ G @ e_d
-        assert kernel_fs(rp, dz, e_d) == pytest.approx(expect, rel=1e-12)
 
     def test_radiative_positivity(self):
         # decay matrix over random point sets is PSD (gamma/2 diagonal)
@@ -149,17 +138,6 @@ class TestKernelD2z:
             an = kernel_fs_d2z(rp)
             assert abs(rich - an) / abs(an) < 1e-6
 
-    def test_finite_difference_general_polarization(self):
-        e_d = np.array([1.0, 0.0, 0.0], dtype=complex)
-        rp = (0.9, 0.4)
-
-        def fd(h):
-            return (kernel_fs(rp, h, e_d) - 2 * kernel_fs(rp, 0.0, e_d)
-                    + kernel_fs(rp, -h, e_d)) / h**2
-
-        rich = (4 * fd(5e-4) - fd(1e-3)) / 3.0
-        assert abs(rich - kernel_fs_d2z(rp, e_d)) / abs(rich) < 1e-6
-
     def test_first_derivative_vanishes(self):
         # even in dz: first central difference collapses to zero
         for rp in [(0.5, 0.0), (1.3, 0.7)]:
@@ -169,11 +147,17 @@ class TestKernelD2z:
 
 
 def test_plane_profiles_share_one_evaluation_bit_for_bit():
-    # radii on both sides of the series crossover and the coincident point
+    # radii on both sides of the series crossover and the coincident point:
+    # the point kernels in the plane are the profiles of the lattice tables
     rho = np.concatenate([[0.0], np.linspace(1e-3, 0.1, 50), np.linspace(0.1, 40.0, 500)])
     fs, fs_d2 = kernel_fs_plane_profiles(rho)
-    assert np.array_equal(fs, kernel_fs_plane(rho, 0.0))
-    assert np.array_equal(fs_d2, kernel_fs_d2z_plane(rho, 0.0))
+    rng = np.random.default_rng(5)
+    for r, th, want, want_d2 in zip(rho, rng.uniform(0.0, 2 * np.pi, rho.size), fs, fs_d2):
+        rp = (r * np.cos(th), r * np.sin(th))
+        # the profiles at the point's own radius, which rounds from r
+        got, got_d2 = kernel_fs_plane_profiles([np.hypot(*rp)])
+        assert kernel_fs(rp) == got[0] and kernel_fs_d2z(rp) == got_d2[0]
+        assert kernel_fs((r, 0.0)) == want and kernel_fs_d2z((0.0, r)) == want_d2
     assert fs[0] == 0.5 and fs_d2[0] == -Q2G5
 
 

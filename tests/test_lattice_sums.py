@@ -159,12 +159,10 @@ class TestDispersionCurve:
             assert p.gamma_k + GAMMA >= -1e-9
 
     def test_grazing_endpoint_propagates(self):
-        # at a = 0.5 the X point sits exactly on the light line
-        with pytest.raises(GrazingError):
-            dispersion_curve(["G", "X"], 2, 0.5)
-        # non-strict: the sample stays, with NaN and a warning
+        # at a = 0.5 the X point sits exactly on the light line: the sample
+        # stays, with NaN and a warning
         with pytest.warns(UserWarning, match="grazing") as record:
-            pts = dispersion_curve(["G", "X"], 2, 0.5, strict=False)
+            pts = dispersion_curve(["G", "X"], 2, 0.5)
         assert np.isnan(pts[-1].gamma_k) and np.isfinite(pts[0].gamma_k)
         assert np.isnan(pts[-1].delta_k) and np.isfinite(pts[0].delta_k)
         # the warning points at the caller of dispersion_curve: this frame's
@@ -174,7 +172,7 @@ class TestDispersionCurve:
     def test_one_warning_per_call(self):
         # X = q at a = 0.5: samples 2 and 6 of G,X,G,X graze
         with pytest.warns(UserWarning) as record:
-            pts = dispersion_curve(["G", "X", "G", "X"], 7, 0.5, strict=False)
+            pts = dispersion_curve(["G", "X", "G", "X"], 7, 0.5)
         assert len(record) == 1
         message = str(record[0].message)
         assert "2 of 7 samples" in message and str(pts[2].k_perp) in message
@@ -183,9 +181,13 @@ class TestDispersionCurve:
 
     def test_strict_subradiant_failure_is_library_error(self):
         # the subradiant band q < |k| < 2 pi/a - q ends at a grazing order:
-        # k = 1.5 q at a = 0.4
+        # k = 1.5 q at a = 0.4, where a point raises a library error and a
+        # path keeps its last sample as NaN
         with pytest.raises(ArrayCavError):
-            dispersion_curve(["G", "1.5:0"], 5, 0.4)
+            dispersion_point((1.5 * Q, 0.0), 0.4)
+        with pytest.warns(UserWarning, match="1 of 5 samples"):
+            pts = dispersion_curve(["G", "1.5:0"], 5, 0.4)
+        assert np.isnan(pts[-1].gamma_k) and np.isfinite(pts[-2].gamma_k)
 
     def test_readme_path_is_finite(self):
         # the README example path at a = 0.5 never grazes; the shift is
@@ -207,7 +209,7 @@ class TestDispersionCurve:
         assume(np.linalg.norm(np.diff(ks, axis=0), axis=1).sum() > 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            pts = dispersion_curve(path, samples, a, strict=False)
+            pts = dispersion_curve(path, samples, a)
         assert len(pts) == samples
         for p in pts:
             assert np.isnan(p.gamma_k) == np.isnan(p.delta_k)

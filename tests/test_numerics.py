@@ -79,7 +79,7 @@ class TestExpm:
         cfg = make_config()
         kernel = projected_kernels(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)[0]
         apply, c = _generator(cfg, kernel)
-        krylov = _Krylov(apply, c)
+        krylov = _Krylov(apply, c, abs(cfg.drive.Omega))
         h = 10.0 / 200
         for m in (2, 4, 8, 16, 32, 64):
             m = krylov.extend(m)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
-                               projected_kernel)
+from arraycav.confined import projected_kernels
 from arraycav.lattice_sums import dispersion_grid
 from arraycav.om_dynamics import (CHAIN_TOL, evolve_chain, evolve_reduced,
                                   standard_model_report)
@@ -36,10 +35,7 @@ def build_setup(grid, eta=0.1, **kw):
 
 def kernels(cfg):
     """The projected kernel pair (D, D'') at the test cutoff."""
-    return tuple(projected_kernel(free_space_kernel(cfg.lattice, derivative=d),
-                                  confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0,
-                                                           K_CUT, derivative=d))
-                 for d in (0, 2))
+    return projected_kernels(cfg.lattice, cfg.cavity.z0, K_CUT)
 
 
 class TestMultimode:

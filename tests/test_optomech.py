@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arraycav.config import LatticeSpec, gamma_plus_Gamma0, validate_regime
-from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
-                               projected_kernel, projected_kernels)
+from arraycav.confined import projected_kernels
 from arraycav.errors import RegimeError
 from arraycav.greens import Q
 from arraycav.lattice_sums import dispersion_grid
@@ -42,13 +41,7 @@ def small_setup(grid16):
                       delta=grid16.delta0 + 100.0, omega_m=0.01, kappa_c=0.5,
                       Omega=0.01, eta=0.1, l_fsr=100.0)
     k_cut = 6.0 / 2.0
-    fs = free_space_kernel(cfg.lattice)
-    fs2 = free_space_kernel(cfg.lattice, derivative=2)
-    conf = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, k_cut)
-    conf2 = confined_kernel_paraxial(cfg.lattice, cfg.cavity.z0, k_cut,
-                                     derivative=2)
-    proj = projected_kernel(fs, conf)
-    proj2 = projected_kernel(fs2, conf2)
+    proj, proj2 = projected_kernels(cfg.lattice, cfg.cavity.z0, k_cut)
     basis = mechanical_basis(cfg.lattice, 2.0, completion_seed=3)
     return cfg, proj, proj2, basis, k_cut
 
@@ -261,10 +254,7 @@ class TestDenseReference:
         cfg = dataclasses.replace(cfg, cavity=dataclasses.replace(cfg.cavity, w=w))
         k_cut = 0.5 * Q
         lat = cfg.lattice
-        proj = projected_kernel(free_space_kernel(lat),
-                                confined_kernel_paraxial(lat, z0, k_cut))
-        proj2 = projected_kernel(free_space_kernel(lat, 2),
-                                 confined_kernel_paraxial(lat, z0, k_cut, 2))
+        proj, proj2 = projected_kernels(lat, z0, k_cut)
         chain = MechanicalChain(cfg, proj, proj2, grid)
         C = chain.couplings(max(1, int(thin * lat.n_sites)))
         ref = dense_C(cfg, chain.modes(len(C)), proj, proj2, grid)
@@ -445,9 +435,7 @@ class TestGroundStateAverage:
         cfg = make_config(a=0.5, n_side=16, w=2.0, z0=0.25,
                           delta=grid16.delta0 + 100.0, eta=0.1, l_fsr=100.0,
                           omega_m=0.01, kappa_c=0.5, Omega=0.01)
-        fs2 = free_space_kernel(cfg.lattice, derivative=2)
-        conf2 = confined_kernel_paraxial(cfg.lattice, 0.25, 3.0, derivative=2)
-        proj2 = projected_kernel(fs2, conf2)
+        proj2 = projected_kernels(cfg.lattice, 0.25, 3.0)[1]
         total, terms = k_sc_ground_state_average(cfg, proj2, grid16)
         assert abs(terms["single_atom"]) < 1e-30
         n_a = np.pi * 4.0 / 0.25
@@ -462,9 +450,7 @@ class TestGroundStateAverageAtScale:
         cfg = make_config(a=0.25, n_side=128, w=8.0, z0=0.125,
                           delta=grid.delta0 + 100.0, eta=0.1, l_fsr=100.0,
                           omega_m=0.01, kappa_c=0.5, Omega=0.01)
-        proj2 = projected_kernel(
-            free_space_kernel(cfg.lattice, derivative=2),
-            confined_kernel_paraxial(cfg.lattice, 0.125, 0.75, derivative=2))
+        proj2 = projected_kernels(cfg.lattice, 0.125, 0.75)[1]
         total, terms = k_sc_ground_state_average(cfg, proj2, grid)
         assert abs(terms["profile_derivative"].real) <= 1e-3 * terms["diagonal"].real
         params = closed_form_params(cfg, grid.delta0)
