@@ -22,9 +22,9 @@ _SUBMODULE = {
     **dict.fromkeys(("DispersionGrid", "DispersionPoint", "dispersion_curve",
                      "dispersion_grid", "dispersion_point"), "lattice_sums"),
     **dict.fromkeys(("KernelMatrix", "ModeProfile", "cavity_profile",
-                     "confined_kernel_paraxial", "confined_table",
-                     "free_space_kernel", "mode_decay_rate", "projected_kernel",
-                     "projected_kernels"), "confined"),
+                     "confined_kernel_paraxial", "free_space_kernel",
+                     "mode_decay_rate", "projected_kernel", "projected_kernels"),
+                    "confined"),
     **dict.fromkeys(("FullTrajectory", "SystemState", "TwoModeModel",
                      "build_two_mode", "evolve_full", "spectrum_scan",
                      "steady_state_full", "steady_state_two_mode"), "cavity_dynamics"),

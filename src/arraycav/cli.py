@@ -195,8 +195,7 @@ def cmd_dynamics(args):
     import numpy as np
     from ._numerics import output_count
     from .cavity_dynamics import evolve_full
-    from .confined import (confined_kernel_paraxial, free_space_kernel,
-                           projected_kernel, projected_kernels)
+    from .confined import projected_kernels
     from .lattice_sums import dispersion_grid
     from .om_dynamics import evolve_chain, evolve_reduced
     from .optomech import MechanicalChain, closed_form_params
@@ -213,9 +212,7 @@ def cmd_dynamics(args):
         _require(args.seed >= 0, "--seed", f"must be >= 0, got {args.seed}")
     channel = (cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)
     if args.model == "full":
-        kernel = projected_kernel(free_space_kernel(cfg.lattice),
-                                  confined_kernel_paraxial(*channel))
-        traj = evolve_full(cfg, kernel, args.t_final, args.dt_out)
+        traj = evolve_full(cfg, projected_kernels(*channel)[0], args.t_final, args.dt_out)
         rows = zip(traj.t, traj.a.real, traj.a.imag, traj.sum_sigma2)
         _write_csv(args.out, ["t", "re_a", "im_a", "sum_abs_sigma2"], rows)
         extra = traj.diagnostics
@@ -255,12 +252,20 @@ def cmd_kernel(args):
     _require(ok, "--r-perp",
              f"expected two finite numbers 'x,y', got {args.r_perp!r}")
     _require(np.isfinite(args.dz), "--dz", "must be finite")
-    if args.kind == "fs":
-        value = kernel_fs((rx, ry), args.dz)
-    elif args.kind == "fs-d2z":
-        value = kernel_fs_d2z((rx, ry))
-    else:
-        value = kernel_fs_momentum((rx * 2 * np.pi, ry * 2 * np.pi), args.dz)
+    _require(args.kind != "fs-d2z" or args.dz == 0.0, "--dz",
+             "must be 0 for --kind fs-d2z, which is taken in the array plane")
+    # the near-field terms overflow far inside the coincident point (below
+    # ~1e-62 lambda for fs-d2z, ~4e-104 for fs), the phase q r beyond ~3e307:
+    # refused on one line, not printed as nan after numpy's warnings
+    with np.errstate(all="ignore"):
+        if args.kind == "fs":
+            value = kernel_fs((rx, ry), args.dz)
+        elif args.kind == "fs-d2z":
+            value = kernel_fs_d2z((rx, ry))
+        else:
+            value = kernel_fs_momentum((rx * 2 * np.pi, ry * 2 * np.pi), args.dz)
+    _require(np.isfinite(value), "--dz" if args.dz else "--r-perp",
+             "the kernel's terms overflow the float range there")
     print(f"{value.real:.17g} {value.imag:+.17g}j")
     return EXIT_OK
 

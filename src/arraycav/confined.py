@@ -57,7 +57,7 @@ class KernelMatrix:
     """
 
     table: np.ndarray
-    kind: str                     # fs | confined | projected (+ _d2z variants)
+    kind: str                     # fs | confined | projected | projected_d2z
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -344,45 +344,35 @@ def confined_profiles(rho, k_cut_abs: float, *, diagnostics: dict | None = None)
     return out
 
 
-def confined_table(lattice: LatticeSpec, k_cut_abs: float, *, radii=None):
-    """Displacement tables of the confined kernel and of its d2z over the
-    lattice: ``confined_profiles`` at the lattice radii, scattered over the
-    (2 n_side - 1)^2 displacements.
+def remove_confined(fs, confined):
+    """The projection rule on arrays of kernel values (tables or radial
+    profiles): Re D = Re D_fs - Re D_c, Im D = Im D_fs."""
+    return (fs.real - confined.real) + 1j * fs.imag
 
-    Returns ``(D_c, d2z D_c)``.  ``radii`` is the lattice's ``lattice_radii``,
-    if already formed.
+
+def projected_profiles(rho, k_cut_abs: float, *, diagnostics: dict | None = None):
+    """The projected kernel and its d2z at the radii ``rho`` (ascending, as
+    ``lattice_radii`` and ``octant_radii`` give them): the one place where the
+    projection rule meets the radial profiles.
+
+    Returns (D, d2z D), each complex at the R radii: ``remove_confined`` of
+    the free-space pair (one ``kernel_fs_plane_profiles`` evaluation) and the
+    confined pair (one ``confined_profiles`` J0 pass, which fills
+    ``diagnostics``, if a dict, with its work sizes).
     """
-    rho, inverse = lattice_radii(lattice) if radii is None else radii
-    conf, conf_d2 = confined_profiles(rho, k_cut_abs)
-    return conf[inverse], conf_d2[inverse]
+    confined = confined_profiles(rho, k_cut_abs, diagnostics=diagnostics)
+    return tuple(map(remove_confined, kernel_fs_plane_profiles(rho), confined))
 
 
-def free_space_kernel(lattice: LatticeSpec, derivative: int = 0, *,
-                      radii=None) -> KernelMatrix:
-    """Free-space kernel D_fs (or its d2z) with the coincident-point conventions.
-
-    The kernel is radial for circular polarization, so the closed form is
+def free_space_kernel(lattice: LatticeSpec) -> KernelMatrix:
+    """Free-space kernel D_fs with the coincident-point convention D(0) =
+    gamma/2: radial for circular polarization, so the closed form is
     evaluated once per distinct lattice radius and scattered over the
-    displacement table; ``radii`` is the lattice's ``lattice_radii``, if
-    already formed.
-    """
-    if derivative not in (0, 2):
-        raise ValueError("derivative must be 0 or 2")
-    rho, inverse = lattice_radii(lattice) if radii is None else radii
-    return KernelMatrix(table=kernel_fs_plane_profiles(rho)[derivative // 2][inverse],
-                        kind="fs" if derivative == 0 else "fs_d2z",
+    displacement table (kind 'fs')."""
+    rho, inverse = lattice_radii(lattice)
+    return KernelMatrix(table=kernel_fs_plane_profiles(rho)[0][inverse], kind="fs",
                         provenance={"a": lattice.a, "n_side": lattice.n_side,
-                                    "derivative": derivative})
-
-
-def _confined_kernel(lattice: LatticeSpec, z0: float, k_cut: float,
-                     derivative: int, table: np.ndarray) -> KernelMatrix:
-    """Wrap one table of ``confined_table`` as the confined KernelMatrix."""
-    return KernelMatrix(table=table,
-                        kind="confined" if derivative == 0 else "confined_d2z",
-                        provenance={"a": lattice.a, "n_side": lattice.n_side,
-                                    "z0": z0, "k_cut": k_cut,
-                                    "derivative": derivative})
+                                    "derivative": 0})
 
 
 def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float) -> KernelMatrix:
@@ -391,22 +381,13 @@ def confined_kernel_paraxial(lattice: LatticeSpec, z0: float, k_cut: float) -> K
     ``k_cut`` is the absolute cutoff wavenumber (units 1/lambda; pass
     cfg.cavity.k_cut_abs).  All atoms sit in the common plane z0; near the
     focus the coincident-plane kernel does not depend on z0, which is recorded
-    in provenance only.  Symmetric and real (kind 'confined').  Its second
-    longitudinal derivative comes with the projected pair of
-    ``projected_kernels``, from the same confined J0 pass.
+    in provenance only.  Symmetric and real (kind 'confined').  The projected
+    pair of both derivatives comes from ``projected_kernels``.
     """
-    return _confined_kernel(lattice, z0, k_cut, 0, confined_table(lattice, k_cut)[0])
-
-
-def remove_confined(fs, confined):
-    """The projection rule on arrays of kernel values (tables or radial
-    profiles): Re D = Re D_fs - Re D_c, Im D = Im D_fs."""
-    return (fs.real - confined.real) + 1j * fs.imag
-
-
-# the confined kind each projectable kind is paired with
-_CONFINED_KIND = {"fs": "confined", "fs_d2z": "confined_d2z",
-                  "projected": "confined", "projected_d2z": "confined_d2z"}
+    rho, inverse = lattice_radii(lattice)
+    return KernelMatrix(table=confined_profiles(rho, k_cut)[0][inverse], kind="confined",
+                        provenance={"a": lattice.a, "n_side": lattice.n_side,
+                                    "z0": z0, "k_cut": k_cut, "derivative": 0})
 
 
 def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
@@ -414,43 +395,35 @@ def projected_kernel(fs: KernelMatrix, confined: KernelMatrix) -> KernelMatrix:
 
     The real (radiative) part becomes Re[fs] - Re[confined]; the imaginary
     (dispersive) part is taken from ``fs`` unchanged, since the near fields
-    that dominate it are unaffected by the cavity structure.  ``confined``
-    must be the confined kernel of the same derivative ('confined' for
-    'fs', 'confined_d2z' for 'fs_d2z') on the same lattice (``a`` and
-    ``n_side`` of both provenances), else ValueError.  Applying the
-    projection a second time with the same confined channel is a no-op: the
-    channel content is already absent, which is tracked through provenance.
+    that dominate it are unaffected by the cavity structure.  The pair must
+    be a free-space kernel (kind 'fs') and a confined kernel (kind
+    'confined') on the same lattice (``a`` and ``n_side`` of both
+    provenances), else ValueError.
     """
-    if fs.kind not in _CONFINED_KIND:
-        raise ValueError(f"cannot project kernel of kind {fs.kind!r}")
-    if confined.kind != _CONFINED_KIND[fs.kind]:
+    if (fs.kind, confined.kind) != ("fs", "confined"):
         raise ValueError(f"cannot project a {fs.kind!r} kernel against a "
-                         f"{confined.kind!r} kernel: needs {_CONFINED_KIND[fs.kind]!r}")
+                         f"{confined.kind!r} kernel: needs 'fs' and 'confined'")
     lattices = [(k.provenance.get("a"), k.provenance.get("n_side")) for k in (fs, confined)]
     if lattices[0] != lattices[1]:
         raise ValueError(f"kernel lattice mismatch: (a, n_side) = {lattices[0]} "
                          f"against {lattices[1]}")
-    if fs.kind.startswith("projected"):
-        if fs.provenance["k_cut"] == confined.provenance["k_cut"]:
-            return fs
-        raise ValueError("kernel already projected against a different channel")
     prov = dict(fs.provenance)
     prov.update({k: confined.provenance[k] for k in ("z0", "k_cut")})
     return KernelMatrix(table=remove_confined(fs.table, confined.table),
-                        kind="projected" if fs.kind == "fs" else "projected_d2z",
-                        provenance=prov)
+                        kind="projected", provenance=prov)
 
 
 def projected_kernels(lattice: LatticeSpec, z0: float, k_cut: float):
     """The projected kernel and its d2z (kinds 'projected', 'projected_d2z'):
-    ``projected_kernel`` of ``free_space_kernel`` and the confined kernel for
-    derivatives 0 and 2, with both confined tables taken from one radius
-    index and one confined J0 pass."""
-    radii = lattice_radii(lattice)
+    ``projected_profiles`` at the lattice radii, scattered over the
+    displacements."""
+    rho, inverse = lattice_radii(lattice)
     return tuple(
-        projected_kernel(free_space_kernel(lattice, derivative, radii=radii),
-                         _confined_kernel(lattice, z0, k_cut, derivative, table))
-        for derivative, table in zip((0, 2), confined_table(lattice, k_cut, radii=radii)))
+        KernelMatrix(table=profile[inverse], kind=kind,
+                     provenance={"a": lattice.a, "n_side": lattice.n_side,
+                                 "derivative": derivative, "z0": z0, "k_cut": k_cut})
+        for profile, kind, derivative in zip(projected_profiles(rho, k_cut),
+                                             ("projected", "projected_d2z"), (0, 2)))
 
 
 def mode_decay_rate(profile: ModeProfile, kernel: KernelMatrix) -> float:

@@ -41,10 +41,9 @@ from ._numerics import open_convolve_real, padded_rfft, padded_shape
 from .cavity_dynamics import _Krylov
 from .config import (MARGIN, FullConfig, LatticeSpec, cavity_dipole_coupling,
                      gamma_plus_Gamma0, large_detuning)
-from .confined import (KernelMatrix, confined_profiles, octant_radii,
-                       remove_confined)
+from .confined import KernelMatrix, octant_radii, projected_profiles
 from .errors import ConfigError, RegimeError
-from .greens import GAMMA, Q, kernel_fs_plane_profiles
+from .greens import GAMMA, Q
 from .lattice_sums import DispersionGrid
 
 
@@ -281,19 +280,16 @@ def _trace_profiles(cfg: FullConfig, k_cut_abs: float):
     kernels over the distinct lattice radii, the octant radius index, and
     the work sizes of the profile stage.
 
-    The confined pair shares one J0 pass at the Chebyshev points of its
-    panels (``confined_profiles``), which records their node count, panel
-    count, degree and coefficient tail; the free-space pair shares one
-    closed-form evaluation (``kernel_fs_plane_profiles``).
+    Both profiles come from ``projected_profiles`` on the octant radii: one
+    closed-form evaluation of the free-space pair and one J0 pass of the
+    confined pair, which records its node count, panel count, degree and
+    coefficient tail.
     """
     rho, offsets, index, multiplicity = octant_radii(cfg.lattice)
     sizes = {}
-    conf, conf_d2 = confined_profiles(rho, k_cut_abs, diagnostics=sizes)
+    proj, proj_d2 = projected_profiles(rho, k_cut_abs, diagnostics=sizes)
     sizes.update(distinct_radii=int(rho.size), octant_offsets=int(index.size))
-    fs, fs_d2 = kernel_fs_plane_profiles(rho)
-    g2_prof = 2.0 * remove_confined(fs, conf).real
-    d2_prof = remove_confined(fs_d2, conf_d2)
-    return g2_prof, d2_prof, (offsets, index, multiplicity), sizes
+    return 2.0 * proj.real, proj_d2, (offsets, index, multiplicity), sizes
 
 
 def _radial_contract(profile, octant, values):

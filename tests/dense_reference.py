@@ -27,10 +27,9 @@ from scipy.special import eval_hermite
 
 from arraycav._numerics import open_convolve, padded_rfft, padded_shape
 from arraycav.cavity_dynamics import coupling_profile
-from arraycav.confined import (confined_profiles, lattice_radii,
-                               projected_kernels, remove_confined)
+from arraycav.confined import lattice_radii, projected_kernels, projected_profiles
 from arraycav.errors import RegimeError
-from arraycav.greens import GAMMA, LAMBDA, Q, kernel_fs_plane_profiles
+from arraycav.greens import GAMMA, LAMBDA, Q
 from arraycav.om_dynamics import RTOL, _integrate, _trajectory
 from arraycav.optomech import closed_form_params, intensity_profile
 
@@ -269,10 +268,8 @@ def trace_terms_full_index(cfg, dispersion, k_cut_abs):
     sin2, cos2 = np.sin(cfg.qz0) ** 2, np.cos(cfg.qz0) ** 2
     rho, inverse = lattice_radii(lattice)
     inverse = inverse.ravel()
-    conf, conf_d2 = confined_profiles(rho, k_cut_abs)
-    fs, fs_d2 = kernel_fs_plane_profiles(rho)
-    g2_prof = 2.0 * remove_confined(fs, conf).real
-    d2_prof = remove_confined(fs_d2, conf_d2)
+    proj, d2_prof = projected_profiles(rho, k_cut_abs)
+    g2_prof = 2.0 * proj.real
     v0 = intensity_profile(lattice, cfg.cavity.w)
     weighted = _window_sums(v0) * g2_prof[inverse].reshape(2 * n - 1, 2 * n - 1)
     b3 = np.sum(v0) * np.mean(w1) - 0.5j * np.sum(np.fft.ifft2(w2) * _fold(weighted, n))

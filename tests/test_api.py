@@ -51,7 +51,6 @@ SIGNATURES = {
     "cavity_profile": ("lattice", "w"),
     "closed_form_params": ("cfg", "Delta"),
     "confined_kernel_paraxial": ("lattice", "z0", "k_cut"),
-    "confined_table": ("lattice", "k_cut_abs", "radii"),
     "default_config_text": ("a", "n_side", "w", "l_fsr", "kappa_c", "z0", "omega_m",
                             "eta", "Omega", "delta_c", "delta"),
     "dispersion_curve": ("path", "samples", "a"),
@@ -61,7 +60,7 @@ SIGNATURES = {
     "evolve_chain": ("cfg", "params", "chain", "t_final", "dt_out", "max_modes"),
     "evolve_full": ("cfg", "kernel", "t_final", "dt_out"),
     "evolve_reduced": ("cfg", "params", "t_final", "dt_out"),
-    "free_space_kernel": ("lattice", "derivative", "radii"),
+    "free_space_kernel": ("lattice",),
     "gamma_plus_Gamma0": ("a",),
     "intensity_profile": ("lattice", "w"),
     "kernel_fs": ("r_perp", "dz"),

@@ -182,10 +182,11 @@ MULTIMODE = ["dynamics", "--model", "multimode", "--t-final", "10"]
     (["spectrum", "--dc-min", "nan", "--dc-max", "5"], {}),
     (["kernel", "--r-perp", "0.5"], {}),
     (["kernel", "--r-perp", "0.5,x"], {}),
-    (["kernel", "--dz", "nan"], {})],
+    (["kernel", "--dz", "nan"], {}),
+    (["kernel", "--kind", "fs-d2z", "--r-perp", "0.3,0.4", "--dz", "0.2"], {})],
     ids=["modes-600", "modes-600-n16", "modes-0", "t-final-negative", "t-final-0",
          "seed-negative", "dt-out-0", "output-times-1e18", "samples-1", "dc-min-nan",
-         "r-perp-one-number", "r-perp-not-a-number", "dz-nan"])
+         "r-perp-one-number", "r-perp-not-a-number", "dz-nan", "d2z-off-plane"])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv,
                                              lattice):
     # each option is checked before any lattice sum, kernel or chain is built;
@@ -197,7 +198,7 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv
 
     for module, name in ((lattice_sums, "dispersion_grid"),
                          (lattice_sums, "dispersion_point"),
-                         (optomech, "MechanicalChain"), (confined, "free_space_kernel")):
+                         (optomech, "MechanicalChain"), (confined, "projected_kernels")):
         monkeypatch.setattr(module, name, no_work)
     path = tmp_path / "run.cfg"
     path.write_text(default_config_text(**lattice))
@@ -208,6 +209,8 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, monkeypatch, argv
     assert err.count("\n") == 1 and err.startswith("config error: --")
     if "--modes" in argv:
         assert "--modes" in err and "chain" in err
+    if "--kind" in argv:
+        assert err.startswith("config error: --dz:")
     assert not out.exists()
 
 
@@ -264,6 +267,22 @@ def test_kernel_command(cfg_file, capsys):
     out = capsys.readouterr().out
     re_part = float(out.split()[0])
     assert re_part == pytest.approx(0.03799544386587665, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, r_perp, dz, option", [
+    ("fs-d2z", "1e-65,0", "0", "--r-perp"), ("fs-d2z", "1e-70,0", "0", "--r-perp"),
+    ("fs", "1e-104,0", "0", "--r-perp"), ("fs", "0,0", "1e-110", "--dz")],
+    ids=["fs-d2z-1e-65", "fs-d2z-1e-70", "fs-1e-104", "fs-dz-1e-110"])
+def test_kernel_overflow_is_config_error(cfg_file, capsys, kind, r_perp, dz, option):
+    # near-field terms beyond the float range: exit 2 with one line naming
+    # the option that set the displacement, no nan and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kernel", "--config", str(cfg_file), "--kind", kind,
+                     "--r-perp", r_perp, "--dz", dz]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: {option}: ")
 
 
 def test_dispersion_explicit_waypoint_in_units_of_q(tmp_path):
@@ -543,30 +562,43 @@ def test_overflow_exits_with_one_line(tmp_path, overrides, command, exit_code,
     assert err == [last_line]
 
 
-@pytest.mark.parametrize("model", ["multimode", "full"])
+@pytest.mark.parametrize("model", ["multimode", "full", "omparams"])
 def test_dynamics_runs_one_bessel_pass(tmp_path, monkeypatch, model):
-    # both projected kernels come from one confined J0 pass: one evaluation
-    # per (Chebyshev point of a panel, quadrature node) pair
+    # both projected kernels (or trace profiles) come from one confined J0
+    # pass, one evaluation per (Chebyshev point of a panel, quadrature node)
+    # pair, and one closed-form evaluation of the free-space pair
     from arraycav import confined
     from arraycav.confined import chebyshev_panels, confined_nodes, lattice_radii
     j0, shapes = confined.j0, []
+    profiles, closed_forms = confined.kernel_fs_plane_profiles, []
 
     def counting_j0(x):
         shapes.append(x.shape)
         return j0(x)
 
+    def counting_profiles(rho):
+        closed_forms.append(len(rho))
+        return profiles(rho)
+
     monkeypatch.setattr(confined, "j0", counting_j0)
+    monkeypatch.setattr(confined, "kernel_fs_plane_profiles", counting_profiles)
     text = default_config_text(a=0.5, n_side=16, w=2.0, z0=0.125, delta=100.0)
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    assert main(["dynamics", "--config", str(path), "--model", model, "--modes",
-                 "32", "--t-final", "2.0", "--out", str(tmp_path / "dyn.csv")]) == 0
+    argv = {"omparams": ["omparams", "--consistency", "--out", str(tmp_path / "om.json")]}.get(
+        model, ["dynamics", "--model", model, "--modes", "32", "--t-final", "2.0",
+                "--out", str(tmp_path / "dyn.csv")])
+    # at this small lattice the trace misses its tolerance (exit 4) after all
+    # the work is done
+    assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == \
+        (4 if model == "omparams" else 0)
     cfg = make_config(a=0.5, n_side=16, w=2.0, z0=0.125, delta=100.0)
     rho, _ = lattice_radii(cfg.lattice)
     k_cut = cfg.cavity.k_cut_abs
     nodes = confined_nodes(k_cut, rho[-1])
     panels, degree = chebyshev_panels(k_cut, rho[-1], rho.size, nodes)
     assert shapes == [(panels * (degree + 1), nodes)]
+    assert closed_forms == [rho.size]
 
 
 def test_dynamics_manifest_records_rhs_evals(cfg_file, tmp_path):

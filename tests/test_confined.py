@@ -14,7 +14,7 @@ from arraycav.config import LatticeSpec, gamma_plus_Gamma0
 from arraycav.confined import (KernelMatrix, ModeProfile, cavity_profile,
                                chebyshev_panels, confined_kernel_paraxial,
                                confined_nodes, confined_profiles,
-                               confined_rule, confined_table, free_space_kernel,
+                               confined_rule, free_space_kernel,
                                lattice_radii, mode_decay_rate, octant_radii,
                                projected_kernel, projected_kernels, remove_confined)
 from arraycav.errors import ConfigError, ConvergenceError
@@ -90,6 +90,13 @@ class TestConfinedKernel:
         small = confined_kernel_paraxial(LatticeSpec(a=0.5, n_side=4), 0.0, KCUT)
         with pytest.raises(ValueError, match="mismatch"):
             projected_kernel(fs, small)
+
+
+def _confined_tables(lattice, k_cut):
+    """D_c and its d2z over the displacements: the confined profiles at the
+    lattice radii, gathered."""
+    rho, inverse = lattice_radii(lattice)
+    return confined_profiles(rho, k_cut)[:, inverse]
 
 
 def _displacement_meshes(lattice):
@@ -202,7 +209,7 @@ class TestConfinedTable:
     def test_radial_table_matches_full_grid(self, n_side, a, k_cut):
         # both tables of the shared J0 pass against the per-displacement grid
         lat = LatticeSpec(a=a, n_side=n_side)
-        tables = confined_table(lat, k_cut * Q)
+        tables = _confined_tables(lat, k_cut * Q)
         for derivative, table in zip((0, 2), tables):
             ref = _full_grid_table(lat, k_cut * Q, derivative)
             assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
@@ -221,8 +228,8 @@ class TestConfinedTable:
         assert (diagnostics["chebyshev_panels"], diagnostics["chebyshev_degree"]) \
             == chebyshev_panels(0.75, rho[-1], rho.size, nodes) == (4, 41)
         assert diagnostics["chebyshev_tail"] < 2e-15     # round-off, not truncation
-        for table, profile in zip(confined_table(lat, 0.75), profiles):
-            np.testing.assert_array_equal(table, profile[inverse])
+        np.testing.assert_array_equal(confined_kernel_paraxial(lat, 0.0, 0.75).table,
+                                      profiles[0][inverse])
         for derivative, profile in zip((0, 2), profiles):
             ref = _quadrature(rho, 0.75, derivative)
             assert np.max(np.abs(profile - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -242,7 +249,7 @@ class TestConfinedTable:
         with monkeypatch.context() as patch:
             patch.setattr(confined, "chebyshev_panels", lambda *args: (panels, short))
             with pytest.raises(ConvergenceError, match="Chebyshev tail"):
-                confined_table(lat, k_cut)
+                projected_kernels(lat, 0.0, k_cut)
         sample = np.r_[0:rho.size:9, rho.size - 1]
         for derivative, profile in zip((0, 2), profiles):
             ref = _quadrature(rho[sample], k_cut, derivative)
@@ -267,11 +274,11 @@ class TestConfinedTable:
     def test_degree_too_low_is_refused(self, monkeypatch):
         # the worst phase of the hypothesis range, k_cut rho_max ~ 330, on one
         # panel: a margin of 20 over its half-phase (degree 185 against the
-        # rule's 239) returns no table
+        # rule's 239) returns no kernel
         lat = LatticeSpec(a=1.0, n_side=40)
         self._refuse(monkeypatch, lattice_radii(lat)[0], 0.95 * Q, 185, "panel 1 of 1")
         with pytest.raises(ConvergenceError, match="Chebyshev tail"):
-            confined_table(lat, 0.95 * Q)
+            projected_kernels(lat, 0.0, 0.95 * Q)
 
     def test_refusal_names_the_failing_panel(self, monkeypatch):
         # the acceptance scale on its 4 panels at degree 33 instead of 41:
@@ -309,28 +316,22 @@ class TestConfinedTable:
         # 2.9e-15 at phase k_cut rho_max = 479, interpolation included)
         lat = LatticeSpec(a=a, n_side=n_side)
         rho, inverse = lattice_radii(lat)
-        for derivative, table in zip((0, 2), confined_table(lat, k_cut)):
+        for derivative, table in zip((0, 2), _confined_tables(lat, k_cut)):
             doubled = _quadrature(rho, k_cut, derivative, node_factor=2)[inverse]
             assert np.max(np.abs(doubled - table)) <= 1e-13 * np.max(np.abs(table))
 
     def test_memory_stays_per_radius(self):
-        # both tables together; the unblocked R x nodes J0 intermediates alone
-        # were 67 MB at this size, and 23 MB is measured with numpy 2.4
+        # both projected tables together; the unblocked R x nodes J0
+        # intermediates alone were 67 MB at this size, and 11 MB is measured
+        # with numpy 2.4
         lat = LatticeSpec(a=0.25, n_side=256)
         tracemalloc.start()
         try:
-            confined_table(lat, 0.75)
+            projected_kernels(lat, 0.125, 0.75)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 30e6
-
-    def test_shared_radii_give_the_same_tables(self):
-        lat = LatticeSpec(a=0.3, n_side=9)
-        radii = lattice_radii(lat)
-        for got, want in zip(confined_table(lat, 2.0, radii=radii),
-                             confined_table(lat, 2.0)):
-            np.testing.assert_array_equal(got, want)
 
 
 class TestPanelProfiles:
@@ -414,17 +415,18 @@ class TestKernelTables:
            a=st.floats(0.2, 1.0, exclude_min=True, exclude_max=True),
            derivative=st.sampled_from([0, 2]))
     def test_radial_free_space_matches_meshes(self, n_side, a, derivative):
+        # the closed form at the lattice radii, gathered, against the closed
+        # form at every displacement; free_space_kernel is the first table
         lat = LatticeSpec(a=a, n_side=n_side)
-        table = free_space_kernel(lat, derivative).table
+        rho, inverse = lattice_radii(lat)
+        table = kernel_fs_plane_profiles(rho)[derivative // 2][inverse]
+        if derivative == 0:
+            np.testing.assert_array_equal(free_space_kernel(lat).table, table)
         ref = kernel_fs_plane_profiles(np.hypot(*_displacement_meshes(lat)))[derivative // 2]
         assert table.shape == ref.shape == (2 * n_side - 1, 2 * n_side - 1)
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
         np.testing.assert_array_equal(table, table[::-1, ::-1])     # d -> -d
         np.testing.assert_array_equal(table, table.T)               # x <-> y
-
-    def test_derivative_must_be_0_or_2(self, lat32):
-        with pytest.raises(ValueError, match="derivative"):
-            free_space_kernel(lat32, 1)
 
     @settings(max_examples=20, deadline=None)
     @given(n_side=st.integers(2, 20), a=st.floats(0.2, 1.0),
@@ -432,7 +434,9 @@ class TestKernelTables:
     def test_dense_matches_point_kernel(self, n_side, a, derivative, seed):
         # dense(k)[n, m] is the kernel at r_n - r_m, row-major sites
         lat = LatticeSpec(a=a, n_side=n_side)
-        matrix = dense(free_space_kernel(lat, derivative))
+        rho, inverse = lattice_radii(lat)
+        matrix = dense(KernelMatrix(table=kernel_fs_plane_profiles(rho)[derivative // 2][inverse],
+                                    kind="fs" if derivative == 0 else "fs_d2z"))
         point = kernel_fs if derivative == 0 else kernel_fs_d2z
         pos = lat.positions
         last = lat.n_sites - 1
@@ -486,22 +490,19 @@ class TestProjectedKernel:
         lam = np.linalg.eigvalsh(dense(proj).real)
         assert lam.min() >= -1e-8 * GAMMA
 
-    def test_projection_idempotent(self, kernels32):
-        _, conf, proj = kernels32
-        again = projected_kernel(proj, conf)
-        assert again is proj
-
     def test_projection_against_other_channel_rejected(self, lat32, kernels32):
-        _, _, proj = kernels32
+        # a projected kernel is not projected again, against any channel
+        _, conf, proj = kernels32
         other = confined_kernel_paraxial(lat32, 0.125, 0.5 * KCUT)
-        with pytest.raises(ValueError, match="different channel"):
-            projected_kernel(proj, other)
+        for channel in (conf, other):
+            with pytest.raises(ValueError, match="cannot project a 'projected' kernel"):
+                projected_kernel(proj, channel)
 
     @pytest.mark.parametrize("n_side", [1, 2, 7, 32])
     def test_pair_from_one_pass_matches_separate_builders(self, n_side):
         # same tables to the bit, kinds and provenance as projected_kernel on
         # the separate free-space and confined builders; the d2z kernel as
-        # the projection rule on the separate tables
+        # the projection rule on the gathered free-space and confined tables
         lat = LatticeSpec(a=0.5, n_side=n_side)
         proj, proj_d2 = projected_kernels(lat, 0.125, KCUT)
         want = projected_kernel(free_space_kernel(lat),
@@ -509,27 +510,33 @@ class TestProjectedKernel:
         np.testing.assert_array_equal(proj.table, want.table)
         assert proj.kind == want.kind
         assert proj.provenance == want.provenance
-        fs_d2 = free_space_kernel(lat, 2)
+        rho, inverse = lattice_radii(lat)
+        fs_d2 = kernel_fs_plane_profiles(rho)[1][inverse]
         np.testing.assert_array_equal(
-            proj_d2.table, remove_confined(fs_d2.table, confined_table(lat, KCUT)[1]))
+            proj_d2.table, remove_confined(fs_d2, _confined_tables(lat, KCUT)[1]))
         assert proj_d2.kind == "projected_d2z"
-        assert proj_d2.provenance == {**fs_d2.provenance, "z0": 0.125, "k_cut": KCUT}
+        assert proj_d2.provenance == {"a": 0.5, "n_side": n_side, "derivative": 2,
+                                      "z0": 0.125, "k_cut": KCUT}
 
     @staticmethod
-    def _confined_d2z(lat):
-        return KernelMatrix(table=confined_table(lat, KCUT)[1], kind="confined_d2z",
+    def _d2z(lat, kind, table):
+        # a d2z table in a KernelMatrix of a kind no builder makes
+        return KernelMatrix(table=table, kind=kind,
                             provenance={"a": lat.a, "n_side": lat.n_side, "z0": 0.125,
                                         "k_cut": KCUT, "derivative": 2})
 
     @pytest.mark.parametrize("case", ["fs_with_confined_d2z", "fs_d2z_with_confined",
                                       "fs_with_fs", "lattice_constant_differs"])
     def test_pair_is_validated(self, lat32, kernels32, case):
-        # the confined kernel must have the free-space kernel's derivative
-        # and lattice (a and n_side), else ValueError
+        # only the pair ('fs', 'confined') on one lattice (a and n_side) is
+        # projected, else ValueError
         fs, conf, _ = kernels32
         other = LatticeSpec(a=0.6, n_side=lat32.n_side)
-        pair = {"fs_with_confined_d2z": (fs, self._confined_d2z(lat32)),
-                "fs_d2z_with_confined": (free_space_kernel(lat32, 2), conf),
+        rho, inverse = lattice_radii(lat32)
+        pair = {"fs_with_confined_d2z": (fs, self._d2z(
+                    lat32, "confined_d2z", _confined_tables(lat32, KCUT)[1])),
+                "fs_d2z_with_confined": (self._d2z(
+                    lat32, "fs_d2z", kernel_fs_plane_profiles(rho)[1][inverse]), conf),
                 "fs_with_fs": (fs, fs),
                 "lattice_constant_differs":
                     (fs, confined_kernel_paraxial(other, 0.125, KCUT))}[case]
