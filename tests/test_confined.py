@@ -490,13 +490,19 @@ class TestProjectedKernel:
         lam = np.linalg.eigvalsh(dense(proj).real)
         assert lam.min() >= -1e-8 * GAMMA
 
+    def test_projection_idempotent(self, kernels32):
+        # the confined part is removed once: projecting a projected kernel
+        # against its own channel is refused, not subtracted a second time
+        fs, conf, proj = kernels32
+        np.testing.assert_array_equal(proj.table, remove_confined(fs.table, conf.table))
+        with pytest.raises(ValueError, match="cannot project a 'projected' kernel"):
+            projected_kernel(proj, conf)
+
     def test_projection_against_other_channel_rejected(self, lat32, kernels32):
-        # a projected kernel is not projected again, against any channel
-        _, conf, proj = kernels32
+        _, _, proj = kernels32
         other = confined_kernel_paraxial(lat32, 0.125, 0.5 * KCUT)
-        for channel in (conf, other):
-            with pytest.raises(ValueError, match="cannot project a 'projected' kernel"):
-                projected_kernel(proj, channel)
+        with pytest.raises(ValueError, match="cannot project a 'projected' kernel"):
+            projected_kernel(proj, other)
 
     @pytest.mark.parametrize("n_side", [1, 2, 7, 32])
     def test_pair_from_one_pass_matches_separate_builders(self, n_side):
