@@ -26,10 +26,16 @@ package, it starts from rest.  The drive acts on the cavity alone, so the
 solution lies in the Krylov space of the generator from the cavity mode e_0:
 the chain e_0, u = g/|g| (reached with coupling g_eff), and the dipole
 profiles the kernel generates from u.  Its m = 2 truncation is the
-two-oscillator model above, with <u|D|u> in place of the lattice-sum shift;
-the chain grows until longer truncations stop changing the result (Chin,
-Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109 (2010); Saad, SIAM J.
-Numer. Anal. 29, 209 (1992)).
+two-oscillator model above, with <u|D|u> in place of the lattice-sum shift
+(Chin, Rivas, Huelga & Plenio, J. Math. Phys. 51, 092109 (2010)).  The chain
+grows until an a posteriori bound on the truncation error falls below
+KRYLOV_TOL.  The generator's Hermitian part is -Re D (its off-diagonal
+coupling is imaginary and the same in both blocks, so it cancels there),
+which is negative semidefinite for a dissipative kernel; then e^{tA} does not
+expand, and the error of the m-vector solution is bounded by its residual
+integrated over time, beta h_{m+1,m} int_0^t |e_m^T z_m(s)| ds (Saad, SIAM J.
+Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34,
+1911 (1997)), read from the chain's own coefficients.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .greens import GAMMA, Q
 from .lattice_sums import DispersionPoint
 
 SATURATION_WARN = 0.1    # |<s_n>| beyond this strains the linear (non-saturated) model
-KRYLOV_TOL = 1e-12       # relative agreement of the m- and 2m-vector chains
+KRYLOV_TOL = 1e-12       # the chain's error bound, relative to max|a| and max sum|s|^2
 KRYLOV_MAX_BYTES = 1 << 29   # largest Krylov basis held, complex128
 
 
@@ -202,12 +208,15 @@ class _Krylov:
     (``optomech.MechanicalChain``), which read their states from it.
 
     Arnoldi with classical Gram-Schmidt and one reorthogonalization pass.
-    After m steps the rows of ``V[:m]`` span the space and ``H[:m, :m]`` is
-    the projection of A onto it.  ``invariant`` is set on a happy breakdown
-    (the next residual below KRYLOV_TOL of |A v_m|, or the whole space
-    spanned): the projection is then exact.  The chain starts from
-    start / beta, with ``beta`` the norm of ``start`` from the caller: the
-    drive's chain passes |Omega|, whose square may overflow.
+    After m steps the rows of ``V[:m]`` span the space, ``H[:m, :m]`` is the
+    projection of A onto it and ``H[m, m - 1]`` is the norm of the part of
+    A v_m left outside, h_{m+1,m}.  ``invariant`` is set on a happy breakdown
+    (that norm below KRYLOV_TOL of |A v_m|, or the whole space spanned): the
+    projection is then exact up to the dropped part.  V[m] keeps that part's
+    direction when it is nonzero, so clearing ``invariant`` carries the chain
+    on.  The chain starts from start / beta, with ``beta`` the norm of
+    ``start`` from the caller: the drive's chain passes |Omega|, whose square
+    may overflow.
     """
 
     def __init__(self, apply, start, beta):
@@ -216,11 +225,16 @@ class _Krylov:
         self.beta = float(beta)
         self.max_m = min(dim, max(2, KRYLOV_MAX_BYTES // (16 * dim) - 1))
         self.V = np.empty((3, dim), dtype=complex)
-        self.V[0] = start / self.beta
+        # numpy divides a complex array by a real through its reciprocal,
+        # which overflows for a subnormal beta; scaling both by 2^64 first is
+        # exact, and leaves every normal beta's quotient as it was
+        beta = self.beta
+        if beta < np.finfo(float).tiny:
+            start, beta = start * 2.0**64, beta * 2.0**64
+        self.V[0] = start / beta
         self.H = np.zeros((3, 2), dtype=complex)
         self.m = 0
         self.invariant = False
-        self.residual = np.inf
 
     def extend(self, m):
         """Grow the basis to m vectors (fewer once invariant, at most max_m);
@@ -243,13 +257,12 @@ class _Krylov:
             w -= dh @ basis
             self.H[:j + 1, j] = h + dh
             norm = np.linalg.norm(w)
-            self.residual = norm / scale if scale > 0.0 else 0.0
-            self.m = j + 1
-            if self.residual <= KRYLOV_TOL or self.m == self.dim:
-                self.invariant = True
-            else:
-                self.H[j + 1, j] = norm
+            self.H[j + 1, j] = norm
+            if norm > 0.0:
                 self.V[j + 1] = w / norm
+            self.m = j + 1
+            residual = norm / scale if scale > 0.0 else 0.0
+            self.invariant = residual <= KRYLOV_TOL or self.m == self.dim
         return self.m
 
 
@@ -258,42 +271,61 @@ def _rel_dev(x, ref):
     return float(np.max(np.abs(x - ref)) / scale) if scale > 0.0 else 0.0
 
 
-def _converge(krylov, coefficients):
-    """Extend the drive's chain to m = 2, 4, 8, ... basis vectors until the
-    readouts (a and sum |s|^2, each relative to its largest magnitude) from m
-    and 2m vectors agree to KRYLOV_TOL, or the span is invariant.
+def _error_bound(krylov, z, integral):
+    """The a posteriori bound on the readouts of the unit-start coefficients
+    ``z`` (one row per state), relative to their largest magnitudes.
+
+    eps = h_{m+1,m} integral(|e_m^T z|) bounds |y - y_m| at every row, so it
+    bounds the error of a, relative to max|a|, and that of sum|s|^2 by
+    eps (2 max|s| + eps), relative to max sum|s|^2.  On a chain closed at the
+    cavity (sum|s|^2 = 0 by construction) only the first applies, and the
+    atoms hold at most (eps max|a|)^2 there.
+    """
+    m = z.shape[1]
+    eps = krylov.H[m, m - 1].real * integral(np.abs(z[:, m - 1]))
+    bound = eps / np.max(np.abs(z @ krylov.V[:m, 0]))
+    s_peak = np.max(np.sum(np.abs(z[:, 1:]) ** 2, axis=1))
+    if s_peak > 0.0:
+        bound = max(bound, eps * (2.0 * np.sqrt(s_peak) + eps) / s_peak)
+    return float(bound)
+
+
+def _converge(krylov, coefficients, integral):
+    """Extend the drive's chain from m = 8 basis vectors by max(8, m/4) until
+    the a posteriori bound (``_error_bound``) is at most KRYLOV_TOL, or the
+    whole space is spanned.  The bound reads the chain's own coefficients, so
+    the chain stops near the length it needs, and the small propagations
+    ``coefficients`` runs stay logarithmic in m.
 
     ``coefficients(H)`` gives the solution's coefficients in the basis, one
-    row per state, for a unit start vector.  The chain starts at the cavity
-    mode, so a state's cavity amplitude is its coefficients times V[:, 0],
-    and the later basis vectors, orthogonal to e_0, are pure dipole profiles:
-    sum_n |s_n|^2 is the squared norm of the coefficients after the first.
-    Returns (Z, a, s2, error, a2) with a2 the cavity amplitude of the m = 2
-    truncation.  Readouts that overflow raise ConvergenceError at once: no
-    longer chain makes them finite.
+    row per state, for a unit start vector, and ``integral`` reduces the last
+    one's magnitude over the rows to the bound's time integral.  The chain
+    starts at the cavity mode, so a state's cavity amplitude is its
+    coefficients times V[:, 0], and the later basis vectors, orthogonal to
+    e_0, are pure dipole profiles: sum_n |s_n|^2 is the squared norm of the
+    coefficients after the first.  A chain that closes with the bound above
+    the tolerance resumes from its dropped direction.  Returns (Z, a, s2,
+    error).  Readouts that overflow raise ConvergenceError at once: no longer
+    chain makes them finite.
     """
-    m, prev, a2 = 2, None, None
+    m = 8
     while True:
         m = krylov.extend(m)
-        Z = krylov.beta * coefficients(krylov.H[:m, :m])
+        z = coefficients(krylov.H[:m, :m])
+        Z = krylov.beta * z
         a = Z @ krylov.V[:m, 0]
         s2 = np.sum(np.abs(Z[:, 1:]) ** 2, axis=1)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s2))):
             raise ConvergenceError("non-finite amplitudes")
-        if a2 is None:
-            a2 = a
-        if krylov.invariant:
-            return Z, a, s2, krylov.residual, a2
-        if prev is not None:
-            error = max(_rel_dev(prev[0], a), _rel_dev(prev[1], s2))
-            if error <= KRYLOV_TOL:
-                return Z, a, s2, error, a2
+        error = _error_bound(krylov, z, integral)
+        if error <= KRYLOV_TOL or m == krylov.dim:
+            return Z, a, s2, error
         if m == krylov.max_m:
             raise ConvergenceError(
                 f"Krylov chain not converged to {KRYLOV_TOL:g} within m = {m} "
                 "basis vectors (memory limit); shorten t_final")
-        prev = (a, s2)
-        m *= 2
+        krylov.invariant = False
+        m += max(8, m // 4)
 
 
 def _chain_propagation(h, n_out):
@@ -329,10 +361,11 @@ class FullTrajectory(Sequence):
     are exactly zero at t = 0; indexing or iterating gives SystemStates whose
     site amplitudes are formed then, sigma(t_k) = coefficients[k] @
     basis[:, 1:].  ``diagnostics`` holds the basis size ``krylov_m``, the
-    convergence estimate ``krylov_error`` against ``krylov_tolerance``, and
-    ``two_mode_deviation``: the largest deviation of the m = 2 chain (cavity
-    plus one collective dipole) from the converged cavity amplitude, relative
-    to max |a| (None without a drive, when the basis is empty).
+    a posteriori error bound ``krylov_error`` (``_error_bound``) against
+    ``krylov_tolerance``, and ``two_mode_deviation``: the largest deviation
+    of the m = 2 chain (cavity plus one collective dipole) from the converged
+    cavity amplitude, relative to max |a| (None without a drive, when the
+    basis is empty).
     """
 
     t: np.ndarray
@@ -360,9 +393,10 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
     generator from the drive c, i.e. from the cavity mode e_0 (the chain e_0,
     the cavity-profile dipole, ...).  It is projected onto that Arnoldi basis
     and propagated there by one small expm per output spacing; the basis grows
-    until the m- and 2m-vector results agree.  Without a drive the trajectory
-    is zero and the basis empty.  Cost O(m N log N + m^2 N), memory m (N + 1)
-    complex numbers.
+    until the a posteriori bound, its residual integrated over the output
+    grid as an upper Riemann sum, is at most KRYLOV_TOL (``_converge``).
+    Without a drive the trajectory is zero and the basis empty.  Cost
+    O(m N log N + m^2 N), memory m (N + 1) complex numbers.
     """
     apply, c = _generator(cfg, kernel)
     times = output_times(t_final, dt_out)
@@ -372,8 +406,13 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
         # c = -i Omega e_0 has the norm |Omega|, whose square may overflow
         with np.errstate(over="ignore", invalid="ignore"):
             krylov = _Krylov(apply, c, abs(cfg.drive.Omega))
-            coefs, a, s2, error, a2 = _converge(krylov, _chain_propagation(h, len(times)))
-            basis, two_mode = krylov.V[:coefs.shape[1]], _rel_dev(a2, a)
+            propagate = _chain_propagation(h, len(times))
+            coefs, a, s2, error = _converge(
+                krylov, propagate, lambda x: h * np.sum(np.maximum(x[:-1], x[1:])))
+            basis = krylov.V[:coefs.shape[1]]
+            m2 = min(2, len(basis))
+            a2 = (krylov.beta * propagate(krylov.H[:m2, :m2])) @ basis[:m2, 0]
+            two_mode = _rel_dev(a2, a)
     else:
         basis = np.zeros((0, c.size), dtype=complex)
         coefs = np.zeros((len(times), 0), dtype=complex)
@@ -393,9 +432,11 @@ def evolve_full(cfg: FullConfig, kernel: KernelMatrix, t_final: float,
 
 
 def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
-    """Steady state y* = -A^{-1} c of the full linear system, exact to
-    KRYLOV_TOL: the full orthogonalization method on the drive's chain,
-    y* = -|c| V_m^T H_m^{-1} e_1, with the same stopping rule as evolve_full."""
+    """Steady state y* = -A^{-1} c of the full linear system: the full
+    orthogonalization method on the drive's chain, y* = -|c| V_m^T H_m^{-1}
+    e_1, with the same stopping rule as evolve_full on its one coefficient
+    row.  The bound then reads the method's residual |A y_m + c|, relative to
+    |a| and sum|s|^2."""
     apply, c = _generator(cfg, kernel)
     if not c.any():
         return SystemState(a=0.0 + 0.0j, sigma=np.zeros(c.size - 1, dtype=complex),
@@ -409,7 +450,7 @@ def steady_state_full(cfg: FullConfig, kernel: KernelMatrix) -> SystemState:
     # as in ``evolve_full``
     with np.errstate(over="ignore", invalid="ignore"):
         krylov = _Krylov(apply, c, abs(cfg.drive.Omega))
-        Z, _a, _s2, _err, _ = _converge(krylov, coefficients)
+        Z, _a, _s2, _err = _converge(krylov, coefficients, lambda x: x[0])
         y = Z[0] @ krylov.V[:Z.shape[1]]
     _check_amplitudes(y[0], np.max(np.abs(y[1:])))
     return SystemState(a=complex(y[0]), sigma=y[1:], t=np.inf)

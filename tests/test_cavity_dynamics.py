@@ -3,22 +3,23 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from arraycav.cavity_dynamics import (TwoModeModel, build_two_mode,
-                                      coupling_profile, evolve_full,
-                                      spectrum_scan, steady_state_full,
-                                      steady_state_two_mode)
+from arraycav.cavity_dynamics import (KRYLOV_TOL, TwoModeModel, _chain_propagation,
+                                      _error_bound, _generator, _Krylov,
+                                      build_two_mode, coupling_profile,
+                                      evolve_full, spectrum_scan,
+                                      steady_state_full, steady_state_two_mode)
 from arraycav.confined import (confined_kernel_paraxial, free_space_kernel,
-                               projected_kernel)
+                               projected_kernel, projected_kernels)
 from arraycav.errors import ConvergenceError, RegimeError
 from arraycav.lattice_sums import DispersionPoint, dispersion_point
 from arraycav.optomech import closed_form_params
 
 from conftest import make_config
-from dense_reference import (bare_cavity_amplitude, full_system,
+from dense_reference import (bare_cavity_amplitude, dense, full_system,
                              two_mode_steady_state)
 
 DELTA0 = 0.4003319962564511       # cooperative shift at k = 0, a = 0.5 (frozen)
@@ -249,6 +250,11 @@ class TestFullModel:
     @given(n_side=st.integers(2, 12), z0=st.floats(0.0, 0.25),
            delta=st.floats(-5.0, 20.0), Omega=st.sampled_from([0.0, 0.01]),
            t_final=st.floats(0.5, 10.0))
+    # the cavity couples to the atoms below KRYLOV_TOL of |A e_0|, so the
+    # chain closes at m = 1; at z0 = 5e-15 its bound is above the tolerance
+    # there and the chain resumes
+    @example(n_side=12, z0=1e-15, delta=DELTA0, Omega=0.01, t_final=10.0)
+    @example(n_side=12, z0=5e-15, delta=5.0, Omega=0.01, t_final=10.0)
     def test_chain_matches_eigendecomposition_oracle(self, n_side, z0, delta,
                                                      Omega, t_final):
         # from rest, every output time, against y(t) = V (e^{lt} - 1)/l w
@@ -285,11 +291,12 @@ class TestFullModel:
         if traj.diagnostics["krylov_m"] == 1:
             # the atoms couple below the chain's tolerance, |b| <= 1e-12 |A e_0|,
             # so the chain is the bare cavity; the dissipative atoms then hold
-            # at most |b| t max|a|
+            # at most |b| t max|a|, and the reported bound covers what they hold
             assert np.linalg.norm(b) <= 1e-12 * np.hypot(abs(alpha), np.linalg.norm(b))
             assert not traj.sum_sigma2.any()
-            assert np.max(s2_exact) <= (np.linalg.norm(b) * t_final
-                                        * np.max(np.abs(exact[:, 0]))) ** 2
+            a_peak = np.max(np.abs(exact[:, 0]))
+            assert np.max(s2_exact) <= (np.linalg.norm(b) * t_final * a_peak) ** 2
+            assert np.max(s2_exact) <= (traj.diagnostics["krylov_error"] * a_peak) ** 2
             return
         s2_dev = np.max(np.abs(traj.sum_sigma2 - s2_exact)) / np.max(s2_exact)
         assert s2_dev <= 1e-12
@@ -383,6 +390,89 @@ class TestFullModel:
                 steady_state_full(cfg, proj32)
             with pytest.raises(ConvergenceError, match="non-finite amplitudes"):
                 evolve_full(cfg, proj32, 10.0, 0.5)
+
+    def test_subnormal_drive_scales_the_unit_drive(self, proj32):
+        # 1/|Omega| overflows at Omega = 1e-320; the chain starts from the
+        # unit cavity mode all the same, and the answer is the Omega = 0.01
+        # one scaled by 1e-318, to the subnormal spacing
+        tiny = np.finfo(float).smallest_subnormal
+        ref = make_config(Omega=0.01)
+        cfg = make_config(Omega=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_full(cfg, proj32, 10.0, 0.5)
+            st_ = steady_state_full(cfg, proj32)
+        want = evolve_full(ref, proj32, 10.0, 0.5)
+        assert traj.diagnostics["krylov_m"] == want.diagnostics["krylov_m"]
+        assert np.max(np.abs(traj.a)) > 0.0
+        assert np.max(np.abs(traj.a - 1e-318 * want.a)) <= 64 * tiny
+        assert abs(st_.a - 1e-318 * steady_state_full(ref, proj32).a) <= 64 * tiny
+
+    def test_start_vector_keeps_its_bits(self):
+        # the unit start vector is start / beta as numpy divides it wherever
+        # beta is normal, and finite where beta is subnormal
+        rng = np.random.default_rng(7)
+        start = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        for beta in (np.linalg.norm(start), 1e-300, np.finfo(float).tiny, 1e300):
+            got = _Krylov(None, start, beta).V[0]
+            assert np.array_equal(got.view(float), (start / beta).view(float))
+        for beta in (1e-320, np.finfo(float).smallest_subnormal):
+            unit = np.array([0.0, -1j * beta, 0.0])
+            got = _Krylov(None, unit, beta).V[0]
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - [0.0, -1j, 0.0])) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n_side", [8, 16, 32])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.8])
+    def test_generator_is_dissipative(self, a, n_side):
+        # the bound of the stopping rule needs the generator's Hermitian part
+        # <= 0; the coupling is imaginary and the same in both off-diagonal
+        # blocks, so that part is -kappa_c/2 and -Re D:
+        # Re <y, A y> = -kappa_c/2 |y_0|^2 - <s, Re D s>
+        cfg = make_config(a=a, n_side=n_side)
+        kernel = projected_kernels(cfg.lattice, cfg.cavity.z0, cfg.cavity.k_cut_abs)[0]
+        apply, _c = _generator(cfg, kernel)
+        re_d = dense(kernel).real
+        rng = np.random.default_rng(n_side)
+        y = rng.standard_normal(n_side**2 + 1) + 1j * rng.standard_normal(n_side**2 + 1)
+        s = y[1:]
+        want = -cfg.cavity.kappa_c / 2.0 * abs(y[0]) ** 2 - np.vdot(s, re_d @ s).real
+        assert abs(np.vdot(y, apply(y)).real - want) <= 1e-13 * np.vdot(y, y).real
+        eig = np.linalg.eigvalsh(re_d)
+        assert eig[0] >= -1e-13 * eig[-1]
+
+    @pytest.mark.parametrize("t_final", [10.0, 100.0])
+    def test_error_bound_holds_along_one_chain(self, proj32, t_final):
+        # at every m up to the stop, the bound lies above the readouts'
+        # deviation from the chain twice as long, to the readouts' round-off
+        cfg = make_config()
+        stop = evolve_full(cfg, proj32, t_final, t_final / 200).diagnostics["krylov_m"]
+        apply, c = _generator(cfg, proj32)
+        krylov = _Krylov(apply, c, abs(cfg.drive.Omega))
+        assert krylov.extend(2 * stop) == 2 * stop
+        h = t_final / 200
+        propagate = _chain_propagation(h, 201)
+        readouts = {}
+        for m in sorted({*range(1, stop + 1), *range(2, 2 * stop + 1, 2)}):
+            z = propagate(krylov.H[:m, :m])
+            readouts[m] = (z, z @ krylov.V[:m, 0], np.sum(np.abs(z[:, 1:]) ** 2, axis=1))
+        for m in range(1, stop + 1):
+            z, a, s2 = readouts[m]
+            _z, a_ref, s2_ref = readouts[2 * m]
+            bound = _error_bound(krylov, z, lambda x: h * np.sum(np.maximum(x[:-1], x[1:])))
+            deviation = max(np.max(np.abs(a - a_ref)) / np.max(np.abs(a_ref)),
+                            np.max(np.abs(s2 - s2_ref)) / np.max(s2_ref))
+            assert deviation <= bound + 1e-14, m
+        assert bound <= KRYLOV_TOL
+
+    @pytest.mark.parametrize("t_final, most", [(10.0, 32), (100.0, 128)])
+    def test_chain_stops_below_the_doubling_rule(self, proj32, t_final, most):
+        # on the README config the m/2m doubling rule ran to 64 at t 10, and
+        # to 128 or 256 at t 100, where its m/2m deviation sat near the
+        # tolerance
+        traj = evolve_full(make_config(), proj32, t_final, t_final / 200)
+        assert traj.diagnostics["krylov_m"] <= most
+        assert traj.diagnostics["krylov_error"] <= KRYLOV_TOL
 
     def test_steady_state_linearity(self, proj32):
         cfg1 = make_config(z0=0.125, delta_c=0.3, delta=DELTA0 + 20.0,
